@@ -149,7 +149,9 @@ def main(argv=None) -> int:
         print(f"max abs tracking error per state: {[f'{v:.4g}' for v in track]}")
         print(
             f"H_d: {lyap['initial']:.6g} -> {lyap['final']:.6g}, "
-            f"increase events above {lyap['tol']:g}: {lyap['increase_events']}"
+            f"increase events above {lyap['tol']:g}: {lyap['model_increase_events']} "
+            f"model-predicted, {lyap['increase_events']} on the plant; "
+            f"max |f - mu| / eta {metrics['drift_envelope']['max_ratio']:.3g}"
         )
         print(f"dissipation certificate radius: {eps_text}")
     return 0

@@ -35,7 +35,6 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import null_space
 from scipy.optimize import least_squares, minimize
-from scipy.sparse import lil_matrix
 
 from .core import PhsModel, Trajectory, eval_dynamics, phs_output
 from .errors import PlanError, SimulationDivergedError, SynthesisError
@@ -246,12 +245,15 @@ class ReferencePlan:
 
     Evaluation between grid points uses a cubic spline of the sampled x_d;
     the derivative is the exact spline derivative, so the two interpolants
-    are consistent by construction.
+    are consistent by construction.  ``fit`` records how the trust-region
+    solver of a best-fit plan exited (status, message, nfev, njev, cost,
+    optimality); it is None for exact plans and plans read from CSV.
     """
 
     times: np.ndarray
     xd: np.ndarray
     xddot: np.ndarray
+    fit: Optional[dict] = field(default=None, compare=False)
     _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -321,9 +323,12 @@ def solve_reference_plan(
     residual over the whole grid at once (trust-region least squares with a
     banded Jacobian; the solved components' derivatives enter through local
     finite differences, so the defect spreads smoothly across a no-root
-    window instead of kinking).  The achieved defect is recoverable through
-    `matching_residual`.  The default mode="exact" keeps the strict
-    per-point-root contract and raises on failure.
+    window instead of kinking).  Its Jacobian is built from the derivative
+    stencil plus one batched central difference of the drift mean per
+    unknown component, and best-fit needs a state-independent input matrix.
+    The achieved defect is recoverable through `matching_residual`, and the
+    solver's exit through `ReferencePlan.fit`.  The default mode="exact"
+    keeps the strict per-point-root contract and raises on failure.
 
     Best-fit solves are confined to the training-data bounding box when the
     model carries its data: off the data the posterior mean decays to the
@@ -420,6 +425,64 @@ def solve_reference_plan(
     return ReferencePlan(times=times, xd=xd_full, xddot=spline_full(times, 1))
 
 
+def _derivative_stencil(n_grid, h):
+    """Second-order finite-difference derivative on a uniform grid as an (n_grid, n_grid) matrix."""
+    d = np.zeros((n_grid, n_grid))
+    k = np.arange(1, n_grid - 1)
+    d[k, k - 1] = -1.0
+    d[k, k + 1] = 1.0
+    d[0, :3] = (-3.0, 4.0, -1.0)
+    d[-1, -3:] = (1.0, -4.0, 3.0)
+    return d / (2 * h)
+
+
+def _best_fit_problem(model, xd1, xd1dot, shaped0, probe, grid_step):
+    """Residual and Jacobian of the best-fit plan in the flat tail z = (z_0, ..., z_K).
+
+    Row block k is Gperp (shaped0 + xdot_d(t_k) - mu(x_d(t_k))), where the
+    tail derivatives come from the stencil over neighbouring grid points, so
+    the Jacobian is banded: the stencil kron'd with Gperp[:, 1:], minus
+    Gperp dmu/dz_k on the diagonal blocks.
+    """
+    n = model.dim_state
+    n_grid = xd1.size
+    n_tail = n - 1
+    g_probe = model.io_matrix(probe)
+    if not np.array_equal(g_probe, model.io_matrix(probe + 0.1)):
+        raise PlanError("best-fit plan solving needs a state-independent input matrix")
+    gperp = left_annihilator(g_probe)
+    stencil = _derivative_stencil(n_grid, grid_step)
+    neighbours = np.kron(stencil, gperp[:, 1:])
+    diag = np.arange(n_grid)
+
+    def states(zflat):
+        zz = zflat.reshape(n_grid, n_tail)
+        return zz, np.vstack([xd1, zz.T])
+
+    def residual(zflat):
+        zz, x_all = states(zflat)
+        target = shaped0[:, None] + np.vstack([xd1dot, (stencil @ zz).T]) - model.drift_mean(x_all)
+        return (gperp @ target).T.ravel()
+
+    def jacobian(zflat):
+        zz, x_all = states(zflat)
+        # mu(x_k) depends on z_k alone, so one central difference per tail
+        # component perturbs every grid point at once
+        dmu = np.empty((n_grid, n, n_tail))
+        for c in range(n_tail):
+            shift = np.zeros_like(x_all)
+            shift[c + 1] = 1e-6 * np.maximum(1.0, np.abs(zz[:, c]))
+            diff = model.drift_mean(x_all + shift) - model.drift_mean(x_all - shift)
+            dmu[:, :, c] = (diff / (2 * shift[c + 1])).T
+        jac = neighbours.copy()
+        jac.reshape(n_grid, n_tail, n_grid, n_tail)[diag, :, diag, :] -= np.einsum(
+            "ij,kjc->kic", gperp, dmu
+        )
+        return jac
+
+    return residual, jacobian
+
+
 def _solve_plan_best_fit(model, times, xd1, xd1dot, shaped0, z0, grid_step):
     n = model.dim_state
     n_grid = times.size
@@ -436,62 +499,26 @@ def _solve_plan_best_fit(model, times, xd1, xd1dot, shaped0, z0, grid_step):
         z_lo = np.full(n_grid * n_tail, -np.inf)
         z_hi = np.full(n_grid * n_tail, np.inf)
 
-    h = grid_step
-
-    def tail_derivative(zz):
-        d = np.empty_like(zz)
-        d[1:-1] = (zz[2:] - zz[:-2]) / (2 * h)
-        d[0] = (-3 * zz[0] + 4 * zz[1] - zz[2]) / (2 * h)
-        d[-1] = (3 * zz[-1] - 4 * zz[-2] + zz[-3]) / (2 * h)
-        return d
-
-    probe_a = np.concatenate([[xd1[0]], z0])
-    probe_b = probe_a + 0.1
-    g_fixed = None
-    if np.array_equal(model.io_matrix(probe_a), model.io_matrix(probe_b)):
-        g_fixed = left_annihilator(model.io_matrix(probe_a))
-
-    def global_residual(zflat):
-        zz = zflat.reshape(n_grid, n_tail)
-        zd = tail_derivative(zz)
-        x_all = np.vstack([xd1, zz.T])
-        mu = model.drift_mean(x_all)
-        target = shaped0[:, None] + np.vstack([xd1dot, zd.T]) - mu
-        if g_fixed is not None:
-            return (g_fixed @ target).T.ravel()
-        out = np.empty((n_grid, n - 1))
-        gperp_prev = None
-        for k in range(n_grid):
-            gperp = left_annihilator(model.io_matrix(x_all[:, k]), prev=gperp_prev)
-            gperp_prev = gperp
-            out[k] = gperp @ target[:, k]
-        return out.ravel()
-
-    sparsity = lil_matrix((n_grid * n_tail, n_grid * n_tail), dtype=np.uint8)
-    for k in range(n_grid):
-        lo = max(0, k - 2) if k in (0, n_grid - 1) else k - 1
-        hi = min(n_grid - 1, k + 2) if k in (0, n_grid - 1) else k + 1
-        for kk in range(lo, hi + 1):
-            sparsity[
-                k * n_tail : (k + 1) * n_tail, kk * n_tail : (kk + 1) * n_tail
-            ] = 1
-
+    residual, jacobian = _best_fit_problem(
+        model, xd1, xd1dot, shaped0, np.concatenate([[xd1[0]], z0]), grid_step
+    )
     start = np.tile(np.clip(z0, z_lo[:n_tail], z_hi[:n_tail]), n_grid)
     fit = least_squares(
-        global_residual,
+        residual,
         start,
+        jac=jacobian,
         method="trf",
         bounds=(z_lo, z_hi),
-        jac_sparsity=sparsity,
         xtol=1e-8,
         ftol=1e-8,
         gtol=1e-10,
         max_nfev=600,
     )
-    # Relative ftol/xtol rarely trigger when the optimal cost is near zero, so
-    # running out of evaluations with a good fit is the common exit.  Only an
-    # invalid-input status is a hard failure; fit quality is reported through
-    # the matching-residual diagnostics.
+    # With the exact Jacobian trf solves each step exactly and ends on one of
+    # its convergence tests; max_nfev only caps a fit that stalls, and the
+    # exit is recorded either way.  Only an invalid-input status is a hard
+    # failure; fit quality is reported through the matching-residual
+    # diagnostics.
     if fit.status < 0:
         raise PlanError(
             f"global least-squares fit failed: {fit.message}",
@@ -501,7 +528,15 @@ def _solve_plan_best_fit(model, times, xd1, xd1dot, shaped0, z0, grid_step):
     z = fit.x.reshape(n_grid, n_tail)
     xd_full = np.column_stack([xd1, z])
     spline_full = CubicSpline(times, xd_full, axis=0)
-    return ReferencePlan(times=times, xd=xd_full, xddot=spline_full(times, 1))
+    report = {
+        "status": int(fit.status),
+        "message": str(fit.message),
+        "nfev": int(fit.nfev),
+        "njev": int(fit.njev),
+        "cost": float(fit.cost),
+        "optimality": float(fit.optimality),
+    }
+    return ReferencePlan(times=times, xd=xd_full, xddot=spline_full(times, 1), fit=report)
 
 
 def tracking_control(model, desired: DesiredDynamics, plan: ReferencePlan):

@@ -5,9 +5,12 @@ The drift (J - R) grad H is given a GP prior through the structured kernel
 minimizes the negative log marginal likelihood over log-scale kernel
 hyperparameters, log noise variances, and the raw structure parameters.
 
-Posterior queries return the drift mean/variance, and the posterior
-Hamiltonian is realized by solving Jr_hat(x) g = mu(x) for the gradient and
-line-integrating g from a reference state along a straight path.
+Posterior queries read cached per-sample weights: with alpha = K^-1 Xdot0
+and w_b = sf^2 Lambda^-1 Jr_hat(x_b)^T alpha_b, the posterior Hamiltonian is
+H_hat(x) = sum_b k(x, x_b) (x - x_b)^T w_b, its gradient is the closed-form
+derivative of that sum, and the drift mean is mu(x) = Jr_hat(x) grad H_hat(x)
+(predicting with cached weights, Rasmussen & Williams 2006, Alg. 2.1).  Only
+the variance needs the cross-covariance, through one triangular solve.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad_vec
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import minimize
 
 from . import backend
 from .core import PhsModel, eval_dynamics
-from .errors import ConditioningError, ModelEvaluationError, TrainingError
+from .errors import ConditioningError, TrainingError
 from .filtering import FilteredDataset
 from .kernels import factorize_gram, gram_matrix
 from .structure import StructureEstimate, structure_from_jsonable
@@ -260,34 +263,25 @@ class GpPhsModel:
 
     def drift(self, xq):
         """Posterior drift mean and per-dimension variance at query states (n, Q)."""
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        if xq.shape[0] != self.dim_state:
-            xq = xq.T
+        xq = self._columns(xq)
         n = self.dim_state
         n_q = xq.shape[1]
         sq = self.structure.jr_stack(xq)
         sf2 = self.hyper.sigma_f**2
+        mean = np.einsum("qij,jq->iq", sq, self.hamiltonian_grad(xq))
         cross = backend.phs_cross(xq, self.states, sq, self._s_stack, sf2, self.hyper.lengthscales)
-        mean = (cross @ self.alpha).reshape(n_q, n).T
-        w = cho_solve(self.cho, cross.T)
-        quad = np.einsum("ij,ij->j", cross.T, w)
+        # var = prior - k K^-1 k^T = prior - |L^-1 k^T|^2 with the lower factor L
+        half = solve_triangular(self.cho[0], cross.T, lower=True, check_finite=False)
+        quad = np.einsum("ij,ij->j", half, half)
         v = 1.0 / self.hyper.lengthscales**2
         prior = sf2 * np.einsum("qil,l->qi", sq**2, v)
         var = np.maximum(prior.reshape(n_q * n) - quad, 0.0).reshape(n_q, n).T
         return mean, var
 
     def drift_mean(self, xq):
-        """Posterior drift mean only; skips the variance back-substitution."""
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        if xq.shape[0] != self.dim_state:
-            xq = xq.T
-        n = self.dim_state
-        n_q = xq.shape[1]
-        sq = self.structure.jr_stack(xq)
-        cross = backend.phs_cross(
-            xq, self.states, sq, self._s_stack, self.hyper.sigma_f**2, self.hyper.lengthscales
-        )
-        return (cross @ self.alpha).reshape(n_q, n).T
+        """Posterior drift mean only: Jr_hat(x) grad H_hat(x), no cross-covariance."""
+        xq = self._columns(xq)
+        return np.einsum("qij,jq->iq", self.structure.jr_stack(xq), self.hamiltonian_grad(xq))
 
     def dynamics(self, x, u):
         """Posterior state derivative mean mu + G_hat u and its variance."""
@@ -297,29 +291,22 @@ class GpPhsModel:
         return mean[:, 0] + self.io_matrix(x) @ u, var[:, 0]
 
     def hamiltonian_grad(self, xq):
-        """grad H_hat obtained from Jr_hat(x) g = mu(x), batched over columns."""
+        """Posterior mean of grad H at query columns (n, Q)."""
+        # gradient of sum_b k(x, x_b) d_b^T w_b with d_b = x - x_b:
+        # sum_b k(x, x_b) (w_b - (d_b^T w_b) Lambda^-1 d_b), which equals
+        # sum_b Pi(x, x_b) t_b for t_b = sf^2 Jr_hat(x_b)^T alpha_b
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        mean = self.drift_mean(xq)
-        n_q = xq.shape[1]
-        s_stack = self.structure.jr_stack(xq)
-        try:
-            return np.linalg.solve(s_stack, mean.T[:, :, None])[:, :, 0].T
-        except np.linalg.LinAlgError:
-            pass
-        out = np.empty_like(mean)
-        for i in range(n_q):
-            s = s_stack[i]
-            try:
-                out[:, i] = np.linalg.solve(s, mean[:, i])
-            except np.linalg.LinAlgError:
-                sol, res, rank, _ = np.linalg.lstsq(s, mean[:, i], rcond=None)
-                scale = max(np.linalg.norm(mean[:, i]), 1.0)
-                if rank < s.shape[0] and res.size and np.sqrt(res[0]) > 1e-6 * scale:
-                    raise ModelEvaluationError(
-                        "singular structure matrix at query state", state=xq[:, i].copy()
-                    )
-                out[:, i] = sol
-        return out
+        v = 1.0 / self.hyper.lengthscales**2
+        w = self._h_weights
+        diff = xq.T[:, None, :] - self.states.T[None, :, :]
+        vd = diff * v
+        k = np.exp(-0.5 * np.einsum("qpn,qpn->qp", diff, vd))
+        dw = np.einsum("qpn,pn->qp", diff, w)
+        return (k @ w - np.einsum("qp,qpn->qn", k * dw, vd)).T
+
+    def _columns(self, xq):
+        xq = np.atleast_2d(np.asarray(xq, dtype=float))
+        return xq if xq.shape[0] == self.dim_state else xq.T
 
     @property
     def _h_weights(self):

@@ -345,6 +345,7 @@ def stage_plan(cfg, workdir):
                 "max_matching_residual": max(residuals),
                 "checked_times": [float(plan.times[i]) for i in check_idx],
                 "grid_step": pl["grid_step"],
+                "fit": plan.fit,
                 "mode": mode,
                 "n_grid": int(plan.times.size),
             },
@@ -403,14 +404,9 @@ def stage_closed_loop(cfg, workdir):
     trajectory_to_csv(traj, _path(workdir, "closedloop.csv"))
 
 
-def emit_figure_data(cfg, workdir):
+def emit_figure_data(workdir, traj, plan, desired):
     """Four figure CSVs derived from the persisted closed-loop run: air-gap
     tracking, remaining states, control input, and the desired-energy series."""
-    traj = trajectory_from_csv(_require(workdir, "closedloop.csv"))
-    plan = plan_from_csv(_require(workdir, "plan.csv"))
-    model = load_model_artifact(cfg, workdir)
-    desired = _load_desired(cfg, workdir, model)
-
     figdir = _path(workdir, "figures")
     os.makedirs(figdir, exist_ok=True)
     ts = traj.times
@@ -434,10 +430,38 @@ def emit_figure_data(cfg, workdir):
     return hd
 
 
+def _model_hd_increments(model, desired, plan, traj):
+    """Per-step H_d increments the model predicts along a closed-loop run.
+
+    The slope grad H_d^T (mu + Ghat u - xdot_d) at each sample, with u the
+    recorded input, integrated over each sample step by the trapezoid rule.
+    It carries the assigned dissipation and the off-reference matching
+    mismatch but not the model error, which criterion 1b bounds separately.
+    """
+    xs, ts = traj.states, traj.times
+    grad = desired.hd_error_grad_batch((xs - plan.x_d(ts)).T)
+    g_u = np.stack([model.io_matrix(x) @ u for x, u in zip(xs, traj.inputs)], axis=1)
+    velocity = model.drift_mean(xs.T) + g_u - plan.x_d_dot(ts).T
+    slope = np.einsum("nk,nk->k", grad, velocity)
+    return 0.5 * np.diff(ts) * (slope[:-1] + slope[1:])
+
+
+def _drift_envelope_ratio(plant, model, states):
+    """max_i,k |f_i - mu_i| / eta_i over the rows of states (T, n); 0 where both vanish."""
+    u0 = np.zeros(plant.dim_input)
+    f = np.stack([eval_dynamics(plant, x, u0) for x in states], axis=1)
+    err = np.abs(f - model.drift_mean(states.T))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(err == 0.0, 0.0, err / model.envelope(states.T))
+    return float(np.max(ratio))
+
+
 def stage_metrics(cfg, workdir):
     traj = trajectory_from_csv(_require(workdir, "closedloop.csv"))
     plan = plan_from_csv(_require(workdir, "plan.csv"))
     plant, _ = build_plant(cfg)
+    model = load_model_artifact(cfg, workdir)
+    desired = _load_desired(cfg, workdir, model)
     with open(_require(workdir, "train_summary.json")) as fh:
         train_summary = json.load(fh)
     with open(_require(workdir, "hd_check.json")) as fh:
@@ -447,11 +471,12 @@ def stage_metrics(cfg, workdir):
     with open(_require(workdir, "plan_summary.json")) as fh:
         plan_summary = json.load(fh)
 
-    hd = emit_figure_data(cfg, workdir)
+    hd = emit_figure_data(workdir, traj, plan, desired)
 
     xd = plan.x_d(traj.times)
     err = traj.states - xd
     diffs = np.diff(hd)
+    nominal = _model_hd_increments(model, desired, plan, traj)
     tol = cfg["closed_loop"]["hd_increase_tol"]
     metrics = {
         "schema": "phs-lab-metrics-v1",
@@ -466,8 +491,11 @@ def stage_metrics(cfg, workdir):
             "final": float(hd[-1]),
             "increase_events": int(np.sum(diffs > tol)),
             "max_increase": float(max(float(np.max(diffs)), 0.0)) if diffs.size else 0.0,
+            "model_increase_events": int(np.sum(nominal > tol)),
+            "model_max_increase": float(max(float(np.max(nominal)), 0.0)) if nominal.size else 0.0,
             "tol": tol,
         },
+        "drift_envelope": {"max_ratio": _drift_envelope_ratio(plant, model, traj.states)},
         "energy_balance": {
             "closed_loop_max_residual": float(np.max(energy_balance_residual(plant, traj)))
         },

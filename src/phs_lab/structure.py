@@ -44,7 +44,11 @@ def _sigmoid(z):
 
 
 class StructureFamily:
-    """Interface for structure families; subclasses are stateless."""
+    """Interface for structure families; subclasses are stateless.
+
+    J_hat and R_hat of every family here do not depend on the state, which
+    `jr_stack` relies on; a state-dependent family must override it.
+    """
 
     dim_state: int
     dim_input: int
@@ -66,6 +70,10 @@ class StructureFamily:
 
     def g(self, x, phi):
         raise NotImplementedError
+
+    def jr_stack(self, states, phi):
+        """J_hat - R_hat at each column of states (n, N) -> (N, n, n)."""
+        return np.tile(self.jr(states[:, 0], phi), (states.shape[1], 1, 1))
 
     def jr_param_grad(self, x, phi):
         """d(J_hat - R_hat)/dphi_p for each raw parameter, shape (P, n, n)."""
@@ -220,8 +228,7 @@ class StructureEstimate:
 
     def jr_stack(self, states):
         """J_hat - R_hat at each column of states (n, N) -> (N, n, n)."""
-        states = np.atleast_2d(states)
-        return np.stack([self.jr(states[:, i]) for i in range(states.shape[1])])
+        return self.family.jr_stack(np.atleast_2d(states), self.phi)
 
     def to_jsonable(self):
         return {"family": self.family.to_jsonable(), "phi": self.phi.tolist()}

@@ -7,16 +7,20 @@ is covered by the pipeline and acceptance suites.
 
 import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative  # the differencing least_squares uses
 
 from phs_lab import (
     MicroactuatorParams,
     PlanError,
     SimulationDivergedError,
     SynthesisError,
+    condition,
     make_microactuator,
+    simulate,
 )
 from phs_lab.control import (
     ReferencePlan,
+    _best_fit_problem,
     classical_ida_pbc_control,
     external_output,
     find_hamiltonian_minimum,
@@ -33,9 +37,11 @@ from phs_lab.control import (
     solve_reference_plan,
     tracking_control,
 )
+from phs_lab.core import eval_dynamics
+from phs_lab.filtering import FilteredDataset
 from phs_lab.gp import PerfectPhsModel
 
-from conftest import micro_structure
+from conftest import micro_hypers, micro_structure
 
 
 def primary_reference(t):
@@ -259,6 +265,65 @@ def test_plan_best_fit_reaches_residual_floor(perfect_model, desired):
     np.testing.assert_allclose(plan.xd[:, 2], 0.0, atol=1e-2)
     with pytest.raises(ValueError):
         solve_reference_plan(*args, mode="fastest")
+
+
+@pytest.mark.parametrize("kind", ["gp", "perfect"])
+def test_best_fit_jacobian_matches_finite_differences(kind, plant, perfect_model):
+    # the closed-form banded Jacobian against scipy's own differencing of the
+    # residual, at random tails on a 9-point grid
+    model = perfect_model
+    if kind == "gp":
+        u_fn = lambda t: np.array([np.sin(t)])
+        traj = simulate(plant, np.array([0.0, 0.0, 1.0]), u_fn, (0.0, 20.0), n_samples=30)
+        derivs = np.stack(
+            [eval_dynamics(plant, x, u) for x, u in zip(traj.states, traj.inputs)], axis=1
+        )
+        ds = FilteredDataset(
+            states=traj.states.T, derivatives=derivs, inputs=traj.inputs.T, times=traj.times
+        )
+        model = condition(ds, micro_hypers())
+    rng = np.random.default_rng(5)
+    n_grid, step = 9, 0.1
+    xd1 = 1.0 + 0.05 * rng.standard_normal(n_grid)
+    xd1dot = 0.1 * rng.standard_normal(n_grid)
+    shaped0 = rng.standard_normal(3)
+    residual, jacobian = _best_fit_problem(
+        model, xd1, xd1dot, shaped0, np.array([xd1[0], 0.0, 0.5]), step
+    )
+    for _ in range(3):
+        z = np.column_stack(
+            [rng.uniform(-0.3, 0.3, n_grid), rng.uniform(0.2, 1.2, n_grid)]
+        ).ravel()
+        jac = jacobian(z)
+        fd = approx_derivative(residual, z, method="3-point")
+        assert jac.shape == fd.shape == (2 * n_grid, 2 * n_grid)
+        np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-8 * np.max(np.abs(fd)))
+
+
+class _StateDependentInput:
+    """Exact model whose input matrix varies with the state."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def io_matrix(self, x):
+        return self._inner.io_matrix(x) * (1.0 + 0.1 * x[0])
+
+
+def test_plan_best_fit_rejects_state_dependent_input(perfect_model, desired):
+    with pytest.raises(PlanError, match="state-independent input matrix"):
+        solve_reference_plan(
+            _StateDependentInput(perfect_model),
+            desired,
+            lambda t: (1.0, 0.0),
+            (0.0, 1.0),
+            0.1,
+            seed_tail=np.array([0.0, 0.1]),
+            mode="best-fit",
+        )
 
 
 def test_semi_passive_adds_external_input():

@@ -94,6 +94,72 @@ def _dense_posterior(ds, hyper, xq):
     return mean, var, gram, y
 
 
+def _dense_mean_and_grad_h(ds, hyper, xq):
+    """Drift mean through the cross-covariance and grad H_hat through the
+    derivative of cov(H(x), xdot_j), one query column and one sample at a time."""
+    est = hyper.structure
+    n = ds.states.shape[0]
+    alpha = np.linalg.solve(_dense_gram(ds, hyper), _dense_targets(ds, hyper))
+    mean = np.zeros_like(xq)
+    grad = np.zeros_like(xq)
+    for q in range(xq.shape[1]):
+        x = xq[:, q]
+        for j in range(ds.n_points):
+            xj = ds.states[:, j]
+            pi = _se_pi(x, xj, hyper.lengthscales)
+            aj = alpha[n * j : n * (j + 1)]
+            mean[:, q] += hyper.sigma_f**2 * est.jr(x) @ pi @ est.jr(xj).T @ aj
+            # d/dx [sf^2 Jr(x_j) Lambda^-1 (x - x_j) k(x, x_j)]^T = sf^2 Pi(x, x_j) Jr(x_j)^T
+            grad[:, q] += hyper.sigma_f**2 * pi @ est.jr(xj).T @ aj
+    return mean, grad
+
+
+def _random_model(family, rng):
+    """A model conditioned on a random training set of 12 states, with random hyperparameters."""
+    if family == "microactuator":
+        structure = micro_structure(b=float(rng.uniform(0.2, 1.5)), r=float(rng.uniform(0.5, 2.0)))
+    else:
+        # J - R is singular here: the third row is zero
+        structure = StructureEstimate(
+            family=FixedStructure(
+                j=np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                r=np.diag([0.0, float(rng.uniform(0.2, 1.5)), 0.0]),
+                g=np.array([[0.0], [0.0], [1.0]]),
+            ),
+            phi=np.zeros(0),
+        )
+    hyper = GpHyperparams(
+        sigma_f=float(rng.uniform(0.5, 2.0)),
+        lengthscales=rng.uniform(0.5, 1.5, size=3),
+        noise_var=rng.uniform(5e-3, 2e-2, size=3),
+        structure=structure,
+    )
+    ds = FilteredDataset(
+        states=rng.uniform(-1.0, 1.0, size=(3, 12)),
+        derivatives=rng.standard_normal((3, 12)),
+        inputs=rng.standard_normal((1, 12)),
+        times=np.arange(12.0),
+    )
+    return ds, hyper, condition(ds, hyper, jitter=0.0)
+
+
+@pytest.mark.parametrize("family", ["microactuator", "fixed"])
+@pytest.mark.parametrize("n_query", [1, 21, 261])
+def test_weight_space_mean_and_grad_match_dense_oracle(family, n_query):
+    # the cached-weight posterior against the cross-covariance route; the
+    # fixed family's singular J - R leaves grad H_hat undetermined by mu alone
+    rng = np.random.default_rng(n_query + (0 if family == "microactuator" else 1000))
+    ds, hyper, model = _random_model(family, rng)
+    xq = rng.uniform(-1.5, 1.5, size=(3, n_query))
+    mean_o, grad_o = _dense_mean_and_grad_h(ds, hyper, xq)
+    mean = model.drift_mean(xq)
+    grad = model.hamiltonian_grad(xq)
+    assert mean.shape == grad.shape == (3, n_query)
+    assert np.max(np.abs(mean - mean_o)) <= 1e-10 * np.max(np.abs(mean_o))
+    assert np.max(np.abs(grad - grad_o)) <= 1e-10 * np.max(np.abs(grad_o))
+    np.testing.assert_array_equal(model.drift(xq)[0], mean)
+
+
 @pytest.fixture(scope="module")
 def small_dataset(filtered_full):
     return subset(filtered_full, 30)  # 10 points

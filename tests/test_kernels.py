@@ -7,6 +7,7 @@ from phs_lab import ConditioningError, gram_matrix, phs_kernel, se_hessian
 from phs_lab import backend
 from phs_lab._kernels_np import phs_cross as phs_cross_np, pi_tensor as pi_tensor_np
 from phs_lab.kernels import factorize_gram
+from phs_lab.structure import FixedStructure, StructureEstimate
 
 from conftest import micro_hypers, micro_structure
 
@@ -128,6 +129,22 @@ def test_factorize_gram_gives_up():
     bad = np.diag([1.0, -1.0])
     with pytest.raises(ConditioningError):
         factorize_gram(bad, jitter=1e-12, max_jitter=1e-6)
+
+
+def test_jr_stack_equals_per_column_jr():
+    rng = np.random.default_rng(31)
+    states = rng.uniform(-2.0, 2.0, size=(3, 17))
+    fixed = StructureEstimate(
+        family=FixedStructure(
+            j=np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            r=np.diag([0.1, 0.4, 0.0]),
+            g=np.array([[0.0], [1.0], [0.0]]),
+        ),
+        phi=np.zeros(0),
+    )
+    for est in (micro_structure(b=0.3, r=1.7), fixed):
+        expected = np.stack([est.jr(states[:, i]) for i in range(states.shape[1])])
+        np.testing.assert_array_equal(est.jr_stack(states), expected)
 
 
 def test_backend_parity():

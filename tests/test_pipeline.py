@@ -83,6 +83,30 @@ def test_plan_summary_reports_mode_and_residual(mini_run):
     assert summary["n_grid"] == 11
     assert np.isfinite(summary["max_matching_residual"])
     assert len(summary["checked_times"]) <= 25
+    assert (summary["fit"] is None) == (summary["mode"] == "exact")
+
+
+def test_best_fit_plan_converges_on_reduced_study(tmp_path):
+    # the reduced production study (100 training points, a 21-point grid over
+    # t in [0, 1]) has no exact plan; the trust-region fit must stop on one of
+    # its convergence tests (status 1-4), not on the evaluation cap (status 0)
+    cfg = validate_config(
+        {
+            "seed": 42,
+            "dataset": {"n_samples": 100},
+            "train": {"restarts": 2, "calibration": {"n_samples": 60}},
+            "plan": {"t_span": [0.0, 1.0]},
+        }
+    )
+    stages = ["generate", "filter", "train", "desired", "plan"]
+    run_pipeline(cfg, str(tmp_path), stages=stages)
+    with open(tmp_path / "plan_summary.json") as fh:
+        summary = json.load(fh)
+    fit = summary["fit"]
+    assert summary["mode"] == "best-fit"
+    assert 1 <= fit["status"] <= 4, fit["message"]
+    assert fit["nfev"] < 600 and fit["njev"] <= fit["nfev"]
+    assert fit["cost"] >= 0.0 and np.isfinite(fit["optimality"])
 
 
 def test_rerun_is_byte_identical(mini_run, tmp_path):
