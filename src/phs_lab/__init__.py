@@ -7,7 +7,6 @@ physics-structured Gaussian process over PHS vector fields (``kernels``,
 (``config``, ``pipeline``, ``cli``).
 """
 
-from .backend import backend_name
 from .config import default_config, load_config, save_config, validate_config
 from .control import (
     DesiredDynamics,
@@ -53,11 +52,8 @@ from .gp import (
     PerfectPhsModel,
     calibrate_beta,
     condition,
-    error_envelope,
     load_model,
     negative_log_marginal_likelihood,
-    posterior_dynamics,
-    posterior_hamiltonian,
     save_model,
     train,
 )

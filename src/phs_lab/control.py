@@ -36,7 +36,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import null_space
 from scipy.optimize import least_squares, minimize
 
-from .core import PhsModel, Trajectory, eval_dynamics, phs_output
+from .core import PhsModel, Trajectory, simulate_feedback
 from .errors import PlanError, SimulationDivergedError, SynthesisError
 
 __all__ = [
@@ -611,35 +611,18 @@ def simulate_closed_loop(
     atol: float = 1e-8,
     blowup: float = 1e6,
 ) -> Trajectory:
-    """Integrate the plant under state feedback u = controller(x, t)."""
-    x0 = np.asarray(x0, dtype=float)
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    last_ok = [t0]
-
-    def rhs(t, x):
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > blowup:
-            raise SimulationDivergedError("state blow-up", last_ok[0])
-        dx = eval_dynamics(plant, x, controller(x, t))
-        last_ok[0] = t
-        return dx
-
-    try:
-        sol = solve_ivp(rhs, (t0, t1), x0, method="RK45", rtol=rtol, atol=atol, dense_output=True)
-    except SimulationDivergedError:
-        raise
-    if not sol.success:
-        raise SimulationDivergedError(f"integrator stopped: {sol.message}", float(sol.t[-1]))
-
-    if sample_times is not None:
-        ts = np.asarray(sample_times, dtype=float)
-    elif n_samples is not None:
-        ts = np.linspace(t0, t1, int(n_samples))
-    else:
-        ts = sol.t
-    xs = sol.sol(ts).T
-    us = np.stack([np.atleast_1d(np.asarray(controller(x, t), dtype=float)) for x, t in zip(xs, ts)])
-    ys = np.stack([phs_output(plant, x) for x in xs])
-    return Trajectory(times=ts, states=xs, inputs=us, outputs=ys)
+    """Integrate the plant under state feedback u = controller(x, t); see core.simulate_feedback."""
+    return simulate_feedback(
+        plant,
+        x0,
+        controller,
+        t_span,
+        n_samples=n_samples,
+        sample_times=sample_times,
+        rtol=rtol,
+        atol=atol,
+        blowup=blowup,
+    )
 
 
 def simulate_error_dynamics(

@@ -26,6 +26,7 @@ __all__ = [
     "eval_dynamics",
     "phs_output",
     "simulate",
+    "simulate_feedback",
     "energy_balance_residual",
     "make_microactuator",
     "make_mass_spring_damper",
@@ -163,12 +164,44 @@ def simulate(
     blowup: float = 1e6,
     record_outputs: bool = True,
 ) -> Trajectory:
-    """Integrate the PHS with an adaptive Runge-Kutta pair and dense output.
+    """Integrate the PHS under the open-loop input ``input_signal``: t -> u(t).
+
+    The state-feedback form is `simulate_feedback`, which documents the
+    sampling options and failure modes.
+    """
+    return simulate_feedback(
+        model,
+        x0,
+        lambda x, t: input_signal(t),
+        t_span,
+        n_samples=n_samples,
+        sample_times=sample_times,
+        rtol=rtol,
+        atol=atol,
+        blowup=blowup,
+        record_outputs=record_outputs,
+    )
+
+
+def simulate_feedback(
+    model: PhsModel,
+    x0: np.ndarray,
+    feedback: Callable[[np.ndarray, float], np.ndarray],
+    t_span,
+    n_samples: Optional[int] = None,
+    sample_times: Optional[np.ndarray] = None,
+    rtol: float = 1e-8,
+    atol: float = 1e-8,
+    blowup: float = 1e6,
+    record_outputs: bool = True,
+) -> Trajectory:
+    """Integrate the PHS under u = feedback(x, t), adaptive Runge-Kutta with dense output.
 
     Parameters
     ----------
-    input_signal : callable
-        t -> u(t), shape (m,) (scalars accepted for m = 1).
+    feedback : callable
+        (x, t) -> u, shape (m,) (scalars accepted for m = 1); the recorded
+        inputs are re-evaluated on the sample grid.
     n_samples : int, optional
         Resample the dense solution on a uniform grid of this many points
         (endpoints included).  Mutually exclusive with ``sample_times``.
@@ -195,8 +228,7 @@ def simulate(
     def rhs(t, x):
         if not np.all(np.isfinite(x)) or np.linalg.norm(x) > blowup:
             raise SimulationDivergedError("state blow-up", last_ok[0])
-        u = np.atleast_1d(np.asarray(input_signal(t), dtype=float))
-        dx = eval_dynamics(model, x, u)
+        dx = eval_dynamics(model, x, feedback(x, t))
         last_ok[0] = t
         return dx
 
@@ -210,8 +242,6 @@ def simulate(
             atol=atol,
             dense_output=True,
         )
-    except SimulationDivergedError:
-        raise
     except ModelEvaluationError as exc:
         raise SimulationDivergedError(str(exc), last_ok[0]) from exc
     if not sol.success:
@@ -224,7 +254,7 @@ def simulate(
     else:
         ts = sol.t
     xs = sol.sol(ts).T
-    us = np.stack([np.atleast_1d(np.asarray(input_signal(t), dtype=float)) for t in ts])
+    us = np.stack([np.atleast_1d(np.asarray(feedback(x, t), dtype=float)) for x, t in zip(xs, ts)])
     ys = None
     if record_outputs:
         ys = np.stack([phs_output(model, x) for x in xs])

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad_vec
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import minimize
 
@@ -39,9 +38,6 @@ __all__ = [
     "mean_adjust",
     "negative_log_marginal_likelihood",
     "train",
-    "posterior_dynamics",
-    "posterior_hamiltonian",
-    "error_envelope",
     "calibrate_beta",
     "save_model",
     "load_model",
@@ -119,12 +115,6 @@ def mean_adjust(dataset: FilteredDataset, structure: StructureEstimate) -> np.nd
     return out
 
 
-def _assemble(blocks):
-    """(N, M, n, n) block tensor -> (N n, M n) matrix, sample-major."""
-    n_a, n_b, n, _ = blocks.shape
-    return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3).reshape(n_a * n, n_b * n))
-
-
 def _nlml_impl(dataset, hyper, jitter, max_jitter, with_grad):
     x = dataset.states
     n, n_pts = x.shape
@@ -135,7 +125,7 @@ def _nlml_impl(dataset, hyper, jitter, max_jitter, with_grad):
 
     k_se, d, pi = backend.pi_tensor(x, x, ls)
     sig_blocks = sf2 * np.einsum("aik,abkl,bjl->abij", s_stack, pi, s_stack, optimize=True)
-    k_sig = _assemble(sig_blocks)
+    k_sig = backend.assemble(sig_blocks)
     gram = k_sig.copy()
     diag = np.arange(n * n_pts)
     gram[diag, diag] += np.tile(hyper.noise_var, n_pts)
@@ -168,7 +158,7 @@ def _nlml_impl(dataset, hyper, jitter, max_jitter, with_grad):
         db[:, :, :, q] += 2.0 * w[:, :, None] * vd
         db[:, :, q, q] -= 2.0 * v[q]
         dpi += k_se[:, :, None, None] * db
-        dk = _assemble(sf2 * np.einsum("aik,abkl,bjl->abij", s_stack, dpi, s_stack, optimize=True))
+        dk = backend.assemble(sf2 * np.einsum("aik,abkl,bjl->abij", s_stack, dpi, s_stack, optimize=True))
         grad[1 + q] = quad_terms(dk)
 
     # log noise variances (block-diagonal entries)
@@ -186,7 +176,7 @@ def _nlml_impl(dataset, hyper, jitter, max_jitter, with_grad):
         for p in range(n_phi):
             left = np.einsum("aik,abkl,bjl->abij", ds_stack[:, p], pi, s_stack, optimize=True)
             right = np.einsum("aik,abkl,bjl->abij", s_stack, pi, ds_stack[:, p], optimize=True)
-            dk = _assemble(sf2 * (left + right))
+            dk = backend.assemble(sf2 * (left + right))
             term = quad_terms(dk)
             # d xdot0 / d phi_p = -dG u, stacked
             dm = np.empty(n * n_pts)
@@ -341,28 +331,6 @@ class GpPhsModel:
             out[start : start + chunk] = self._h_mean_raw(xq[:, start : start + chunk]) - h_ref
         return out
 
-    def hamiltonian_quadrature(self, xq, chunk: int = 512, tol: float = 1e-9):
-        """Same quantity as `hamiltonian` via line integrals of the gradient.
-
-        Independent route (adaptive quadrature from x_ref along straight
-        paths); kept for cross-checking the closed form.
-        """
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        n_q = xq.shape[1]
-        out = np.empty(n_q)
-        for start in range(0, n_q, chunk):
-            block = xq[:, start : start + chunk]
-            delta = block - self.x_ref[:, None]
-
-            def integrand(s):
-                pts = self.x_ref[:, None] + s * delta
-                g = self.hamiltonian_grad(pts)
-                return np.einsum("nq,nq->q", g, delta)
-
-            val, _ = quad_vec(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol)
-            out[start : start + chunk] = val
-        return out
-
     def hamiltonian_scalar(self, x):
         """(H_hat(x), grad H_hat(x)) at a single state."""
         x = np.asarray(x, dtype=float)
@@ -474,21 +442,6 @@ def train(
     )
 
 
-def posterior_dynamics(model, x, u):
-    """Posterior mean mu(xdot | x, D) + G_hat(x) u and per-dimension variance."""
-    return model.dynamics(x, u)
-
-
-def posterior_hamiltonian(model, x):
-    """Posterior Hamiltonian value and gradient at a single state."""
-    return model.hamiltonian_scalar(x)
-
-
-def error_envelope(model, x):
-    """Per-dimension bound eta_i = beta_i * var(xdot_i | x, D) at a single state."""
-    return model.envelope(np.asarray(x, dtype=float)[:, None])[:, 0]
-
-
 def calibrate_beta(model: GpPhsModel, validation: FilteredDataset, percentile: float = 99.0):
     """Set beta from the per-dimension percentile of |error| / var on held-out data."""
     mean, var = model.drift(validation.states)
@@ -552,7 +505,7 @@ class PerfectPhsModel:
             axis=1,
         )
 
-    def hamiltonian(self, xq, chunk: int = 512, tol: float = 1e-9):
+    def hamiltonian(self, xq):
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
         h_ref = self.plant.hamiltonian(self.x_ref)
         return np.array([self.plant.hamiltonian(xq[:, i]) - h_ref for i in range(xq.shape[1])])

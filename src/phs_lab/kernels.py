@@ -27,7 +27,7 @@ __all__ = ["se_hessian", "phs_kernel", "gram_matrix", "factorize_gram"]
 def se_hessian(x, x_prime, lengthscales) -> np.ndarray:
     """Mixed Hessian Pi(x, x') of the SE kernel, one pair at a time.
 
-    Straightforward reference implementation; the batched backends are checked
+    Straightforward reference implementation; the batched hot path is checked
     against it in the tests.
     """
     x = np.asarray(x, dtype=float)

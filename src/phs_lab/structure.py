@@ -54,10 +54,6 @@ class StructureFamily:
     dim_input: int
     n_params: int
     param_names: tuple
-    # raw-parameter index groups feeding J_hat, R_hat, G_hat respectively
-    phi_j_indices: tuple = ()
-    phi_r_indices: tuple = ()
-    phi_g_indices: tuple = ()
 
     def j(self, x, phi):
         raise NotImplementedError
@@ -102,9 +98,6 @@ class MicroactuatorStructure(StructureFamily):
     dim_input = 1
     n_params = 2
     param_names = ("raw_b", "raw_r")
-    phi_j_indices = ()
-    phi_r_indices = (0, 1)
-    phi_g_indices = (1,)
 
     def values(self, phi):
         """Physical (b_hat, r_hat) from raw parameters."""
@@ -204,18 +197,6 @@ class StructureEstimate:
             raise ValueError(
                 f"phi has shape {self.phi.shape}, expected ({self.family.n_params},)"
             )
-
-    @property
-    def phi_j(self):
-        return self.phi[list(self.family.phi_j_indices)]
-
-    @property
-    def phi_r(self):
-        return self.phi[list(self.family.phi_r_indices)]
-
-    @property
-    def phi_g(self):
-        return self.phi[list(self.family.phi_g_indices)]
 
     def jr(self, x):
         return self.family.jr(x, self.phi)

@@ -11,6 +11,7 @@ from scipy.optimize._numdiff import approx_derivative  # the differencing least_
 
 from phs_lab import (
     MicroactuatorParams,
+    PhsModel,
     PlanError,
     SimulationDivergedError,
     SynthesisError,
@@ -358,6 +359,32 @@ def test_closed_loop_divergence_reports_last_time(plant):
             plant, lambda x, t: np.array([50.0]), np.zeros(3), (0.0, 20.0), blowup=5.0
         )
     assert 0.0 <= err.value.last_valid_time <= 20.0
+
+
+def test_closed_loop_matches_open_loop_failure_modes():
+    # the gradient is non-finite once the state leaves (-1, 1); a constant
+    # input of 1 drives x = t there at t = 1
+    edge = PhsModel(
+        dim_state=1,
+        dim_input=1,
+        interconnection=lambda x: np.zeros((1, 1)),
+        dissipation=lambda x: np.zeros((1, 1)),
+        io_matrix=lambda x: np.ones((1, 1)),
+        hamiltonian=lambda x: 0.5 * float(x @ x),
+        hamiltonian_gradient=lambda x: np.where(np.abs(x) < 1.0, x, np.nan),
+    )
+    x0 = np.zeros(1)
+    with pytest.raises(SimulationDivergedError) as open_err:
+        simulate(edge, x0, lambda t: np.ones(1), (0.0, 3.0))
+    with pytest.raises(SimulationDivergedError) as closed_err:
+        simulate_closed_loop(edge, lambda x, t: np.ones(1), x0, (0.0, 3.0))
+    assert 0.0 < closed_err.value.last_valid_time <= 1.0
+    assert closed_err.value.last_valid_time == open_err.value.last_valid_time
+
+    with pytest.raises(ValueError):
+        simulate_closed_loop(
+            edge, lambda x, t: np.zeros(1), x0, (0.0, 0.5), n_samples=5, sample_times=[0.0, 0.25, 0.5]
+        )
 
 
 def test_error_dynamics_dissipate(desired):

@@ -6,13 +6,13 @@ code (dense loops, no shared helpers) so the two routes can disagree.
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 
 from phs_lab import (
     ConditioningError,
     PerfectPhsModel,
     TrainingError,
     condition,
-    error_envelope,
     train,
 )
 from phs_lab.filtering import FilteredDataset
@@ -94,24 +94,41 @@ def _dense_posterior(ds, hyper, xq):
     return mean, var, gram, y
 
 
-def _dense_mean_and_grad_h(ds, hyper, xq):
-    """Drift mean through the cross-covariance and grad H_hat through the
-    derivative of cov(H(x), xdot_j), one query column and one sample at a time."""
+def _dense_mean_grad_h_and_var(ds, hyper, xq):
+    """Drift mean and variance through the cross-covariance, and grad H_hat
+    through the derivative of cov(H(x), xdot_j), one query column and one
+    sample at a time."""
     est = hyper.structure
     n = ds.states.shape[0]
-    alpha = np.linalg.solve(_dense_gram(ds, hyper), _dense_targets(ds, hyper))
+    gram = _dense_gram(ds, hyper)
+    alpha = np.linalg.solve(gram, _dense_targets(ds, hyper))
     mean = np.zeros_like(xq)
     grad = np.zeros_like(xq)
+    var = np.zeros_like(xq)
     for q in range(xq.shape[1]):
         x = xq[:, q]
+        cross = np.zeros((n, n * ds.n_points))
         for j in range(ds.n_points):
             xj = ds.states[:, j]
             pi = _se_pi(x, xj, hyper.lengthscales)
             aj = alpha[n * j : n * (j + 1)]
-            mean[:, q] += hyper.sigma_f**2 * est.jr(x) @ pi @ est.jr(xj).T @ aj
+            cross[:, n * j : n * (j + 1)] = hyper.sigma_f**2 * est.jr(x) @ pi @ est.jr(xj).T
             # d/dx [sf^2 Jr(x_j) Lambda^-1 (x - x_j) k(x, x_j)]^T = sf^2 Pi(x, x_j) Jr(x_j)^T
             grad[:, q] += hyper.sigma_f**2 * pi @ est.jr(xj).T @ aj
-    return mean, grad
+        mean[:, q] = cross @ alpha
+        prior = hyper.sigma_f**2 * est.jr(x) @ _se_pi(x, x, hyper.lengthscales) @ est.jr(x).T
+        var[:, q] = np.diag(prior - cross @ np.linalg.solve(gram, cross.T))
+    return mean, grad, var
+
+
+def _hamiltonian_by_quadrature(model, x, tol=1e-9):
+    """H_hat(x) as the line integral of grad H_hat along the straight path from x_ref."""
+    delta = x - model.x_ref
+
+    def integrand(s):
+        return model.hamiltonian_grad((model.x_ref + s * delta)[:, None])[:, 0] @ delta
+
+    return quad_vec(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol)[0]
 
 
 def _random_model(family, rng):
@@ -151,13 +168,17 @@ def test_weight_space_mean_and_grad_match_dense_oracle(family, n_query):
     rng = np.random.default_rng(n_query + (0 if family == "microactuator" else 1000))
     ds, hyper, model = _random_model(family, rng)
     xq = rng.uniform(-1.5, 1.5, size=(3, n_query))
-    mean_o, grad_o = _dense_mean_and_grad_h(ds, hyper, xq)
+    mean_o, grad_o, var_o = _dense_mean_grad_h_and_var(ds, hyper, xq)
     mean = model.drift_mean(xq)
     grad = model.hamiltonian_grad(xq)
     assert mean.shape == grad.shape == (3, n_query)
     assert np.max(np.abs(mean - mean_o)) <= 1e-10 * np.max(np.abs(mean_o))
     assert np.max(np.abs(grad - grad_o)) <= 1e-10 * np.max(np.abs(grad_o))
-    np.testing.assert_array_equal(model.drift(xq)[0], mean)
+    # the variance goes through the multi-row cross-covariance of backend.phs_cross
+    mean_d, var = model.drift(xq)
+    np.testing.assert_array_equal(mean_d, mean)
+    assert var.shape == (3, n_query)
+    assert np.max(np.abs(var - var_o)) <= 1e-10 * np.max(np.abs(var_o))
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +284,7 @@ def test_gradient_identity_and_dual_route_hamiltonian(small_dataset, small_model
         direct = h_direct(x) - h_direct(np.zeros(3))
         assert value == pytest.approx(direct, abs=1e-10)
         # independent route: line integral of the recovered gradient
-        line = small_model.hamiltonian_quadrature(x[:, None])[0]
+        line = _hamiltonian_by_quadrature(small_model, x)
         assert value == pytest.approx(line, abs=1e-6)
 
 
@@ -274,7 +295,7 @@ def test_hamiltonian_reference_pin(small_model):
 def test_envelope_scales_with_beta(small_model):
     x = np.array([0.6, 0.2, 0.5])
     small_model.beta = np.array([1.0, 2.0, 4.0])
-    env = error_envelope(small_model, x)
+    env = small_model.envelope(x[:, None])[:, 0]
     _, var = small_model.drift(x[:, None])
     np.testing.assert_allclose(env, np.array([1.0, 2.0, 4.0]) * var[:, 0], atol=1e-14)
     small_model.beta = np.ones(3)

@@ -5,7 +5,6 @@ import pytest
 
 from phs_lab import ConditioningError, gram_matrix, phs_kernel, se_hessian
 from phs_lab import backend
-from phs_lab._kernels_np import phs_cross as phs_cross_np, pi_tensor as pi_tensor_np
 from phs_lab.kernels import factorize_gram
 from phs_lab.structure import FixedStructure, StructureEstimate
 
@@ -147,37 +146,26 @@ def test_jr_stack_equals_per_column_jr():
         np.testing.assert_array_equal(est.jr_stack(states), expected)
 
 
-def test_backend_parity():
-    if backend.backend_name() != "cython":
-        pytest.skip("compiled backend unavailable; nothing to compare")
+def test_batched_hot_path_matches_pairwise_reference():
+    # the batched hot path against the one-pair se_hessian / phs_kernel, on a
+    # rectangular pair of state sets
     rng = np.random.default_rng(23)
     xa = rng.standard_normal((3, 7))
     xb = rng.standard_normal((3, 11))
-    ls = np.array([0.7, 1.3, 0.9])
-    k1, d1, p1 = pi_tensor_np(xa, xb, ls)
-    k2, d2, p2 = backend.pi_tensor(xa, xb, ls)
-    np.testing.assert_allclose(np.asarray(k2), k1, atol=1e-14)
-    np.testing.assert_allclose(np.asarray(d2), d1, atol=1e-14)
-    np.testing.assert_allclose(np.asarray(p2), p1, atol=1e-14)
-
-    est = micro_structure()
-    sa = est.jr_stack(xa)
-    sb = est.jr_stack(xb)
-    c1 = phs_cross_np(xa, xb, sa, sb, 1.7, ls)
-    c2 = np.asarray(backend.phs_cross(xa, xb, sa, sb, 1.7, ls))
-    np.testing.assert_allclose(c2, c1, atol=1e-13)
-
-
-def test_forced_numpy_fallback_importable(monkeypatch):
-    # the selection happens at import; simulate the fallback decision directly
-    import importlib
-
-    import phs_lab.backend as backend_mod
-
-    monkeypatch.setenv("PHS_LAB_FORCE_NUMPY", "1")
-    reloaded = importlib.reload(backend_mod)
-    try:
-        assert reloaded.backend_name() == "numpy"
-    finally:
-        monkeypatch.delenv("PHS_LAB_FORCE_NUMPY")
-        importlib.reload(backend_mod)
+    hyper = micro_hypers()
+    ls = hyper.lengthscales
+    k, d, pi = backend.pi_tensor(xa, xb, ls)
+    est = hyper.structure
+    cross = backend.phs_cross(xa, xb, est.jr_stack(xa), est.jr_stack(xb), hyper.sigma_f**2, ls)
+    assert cross.shape == (21, 33)
+    for a in range(7):
+        for b in range(11):
+            diff = xa[:, a] - xb[:, b]
+            np.testing.assert_allclose(d[a, b], diff, atol=1e-15)
+            assert k[a, b] == pytest.approx(np.exp(-0.5 * np.sum(diff**2 / ls**2)), abs=1e-15)
+            np.testing.assert_allclose(pi[a, b], se_hessian(xa[:, a], xb[:, b], ls), atol=1e-14)
+            np.testing.assert_allclose(
+                cross[3 * a : 3 * a + 3, 3 * b : 3 * b + 3],
+                phs_kernel(xa[:, a], xb[:, b], hyper),
+                atol=1e-13,
+            )
