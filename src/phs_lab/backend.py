@@ -1,10 +1,19 @@
 """Batched SE-Hessian kernel hot path.
 
 `pi_tensor` evaluates the SE kernel and its mixed-derivative Hessian blocks
-Pi(x_a, x_b) for every pair of columns at once, and `phs_cross` conjugates
-those blocks with stacked structure matrices into the assembled block
-cross-covariance sf^2 S_a Pi S_b^T.  kernels.se_hessian is the one-pair
-reference they are tested against.  States are column-major (n, N).
+Pi(x_a, x_b) for every pair of columns at once; the NLML gradient contracts
+them.  `phs_cross` assembles the block cross-covariance sf^2 S Pi S^T for one
+constant structure matrix S = J_hat - R_hat.  With Lambda = diag(l_i^2) and
+Pi = k (Lambda^-1 - Lambda^-1 d d^T Lambda^-1), d = x - x', each block is the
+rank-one update
+
+    sf^2 S Pi(x, x') S^T = sf^2 k(x, x') (M - u u^T),
+    M = S Lambda^-1 S^T,  u = S Lambda^-1 (x - x'),
+
+so no Pi tensor is built for it, and the blocks are written straight into
+the (A n, B n) matrix, sample-major.  kernels.se_hessian and kernels.phs_kernel
+are the one-pair references both are tested against.  States are
+column-major (n, N).
 """
 
 from __future__ import annotations
@@ -37,17 +46,25 @@ def pi_tensor(xa, xb, lengthscales):
     return k, d, pi
 
 
-def assemble(blocks):
-    """(A, B, n, n) block tensor -> (A n, B n) matrix, blocks laid out sample-major."""
-    n_a, n_b, n, _ = blocks.shape
-    return np.ascontiguousarray(blocks.transpose(0, 2, 1, 3).reshape(n_a * n, n_b * n))
+def phs_cross(xa, xb, s, sf2, lengthscales):
+    """Assembled block cross-covariance sf2 * S Pi(x_a, x_b) S^T.
 
-
-def phs_cross(xa, xb, sa, sb, sf2, lengthscales):
-    """Assembled block cross-covariance sf2 * S_a Pi(x_a, x_b) S_b^T.
-
-    sa, sb are stacked structure matrices (A, n, n), (B, n, n).  Returns the
-    (A n, B n) matrix of `assemble`.
+    xa, xb are float arrays (n, A), (n, B) and s is the constant (n, n)
+    structure matrix.  Returns the (A n, B n) matrix whose block (a, b),
+    rows a n .. a n + n - 1 and columns b n .. b n + n - 1, is
+    sf2 k(x_a, x_b) (M - u u^T).
     """
-    _, _, pi = pi_tensor(xa, xb, lengthscales)
-    return assemble(sf2 * np.einsum("aik,abkl,bjl->abij", sa, pi, sb, optimize=True))
+    v = 1.0 / np.asarray(lengthscales, dtype=float) ** 2
+    s_v = s * v
+    m = s_v @ s.T
+    n, n_a = xa.shape
+    n_b = xb.shape[1]
+    d = xa[:, :, None] - xb[:, None, :]
+    sf2_k = sf2 * np.exp(-0.5 * np.einsum("nab,n->ab", d * d, v))
+    u = np.tensordot(s_v, d, axes=1)
+    # write each (i, j) entry of every block straight into the assembled layout
+    out = np.empty((n_a, n, n_b, n))
+    for i in range(n):
+        for j in range(n):
+            out[:, i, :, j] = sf2_k * (m[i, j] - u[i] * u[j])
+    return out.reshape(n_a * n, n_b * n)

@@ -1,16 +1,24 @@
 """Gaussian-process learning of port-Hamiltonian vector fields.
 
 The drift (J - R) grad H is given a GP prior through the structured kernel
-(see kernels.py); the input term enters as the prior mean G_hat(x) u.  Training
+(see kernels.py); the input term enters as the prior mean G_hat u.  Training
 minimizes the negative log marginal likelihood over log-scale kernel
 hyperparameters, log noise variances, and the raw structure parameters.
 
-Posterior queries read cached per-sample weights: with alpha = K^-1 Xdot0
-and w_b = sf^2 Lambda^-1 Jr_hat(x_b)^T alpha_b, the posterior Hamiltonian is
+S = J_hat - R_hat and G_hat are constant matrices (the structure contract of
+structure.py), and every path here uses them as such.  The likelihood builds
+its Gram matrix with kernels.gram_matrix.  Its gradient is 1/2 tr(W dK/dtheta)
+with W = K^-1 - alpha alpha^T (Rasmussen & Williams 2006, eq. 5.9); W is
+projected through I x S once, after which each hyperparameter costs one
+elementwise contraction with the SE-Hessian blocks Pi or their derivatives.
+
+Posterior queries read cached weights: with alpha = K^-1 Xdot0 stacked as the
+rows of A, the rows w_b of sf^2 (A S) Lambda^-1 give the posterior Hamiltonian
 H_hat(x) = sum_b k(x, x_b) (x - x_b)^T w_b, its gradient is the closed-form
-derivative of that sum, and the drift mean is mu(x) = Jr_hat(x) grad H_hat(x)
+derivative of that sum, and the drift mean is mu(x) = S grad H_hat(x)
 (predicting with cached weights, Rasmussen & Williams 2006, Alg. 2.1).  Only
-the variance needs the cross-covariance, through one triangular solve.
+the variance needs the cross-covariance, through one triangular solve; its
+prior part sf^2 diag(S Lambda^-1 S^T) is a constant.
 """
 
 from __future__ import annotations
@@ -42,6 +50,9 @@ __all__ = [
     "save_model",
     "load_model",
 ]
+
+# query columns per block of the Hamiltonian mean, bounding its (Q, N, n) work arrays
+_H_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -106,30 +117,17 @@ class OptimizerConfig:
 
 
 def mean_adjust(dataset: FilteredDataset, structure: StructureEstimate) -> np.ndarray:
-    """Stacked derivative observations minus the prior mean G_hat(x_i) u_i."""
-    n, n_pts = dataset.states.shape
-    out = np.empty(n * n_pts)
-    for i in range(n_pts):
-        g = structure.g(dataset.states[:, i])
-        out[i * n : (i + 1) * n] = dataset.derivatives[:, i] - g @ dataset.inputs[:, i]
-    return out
+    """Stacked derivative observations minus the prior mean G_hat u_i."""
+    return (dataset.derivatives - structure.g() @ dataset.inputs).T.ravel()
 
 
 def _nlml_impl(dataset, hyper, jitter, max_jitter, with_grad):
     x = dataset.states
     n, n_pts = x.shape
-    ls = hyper.lengthscales
     sf2 = hyper.sigma_f**2
     struct = hyper.structure
-    s_stack = struct.jr_stack(x)
 
-    k_se, d, pi = backend.pi_tensor(x, x, ls)
-    sig_blocks = sf2 * np.einsum("aik,abkl,bjl->abij", s_stack, pi, s_stack, optimize=True)
-    k_sig = backend.assemble(sig_blocks)
-    gram = k_sig.copy()
-    diag = np.arange(n * n_pts)
-    gram[diag, diag] += np.tile(hyper.noise_var, n_pts)
-
+    gram = gram_matrix(x, hyper)
     cho, jit_used = factorize_gram(gram, jitter=jitter, max_jitter=max_jitter)
     xdot0 = mean_adjust(dataset, struct)
     alpha = cho_solve(cho, xdot0)
@@ -138,51 +136,41 @@ def _nlml_impl(dataset, hyper, jitter, max_jitter, with_grad):
     if not with_grad:
         return value, None, (cho, jit_used, alpha, xdot0)
 
-    kinv = cho_solve(cho, np.eye(n * n_pts))
+    # dNLML/dtheta = 1/2 tr(W dK/dtheta) with W = K^-1 - alpha alpha^T
+    # (Rasmussen & Williams 2006, eq. 5.9).  Kernel terms have the form
+    # dK = (I x S) dP (I x S)^T or (I x dS) P (I x S)^T + transpose, so W is
+    # projected through I x S once and each term is one elementwise
+    # contraction with the Pi blocks, all in the (a, b, i, j) block layout.
+    w = cho_solve(cho, np.eye(n * n_pts)) - np.outer(alpha, alpha)
+    k_se, d, pi = backend.pi_tensor(x, x, hyper.lengthscales)
+    s = struct.jr()
+    # sw[a, b, i, l] = sum_k S_ki W[(a, k), (b, l)]; right factors act on l
+    sw = np.einsum("ki,akbl->abil", s, w.reshape(n_pts, n, n_pts, n), optimize=True).reshape(-1, n)
+    w_tilde = (sw @ s).reshape(pi.shape)
     grad = np.empty(hyper.n_hyper)
 
-    def quad_terms(dk):
-        return 0.5 * (np.sum(kinv * dk) - alpha @ dk @ alpha)
+    # log sigma_f: dK = 2 (K - noise)
+    grad[0] = sf2 * np.vdot(w_tilde, pi)
 
-    # log sigma_f
-    grad[0] = 2.0 * quad_terms(k_sig)
-
-    # log lengthscales; Pi = k * B with B = diag(v) - (v d)(v d)^T
-    v = 1.0 / ls**2
-    vd = d * v
-    for q in range(n):
-        w = v[q] * d[:, :, q]
-        dpi = (w * d[:, :, q])[:, :, None, None] * pi
-        db = np.zeros_like(pi)
-        db[:, :, q, :] += 2.0 * w[:, :, None] * vd
-        db[:, :, :, q] += 2.0 * w[:, :, None] * vd
-        db[:, :, q, q] -= 2.0 * v[q]
-        dpi += k_se[:, :, None, None] * db
-        dk = backend.assemble(sf2 * np.einsum("aik,abkl,bjl->abij", s_stack, dpi, s_stack, optimize=True))
-        grad[1 + q] = quad_terms(dk)
+    # log lengthscales: Pi = k (diag(v) - (v d)(v d)^T) gives
+    # dPi/dlog l_q = v_q d_q^2 Pi + 2 k v_q (d_q (e_q (v d)^T + (v d) e_q^T) - e_q e_q^T),
+    # contracted with W_tilde for every q at once
+    v = 1.0 / hyper.lengthscales**2
+    w_pi = np.einsum("abij,abij->ab", w_tilde, pi)
+    w_vd = np.einsum("abij,abj->abi", w_tilde + w_tilde.transpose(0, 1, 3, 2), d * v)
+    w_qq = np.einsum("abii->abi", w_tilde)
+    dpi_terms = w_pi[:, :, None] * d**2 + 2.0 * k_se[:, :, None] * (d * w_vd - w_qq)
+    grad[1 : 1 + n] = 0.5 * sf2 * v * dpi_terms.sum(axis=(0, 1))
 
     # log noise variances (block-diagonal entries)
-    for q in range(n):
-        pos = diag.reshape(n_pts, n)[:, q]
-        grad[1 + n + q] = 0.5 * hyper.noise_var[q] * float(
-            np.sum(kinv[pos, pos]) - np.sum(alpha[pos] ** 2)
-        )
+    grad[1 + n : 1 + 2 * n] = 0.5 * hyper.noise_var * np.diagonal(w).reshape(n_pts, n).sum(axis=0)
 
-    # raw structure parameters: kernel term plus the prior-mean term
-    n_phi = struct.family.n_params
-    if n_phi:
-        ds_stack = np.stack([struct.family.jr_param_grad(x[:, i], struct.phi) for i in range(n_pts)])
-        dg_stack = np.stack([struct.family.g_param_grad(x[:, i], struct.phi) for i in range(n_pts)])
-        for p in range(n_phi):
-            left = np.einsum("aik,abkl,bjl->abij", ds_stack[:, p], pi, s_stack, optimize=True)
-            right = np.einsum("aik,abkl,bjl->abij", s_stack, pi, ds_stack[:, p], optimize=True)
-            dk = backend.assemble(sf2 * (left + right))
-            term = quad_terms(dk)
-            # d xdot0 / d phi_p = -dG u, stacked
-            dm = np.empty(n * n_pts)
-            for i in range(n_pts):
-                dm[i * n : (i + 1) * n] = -dg_stack[i, p] @ dataset.inputs[:, i]
-            grad[1 + 2 * n + p] = term + alpha @ dm
+    # raw structure parameters: the kernel term sf^2 tr((I x S)^T W (I x dS) P)
+    # plus the prior-mean term alpha^T dXdot0 with dXdot0 = -(dG u) stacked
+    phi = struct.phi
+    for p, (ds, dg) in enumerate(zip(struct.family.jr_param_grad(phi), struct.family.g_param_grad(phi))):
+        dm = -(dg @ dataset.inputs).T.ravel()
+        grad[1 + 2 * n + p] = sf2 * np.vdot((sw @ ds).reshape(pi.shape), pi) + alpha @ dm
     return value, grad, (cho, jit_used, alpha, xdot0)
 
 
@@ -224,7 +212,6 @@ class GpPhsModel:
     risk_p: float = 0.05
     bound_scale: str = "variance"
     x_ref: np.ndarray = None
-    _s_stack: np.ndarray = field(default=None, repr=False)
     _h_w: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -232,8 +219,6 @@ class GpPhsModel:
             self.x_ref = np.zeros(self.hyper.dim_state)
         self.x_ref = np.asarray(self.x_ref, dtype=float)
         self.beta = np.asarray(self.beta, dtype=float)
-        if self._s_stack is None:
-            self._s_stack = self.hyper.structure.jr_stack(self.states)
         self._h_w = None
 
     @property
@@ -249,29 +234,28 @@ class GpPhsModel:
         return self.hyper.structure
 
     def io_matrix(self, x):
-        return self.structure.g(np.asarray(x, dtype=float))
+        return self.structure.g()
 
     def drift(self, xq):
         """Posterior drift mean and per-dimension variance at query states (n, Q)."""
-        xq = self._columns(xq)
-        n = self.dim_state
-        n_q = xq.shape[1]
-        sq = self.structure.jr_stack(xq)
-        sf2 = self.hyper.sigma_f**2
-        mean = np.einsum("qij,jq->iq", sq, self.hamiltonian_grad(xq))
-        cross = backend.phs_cross(xq, self.states, sq, self._s_stack, sf2, self.hyper.lengthscales)
-        # var = prior - k K^-1 k^T = prior - |L^-1 k^T|^2 with the lower factor L
-        half = solve_triangular(self.cho[0], cross.T, lower=True, check_finite=False)
-        quad = np.einsum("ij,ij->j", half, half)
-        v = 1.0 / self.hyper.lengthscales**2
-        prior = sf2 * np.einsum("qil,l->qi", sq**2, v)
-        var = np.maximum(prior.reshape(n_q * n) - quad, 0.0).reshape(n_q, n).T
-        return mean, var
+        return self.drift_mean(xq), self._drift_var(xq)
 
     def drift_mean(self, xq):
-        """Posterior drift mean only: Jr_hat(x) grad H_hat(x), no cross-covariance."""
+        """Posterior drift mean only: S grad H_hat(x), no cross-covariance."""
+        return self.structure.jr() @ self.hamiltonian_grad(self._columns(xq))
+
+    def _drift_var(self, xq):
+        # var = prior - k K^-1 k^T = prior - |L^-1 k^T|^2 with the lower factor
+        # L; the prior sf^2 diag(S Lambda^-1 S^T) is the same at every state
         xq = self._columns(xq)
-        return np.einsum("qij,jq->iq", self.structure.jr_stack(xq), self.hamiltonian_grad(xq))
+        s = self.structure.jr()
+        sf2 = self.hyper.sigma_f**2
+        v = 1.0 / self.hyper.lengthscales**2
+        cross = backend.phs_cross(xq, self.states, s, sf2, self.hyper.lengthscales)
+        half = solve_triangular(self.cho[0], cross.T, lower=True, check_finite=False)
+        quad = np.einsum("ij,ij->j", half, half).reshape(-1, self.dim_state)
+        prior = sf2 * (s**2 @ v)
+        return np.maximum(prior - quad, 0.0).T
 
     def dynamics(self, x, u):
         """Posterior state derivative mean mu + G_hat u and its variance."""
@@ -284,7 +268,7 @@ class GpPhsModel:
         """Posterior mean of grad H at query columns (n, Q)."""
         # gradient of sum_b k(x, x_b) d_b^T w_b with d_b = x - x_b:
         # sum_b k(x, x_b) (w_b - (d_b^T w_b) Lambda^-1 d_b), which equals
-        # sum_b Pi(x, x_b) t_b for t_b = sf^2 Jr_hat(x_b)^T alpha_b
+        # sum_b Pi(x, x_b) t_b for t_b = sf^2 S^T alpha_b
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
         v = 1.0 / self.hyper.lengthscales**2
         w = self._h_weights
@@ -300,15 +284,14 @@ class GpPhsModel:
 
     @property
     def _h_weights(self):
-        # cov(H(x), xdot(x_i)) = sf^2 Jr(x_i) Lambda^-1 (x - x_i) k(x, x_i), so
-        # the posterior H mean is sum_i k(x, x_i) (x - x_i)^T w_i with the
-        # query-independent part w_i = sf^2 Lambda^-1 Jr(x_i)^T alpha_i cached
+        # cov(H(x), xdot(x_i)) = sf^2 S Lambda^-1 (x - x_i) k(x, x_i), so the
+        # posterior H mean is sum_i k(x, x_i) (x - x_i)^T w_i with the
+        # query-independent rows w_i of sf^2 (A S) Lambda^-1 cached, where
+        # A holds alpha_i as rows
         if self._h_w is None:
-            n = self.dim_state
-            a = self.alpha.reshape(-1, n)
-            t = np.einsum("pij,pi->pj", self._s_stack, a)
+            a = self.alpha.reshape(-1, self.dim_state)
             v = 1.0 / self.hyper.lengthscales**2
-            self._h_w = self.hyper.sigma_f**2 * t * v[None, :]
+            self._h_w = self.hyper.sigma_f**2 * (a @ self.structure.jr()) * v
         return self._h_w
 
     def _h_mean_raw(self, xq):
@@ -317,7 +300,7 @@ class GpPhsModel:
         k = np.exp(-0.5 * np.einsum("qpn,n->qp", diff**2, 1.0 / ls**2))
         return np.einsum("qp,qpn,pn->q", k, diff, self._h_weights)
 
-    def hamiltonian(self, xq, chunk: int = 2048):
+    def hamiltonian(self, xq):
         """Posterior Hamiltonian mean, pinned to H_hat(x_ref) = 0.
 
         Conditions the latent energy directly on the drift observations; the
@@ -327,8 +310,8 @@ class GpPhsModel:
         n_q = xq.shape[1]
         h_ref = self._h_mean_raw(self.x_ref[:, None])[0]
         out = np.empty(n_q)
-        for start in range(0, n_q, chunk):
-            out[start : start + chunk] = self._h_mean_raw(xq[:, start : start + chunk]) - h_ref
+        for start in range(0, n_q, _H_CHUNK):
+            out[start : start + _H_CHUNK] = self._h_mean_raw(xq[:, start : start + _H_CHUNK]) - h_ref
         return out
 
     def hamiltonian_scalar(self, x):
@@ -340,8 +323,7 @@ class GpPhsModel:
 
     def envelope(self, xq):
         """Per-dimension model-error envelope beta_i * var (or std) at queries."""
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        _, var = self.drift(xq)
+        var = self._drift_var(xq)
         scale = var if self.bound_scale == "variance" else np.sqrt(var)
         return self.beta[:, None] * scale
 
@@ -390,7 +372,8 @@ def train(
 
     The first restart starts exactly at ``init``; the rest perturb the packed
     log/raw vector with seeded Gaussian noise.  Restarts whose Gram matrix
-    never factorizes are discarded; if all fail, TrainingError is raised.
+    never factorizes, or whose structure parameters leave float range, are
+    discarded; if all fail, TrainingError is raised.
     """
     cfg = optimizer_config or OptimizerConfig()
     rng = rng or np.random.default_rng(0)
@@ -400,9 +383,10 @@ def train(
     theta0 = init.to_vector()
 
     def objective(theta):
-        # line-search trial points can push a log parameter past float range
-        # (exp underflow makes a lengthscale exactly zero); treat those as
-        # infeasible instead of letting the validation error escape
+        # line-search trial points can push a parameter past float range (exp
+        # underflow makes a lengthscale zero, softplus underflow a structure
+        # value zero); treat those as infeasible instead of letting the
+        # validation error escape
         with np.errstate(over="ignore"):
             try:
                 hyper = init.from_vector(theta)
@@ -428,7 +412,9 @@ def train(
         if res.fun < 1e24 and (best is None or res.fun < best.fun):
             best = res
     if best is None:
-        raise TrainingError("all optimizer restarts failed to factorize the Gram matrix")
+        raise TrainingError(
+            "all optimizer restarts ended infeasible (Gram not factorizable or parameters out of range)"
+        )
 
     return condition(
         dataset,
@@ -478,7 +464,7 @@ class PerfectPhsModel:
         return self.plant.dim_input
 
     def io_matrix(self, x):
-        return self.structure.g(np.asarray(x, dtype=float))
+        return self.structure.g()
 
     def drift(self, xq):
         xq = np.atleast_2d(np.asarray(xq, dtype=float))

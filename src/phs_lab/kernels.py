@@ -5,12 +5,16 @@ The scalar base kernel is the squared exponential
     k(x, x') = exp(-1/2 sum_i (x_i - x'_i)^2 / l_i^2)
 
 and the structured kernel conjugates its mixed second-derivative Hessian Pi
-with the estimated structure matrices:
+with the estimated structure matrix S = J_hat - R_hat:
 
-    k_phs(x, x') = sigma_f^2 * Jr_hat(x) Pi(x, x') Jr_hat(x')^T,
+    k_phs(x, x') = sigma_f^2 * S Pi(x, x') S^T,
     Pi_ij(x, x') = d^2 k / dz_i dz'_j |_(x, x').
 
-With this convention Pi(x, x) = diag(1 / l_i^2).
+With this convention Pi(x, x) = diag(1 / l_i^2).  S is constant in the state
+(the structure contract, see structure.py), so each block is the rank-one
+update sigma_f^2 k(x, x') (M - u u^T) of backend.phs_cross.  `gram_matrix` is
+the one Gram builder: the likelihood, conditioning and model loading all
+call it.
 """
 
 from __future__ import annotations
@@ -43,12 +47,10 @@ def se_hessian(x, x_prime, lengthscales) -> np.ndarray:
 
 
 def phs_kernel(x, x_prime, hyper) -> np.ndarray:
-    """Matrix-valued kernel sigma_f^2 * Jr_hat(x) Pi(x, x') Jr_hat(x')^T."""
-    s = hyper.structure
-    a = s.jr(np.asarray(x, dtype=float))
-    b = s.jr(np.asarray(x_prime, dtype=float))
+    """Matrix-valued kernel sigma_f^2 * S Pi(x, x') S^T, one pair at a time."""
+    s = hyper.structure.jr()
     pi = se_hessian(x, x_prime, hyper.lengthscales)
-    return hyper.sigma_f**2 * a @ pi @ b.T
+    return hyper.sigma_f**2 * s @ pi @ s.T
 
 
 def gram_matrix(states, hyper, jitter: float = 0.0) -> np.ndarray:
@@ -59,8 +61,7 @@ def gram_matrix(states, hyper, jitter: float = 0.0) -> np.ndarray:
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     n, n_pts = states.shape
-    s_stack = hyper.structure.jr_stack(states)
-    gram = backend.phs_cross(states, states, s_stack, s_stack, hyper.sigma_f**2, hyper.lengthscales)
+    gram = backend.phs_cross(states, states, hyper.structure.jr(), hyper.sigma_f**2, hyper.lengthscales)
     noise = np.tile(np.asarray(hyper.noise_var, dtype=float), n_pts)
     gram[np.arange(n * n_pts), np.arange(n * n_pts)] += noise + jitter
     return gram

@@ -5,6 +5,11 @@ matrices while leaving a small physical parameter vector phi free.  Skewness
 of J_hat and positive semi-definiteness of R_hat hold for every phi by
 construction (positive entries go through a softplus), so the optimizer can
 move freely in the raw parameter space.
+
+The contract: S = J_hat - R_hat and G_hat are constant matrices of phi, the
+same at every state.  A family therefore exposes S, G_hat and their phi
+derivatives as single matrices (stacks over phi only), and the kernel builds
+every block of the PHS covariance from the one S (see backend.py).
 """
 
 from __future__ import annotations
@@ -46,36 +51,27 @@ def _sigmoid(z):
 class StructureFamily:
     """Interface for structure families; subclasses are stateless.
 
-    J_hat and R_hat of every family here do not depend on the state, which
-    `jr_stack` relies on; a state-dependent family must override it.
+    Every method takes only the raw parameters phi: J_hat - R_hat and G_hat
+    are constant matrices of phi, the contract the kernel and the GP rely on.
     """
 
     dim_state: int
     dim_input: int
     n_params: int
-    param_names: tuple
 
-    def j(self, x, phi):
+    def jr(self, phi):
+        """J_hat - R_hat, shape (n, n)."""
         raise NotImplementedError
 
-    def r(self, x, phi):
+    def g(self, phi):
+        """G_hat, shape (n, m)."""
         raise NotImplementedError
 
-    def jr(self, x, phi):
-        return self.j(x, phi) - self.r(x, phi)
-
-    def g(self, x, phi):
-        raise NotImplementedError
-
-    def jr_stack(self, states, phi):
-        """J_hat - R_hat at each column of states (n, N) -> (N, n, n)."""
-        return np.tile(self.jr(states[:, 0], phi), (states.shape[1], 1, 1))
-
-    def jr_param_grad(self, x, phi):
+    def jr_param_grad(self, phi):
         """d(J_hat - R_hat)/dphi_p for each raw parameter, shape (P, n, n)."""
         raise NotImplementedError
 
-    def g_param_grad(self, x, phi):
+    def g_param_grad(self, phi):
         """dG_hat/dphi_p for each raw parameter, shape (P, n, m)."""
         raise NotImplementedError
 
@@ -90,48 +86,45 @@ class MicroactuatorStructure(StructureFamily):
     """Microactuator structure with unknown damping b and input resistance r.
 
     phi = (raw_b, raw_r) with b_hat = softplus(raw_b), r_hat = softplus(raw_r).
-    r_hat is shared between the dissipation entry R_hat[2,2] = 1/r_hat and the
-    input matrix G_hat = (0, 0, 1/r_hat)^T.
+    J_hat couples position and momentum; R_hat = diag(0, b_hat, 1/r_hat), and
+    r_hat is shared with the input matrix G_hat = (0, 0, 1/r_hat)^T.
     """
 
     dim_state = 3
     dim_input = 1
     n_params = 2
-    param_names = ("raw_b", "raw_r")
 
     def values(self, phi):
         """Physical (b_hat, r_hat) from raw parameters."""
-        return float(softplus(phi[0])), float(softplus(phi[1]))
+        b_hat, r_hat = float(softplus(phi[0])), float(softplus(phi[1]))
+        if r_hat == 0.0:
+            # 1 / r_hat enters R_hat and G_hat
+            raise ValueError(f"r_hat = softplus({phi[1]:.6g}) underflows to 0")
+        return b_hat, r_hat
 
     @staticmethod
     def phi_from_values(b_hat, r_hat):
         return np.array([float(softplus_inv(b_hat)), float(softplus_inv(r_hat))])
 
-    def j(self, x, phi):
-        return np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-
-    def r(self, x, phi):
+    def jr(self, phi):
         b_hat, r_hat = self.values(phi)
-        return np.diag([0.0, b_hat, 1.0 / r_hat])
+        return np.array([[0.0, 1.0, 0.0], [-1.0, -b_hat, 0.0], [0.0, 0.0, -1.0 / r_hat]])
 
-    def g(self, x, phi):
+    def g(self, phi):
         _, r_hat = self.values(phi)
         return np.array([[0.0], [0.0], [1.0 / r_hat]])
 
-    def jr_param_grad(self, x, phi):
+    def jr_param_grad(self, phi):
         _, r_hat = self.values(phi)
-        db = _sigmoid(phi[0])
-        dr = _sigmoid(phi[1])
         out = np.zeros((2, 3, 3))
-        out[0, 1, 1] = -db
-        out[1, 2, 2] = dr / r_hat**2
+        out[0, 1, 1] = -_sigmoid(phi[0])
+        out[1, 2, 2] = _sigmoid(phi[1]) / r_hat**2
         return out
 
-    def g_param_grad(self, x, phi):
+    def g_param_grad(self, phi):
         _, r_hat = self.values(phi)
-        dr = _sigmoid(phi[1])
         out = np.zeros((2, 3, 1))
-        out[1, 2, 0] = -dr / r_hat**2
+        out[1, 2, 0] = -_sigmoid(phi[1]) / r_hat**2
         return out
 
     def default_phi(self):
@@ -145,7 +138,6 @@ class FixedStructure(StructureFamily):
     """Constant, parameter-free structure matrices (useful for toy systems)."""
 
     n_params = 0
-    param_names = ()
 
     def __init__(self, j, r, g):
         self._j = np.asarray(j, dtype=float)
@@ -160,19 +152,16 @@ class FixedStructure(StructureFamily):
         self.dim_state = self._j.shape[0]
         self.dim_input = self._g.shape[1]
 
-    def j(self, x, phi):
-        return self._j
+    def jr(self, phi):
+        return self._j - self._r
 
-    def r(self, x, phi):
-        return self._r
-
-    def g(self, x, phi):
+    def g(self, phi):
         return self._g
 
-    def jr_param_grad(self, x, phi):
+    def jr_param_grad(self, phi):
         return np.zeros((0, self.dim_state, self.dim_state))
 
-    def g_param_grad(self, x, phi):
+    def g_param_grad(self, phi):
         return np.zeros((0, self.dim_state, self.dim_input))
 
     def to_jsonable(self):
@@ -198,18 +187,22 @@ class StructureEstimate:
                 f"phi has shape {self.phi.shape}, expected ({self.family.n_params},)"
             )
 
-    def jr(self, x):
-        return self.family.jr(x, self.phi)
+    def jr(self):
+        return self.family.jr(self.phi)
 
-    def g(self, x):
-        return self.family.g(x, self.phi)
+    def g(self):
+        return self.family.g(self.phi)
 
     def with_phi(self, phi):
         return StructureEstimate(self.family, np.asarray(phi, dtype=float))
 
     def jr_stack(self, states):
-        """J_hat - R_hat at each column of states (n, N) -> (N, n, n)."""
-        return self.family.jr_stack(np.atleast_2d(states), self.phi)
+        """J_hat - R_hat tiled once per column of states (n, N) -> (N, n, n).
+
+        Kept only for the benchmark tracer, which wraps this name; the
+        program itself reads the one matrix from `jr`.
+        """
+        return np.tile(self.jr(), (np.shape(states)[1], 1, 1))
 
     def to_jsonable(self):
         return {"family": self.family.to_jsonable(), "phi": self.phi.tolist()}

@@ -25,7 +25,7 @@ from phs_lab.gp import (
     negative_log_marginal_likelihood,
     save_model,
 )
-from phs_lab.structure import FixedStructure, StructureEstimate
+from phs_lab.structure import FixedStructure, MicroactuatorStructure, StructureEstimate
 
 from conftest import micro_hypers, micro_structure, subset
 
@@ -54,9 +54,9 @@ def _dense_gram(ds, hyper):
         for j in range(n_pts):
             block = (
                 hyper.sigma_f**2
-                * est.jr(x_cols[:, i])
+                * est.jr()
                 @ _se_pi(x_cols[:, i], x_cols[:, j], hyper.lengthscales)
-                @ est.jr(x_cols[:, j]).T
+                @ est.jr().T
             )
             gram[n * i : n * (i + 1), n * j : n * (j + 1)] = block
     gram += np.kron(np.eye(n_pts), np.diag(hyper.noise_var))
@@ -68,7 +68,7 @@ def _dense_targets(ds, hyper):
     n = ds.states.shape[0]
     return np.concatenate(
         [
-            ds.derivatives[:, i] - est.g(ds.states[:, i]) @ ds.inputs[:, i]
+            ds.derivatives[:, i] - est.g() @ ds.inputs[:, i]
             for i in range(ds.n_points)
         ]
     )
@@ -84,12 +84,12 @@ def _dense_posterior(ds, hyper, xq):
     for j in range(ds.n_points):
         cross[:, n * j : n * (j + 1)] = (
             hyper.sigma_f**2
-            * est.jr(xq)
+            * est.jr()
             @ _se_pi(xq, ds.states[:, j], hyper.lengthscales)
-            @ est.jr(ds.states[:, j]).T
+            @ est.jr().T
         )
     mean = cross @ alpha
-    prior = hyper.sigma_f**2 * est.jr(xq) @ _se_pi(xq, xq, hyper.lengthscales) @ est.jr(xq).T
+    prior = hyper.sigma_f**2 * est.jr() @ _se_pi(xq, xq, hyper.lengthscales) @ est.jr().T
     var = np.diag(prior - cross @ np.linalg.solve(gram, cross.T))
     return mean, var, gram, y
 
@@ -112,11 +112,11 @@ def _dense_mean_grad_h_and_var(ds, hyper, xq):
             xj = ds.states[:, j]
             pi = _se_pi(x, xj, hyper.lengthscales)
             aj = alpha[n * j : n * (j + 1)]
-            cross[:, n * j : n * (j + 1)] = hyper.sigma_f**2 * est.jr(x) @ pi @ est.jr(xj).T
+            cross[:, n * j : n * (j + 1)] = hyper.sigma_f**2 * est.jr() @ pi @ est.jr().T
             # d/dx [sf^2 Jr(x_j) Lambda^-1 (x - x_j) k(x, x_j)]^T = sf^2 Pi(x, x_j) Jr(x_j)^T
-            grad[:, q] += hyper.sigma_f**2 * pi @ est.jr(xj).T @ aj
+            grad[:, q] += hyper.sigma_f**2 * pi @ est.jr().T @ aj
         mean[:, q] = cross @ alpha
-        prior = hyper.sigma_f**2 * est.jr(x) @ _se_pi(x, x, hyper.lengthscales) @ est.jr(x).T
+        prior = hyper.sigma_f**2 * est.jr() @ _se_pi(x, x, hyper.lengthscales) @ est.jr().T
         var[:, q] = np.diag(prior - cross @ np.linalg.solve(gram, cross.T))
     return mean, grad, var
 
@@ -240,21 +240,31 @@ def test_nlml_scalar_hand_value():
 
 def test_nlml_gradient_matches_finite_differences(filtered_full):
     ds = subset(filtered_full, 20)  # 15 points
-    hyper = micro_hypers()
-    _, grad = negative_log_marginal_likelihood(ds, hyper, with_grad=True)
-    theta0 = hyper.to_vector()
-    fd = np.zeros_like(theta0)
-    for i in range(theta0.size):
-        h = 1e-6
-        up, down = theta0.copy(), theta0.copy()
-        up[i] += h
-        down[i] -= h
-        fd[i] = (
-            negative_log_marginal_likelihood(ds, hyper.from_vector(up), with_grad=False)
-            - negative_log_marginal_likelihood(ds, hyper.from_vector(down), with_grad=False)
-        ) / (2 * h)
-    rel = np.abs(grad - fd) / np.maximum(1e-8, np.abs(fd))
-    assert np.max(rel) <= 5e-5
+    # the microactuator family, and a parameter-free family whose S = J - R
+    # is neither symmetric nor skew and couples every state
+    fixed = StructureEstimate(
+        family=FixedStructure(
+            j=np.array([[0.0, 1.0, 0.4], [-1.0, 0.0, 0.7], [-0.4, -0.7, 0.0]]),
+            r=np.array([[0.3, 0.1, 0.0], [0.1, 0.5, 0.2], [0.0, 0.2, 0.8]]),
+            g=np.array([[0.0], [0.0], [1.0]]),
+        ),
+        phi=np.zeros(0),
+    )
+    for hyper in (micro_hypers(), micro_hypers(fixed)):
+        _, grad = negative_log_marginal_likelihood(ds, hyper, with_grad=True)
+        theta0 = hyper.to_vector()
+        fd = np.zeros_like(theta0)
+        for i in range(theta0.size):
+            h = 1e-6
+            up, down = theta0.copy(), theta0.copy()
+            up[i] += h
+            down[i] -= h
+            fd[i] = (
+                negative_log_marginal_likelihood(ds, hyper.from_vector(up), with_grad=False)
+                - negative_log_marginal_likelihood(ds, hyper.from_vector(down), with_grad=False)
+            ) / (2 * h)
+        rel = np.abs(grad - fd) / np.maximum(1e-8, np.abs(fd))
+        assert np.max(rel) <= 5e-5
 
 
 def test_gradient_identity_and_dual_route_hamiltonian(small_dataset, small_model):
@@ -270,7 +280,7 @@ def test_gradient_identity_and_dual_route_hamiltonian(small_dataset, small_model
         v = 1.0 / hyper.lengthscales**2
         for i in range(small_dataset.n_points):
             xi = small_dataset.states[:, i]
-            c = hyper.sigma_f**2 * est.jr(xi) @ (v * (x - xi) * _se(x, xi, hyper.lengthscales))
+            c = hyper.sigma_f**2 * est.jr() @ (v * (x - xi) * _se(x, xi, hyper.lengthscales))
             out += c @ alpha[3 * i : 3 * i + 3]
         return out
 
@@ -279,7 +289,7 @@ def test_gradient_identity_and_dual_route_hamiltonian(small_dataset, small_model
         x = rng.uniform(-0.5, 1.5, size=3)
         mean = small_model.drift(x[:, None])[0][:, 0]
         grad = small_model.hamiltonian_grad(x[:, None])[:, 0]
-        np.testing.assert_allclose(est.jr(x) @ grad, mean, atol=1e-8)
+        np.testing.assert_allclose(est.jr() @ grad, mean, atol=1e-8)
         value = small_model.hamiltonian(x[:, None])[0]
         direct = h_direct(x) - h_direct(np.zeros(3))
         assert value == pytest.approx(direct, abs=1e-10)
@@ -352,6 +362,26 @@ def test_training_all_restarts_failing(filtered_full):
         train(bad, micro_hypers(), optimizer_config=OptimizerConfig(restarts=2, max_iter=10))
 
 
+def _underflowed_r_hyper():
+    # softplus(-800) is exactly 0, so r_hat = 0 and 1 / r_hat is undefined
+    family = MicroactuatorStructure()
+    return micro_hypers(StructureEstimate(family=family, phi=np.array([0.0, -800.0])))
+
+
+def test_nlml_rejects_underflowed_structure_value(filtered_full):
+    with pytest.raises(ValueError, match="underflows"):
+        negative_log_marginal_likelihood(subset(filtered_full, 30), _underflowed_r_hyper())
+
+
+def test_training_from_underflowed_structure_value_fails_cleanly(filtered_full):
+    with pytest.raises(TrainingError):
+        train(
+            subset(filtered_full, 30),
+            _underflowed_r_hyper(),
+            optimizer_config=OptimizerConfig(restarts=1, max_iter=10),
+        )
+
+
 def test_lengthscale_recovery_from_prior_sample():
     # draw one exact prior sample on a 2-state fixed structure and check the
     # optimizer finds lengthscales near the generating ones
@@ -402,7 +432,7 @@ def test_perfect_model_surface(plant):
     x = np.array([0.7, 0.2, 0.9])
     mean, var = model.drift(x[:, None])
     grad = plant.hamiltonian_gradient(x)
-    np.testing.assert_allclose(mean[:, 0], est.jr(x) @ grad, atol=1e-14)
+    np.testing.assert_allclose(mean[:, 0], est.jr() @ grad, atol=1e-14)
     assert np.all(var == 0.0)
     assert np.all(model.envelope(x[:, None]) == 0.0)
     assert model.hamiltonian(x[:, None])[0] == pytest.approx(

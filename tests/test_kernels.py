@@ -71,7 +71,7 @@ def test_phs_kernel_block_formula():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(3)
     xp = rng.standard_normal(3)
-    expected = hyper.sigma_f**2 * est.jr(x) @ se_hessian(x, xp, hyper.lengthscales) @ est.jr(xp).T
+    expected = hyper.sigma_f**2 * est.jr() @ se_hessian(x, xp, hyper.lengthscales) @ est.jr().T
     np.testing.assert_allclose(phs_kernel(x, xp, hyper), expected, atol=1e-13)
 
 
@@ -142,7 +142,7 @@ def test_jr_stack_equals_per_column_jr():
         phi=np.zeros(0),
     )
     for est in (micro_structure(b=0.3, r=1.7), fixed):
-        expected = np.stack([est.jr(states[:, i]) for i in range(states.shape[1])])
+        expected = np.stack([est.jr() for i in range(states.shape[1])])
         np.testing.assert_array_equal(est.jr_stack(states), expected)
 
 
@@ -156,7 +156,7 @@ def test_batched_hot_path_matches_pairwise_reference():
     ls = hyper.lengthscales
     k, d, pi = backend.pi_tensor(xa, xb, ls)
     est = hyper.structure
-    cross = backend.phs_cross(xa, xb, est.jr_stack(xa), est.jr_stack(xb), hyper.sigma_f**2, ls)
+    cross = backend.phs_cross(xa, xb, est.jr(), hyper.sigma_f**2, ls)
     assert cross.shape == (21, 33)
     for a in range(7):
         for b in range(11):
