@@ -1,8 +1,10 @@
 """Batched SE-Hessian kernel hot path.
 
 `pi_tensor` evaluates the SE kernel and its mixed-derivative Hessian blocks
-Pi(x_a, x_b) for every pair of columns at once; the NLML gradient contracts
-them.  `phs_cross` assembles the block cross-covariance sf^2 S Pi S^T for one
+Pi(x_a, x_b) for every pair of columns at once.  No program path builds them
+any more (the NLML gradient contracts Pi in closed form, see gp.py); it stays
+as the batched reference the tests check the contractions against.
+`phs_cross` assembles the block cross-covariance sf^2 S Pi S^T for one
 constant structure matrix S = J_hat - R_hat.  With Lambda = diag(l_i^2) and
 Pi = k (Lambda^-1 - Lambda^-1 d d^T Lambda^-1), d = x - x', each block is the
 rank-one update

@@ -8,9 +8,10 @@ hyperparameters, log noise variances, and the raw structure parameters.
 S = J_hat - R_hat and G_hat are constant matrices (the structure contract of
 structure.py), and every path here uses them as such.  The likelihood builds
 its Gram matrix with kernels.gram_matrix.  Its gradient is 1/2 tr(W dK/dtheta)
-with W = K^-1 - alpha alpha^T (Rasmussen & Williams 2006, eq. 5.9); W is
-projected through I x S once, after which each hyperparameter costs one
-elementwise contraction with the SE-Hessian blocks Pi or their derivatives.
+with W = K^-1 - alpha alpha^T (Rasmussen & Williams 2006, eq. 5.9); K^-1 comes
+from the Cholesky factor in place (LAPACK potri), W is reordered once into
+component planes, and each hyperparameter is a closed-form contraction with
+the SE-Hessian blocks Pi, taken from k and Lambda^-1 d without forming Pi.
 
 Posterior queries read cached weights: with alpha = K^-1 Xdot0 stacked as the
 rows of A, the rows w_b of sf^2 (A S) Lambda^-1 give the posterior Hamiltonian
@@ -29,6 +30,8 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.blas import dsyr
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
 from . import backend
@@ -121,57 +124,93 @@ def mean_adjust(dataset: FilteredDataset, structure: StructureEstimate) -> np.nd
     return (dataset.derivatives - structure.g() @ dataset.inputs).T.ravel()
 
 
-def _nlml_impl(dataset, hyper, jitter, max_jitter, with_grad):
+def _nlml_value(dataset, hyper, jitter, max_jitter):
+    """NLML and the conditioning it rests on: (value, cho, jitter used, alpha, Xdot0)."""
+    n, n_pts = dataset.states.shape
+    gram = gram_matrix(dataset.states, hyper)
+    cho, jit_used = factorize_gram(gram, jitter=jitter, max_jitter=max_jitter)
+    del gram
+    xdot0 = mean_adjust(dataset, hyper.structure)
+    alpha = cho_solve(cho, xdot0, check_finite=False)
+    log_det_half = float(np.sum(np.log(np.diag(cho[0]))))
+    value = 0.5 * xdot0 @ alpha + log_det_half + 0.5 * n * n_pts * np.log(2 * np.pi)
+    return value, cho, jit_used, alpha, xdot0
+
+
+def _nlml_and_grad(dataset, hyper, jitter, max_jitter):
+    """NLML and its gradient; the Cholesky factor is overwritten with K^-1.
+
+    dNLML/dtheta = 1/2 tr(W dK/dtheta) with W = K^-1 - alpha alpha^T
+    (Rasmussen & Williams 2006, eq. 5.9).  Every kernel term is a contraction
+    <A_ab, Pi_ab> summed over the pairs, with A = S^T W_ab S for sigma_f and
+    the lengthscales and A = S^T W_ab dS_p for phi_p.  Pi = k (Lambda^-1 -
+    (v d)(v d)^T) with v d = Lambda^-1 (x_a - x_b), so in closed form
+
+        <A, Pi> = k (tr(C^T W_ab) - (S v d)^T W_ab (dS_p v d)),  C = S Lambda^-1 dS_p^T,
+
+    and neither Pi nor A is formed.  W is reordered once into component planes
+    W[k, l][a, b] = W[(a, k), (b, l)]; the traces are one matmul of the planes
+    with the flattened C matrices, and the quadratic forms need W^T (S v d).
+    """
+    value, cho, _, alpha, _ = _nlml_value(dataset, hyper, jitter, max_jitter)
     x = dataset.states
     n, n_pts = x.shape
     sf2 = hyper.sigma_f**2
     struct = hyper.structure
-
-    gram = gram_matrix(x, hyper)
-    cho, jit_used = factorize_gram(gram, jitter=jitter, max_jitter=max_jitter)
-    xdot0 = mean_adjust(dataset, struct)
-    alpha = cho_solve(cho, xdot0)
-    log_det_half = float(np.sum(np.log(np.diag(cho[0]))))
-    value = 0.5 * xdot0 @ alpha + log_det_half + 0.5 * n * n_pts * np.log(2 * np.pi)
-    if not with_grad:
-        return value, None, (cho, jit_used, alpha, xdot0)
-
-    # dNLML/dtheta = 1/2 tr(W dK/dtheta) with W = K^-1 - alpha alpha^T
-    # (Rasmussen & Williams 2006, eq. 5.9).  Kernel terms have the form
-    # dK = (I x S) dP (I x S)^T or (I x dS) P (I x S)^T + transpose, so W is
-    # projected through I x S once and each term is one elementwise
-    # contraction with the Pi blocks, all in the (a, b, i, j) block layout.
-    w = cho_solve(cho, np.eye(n * n_pts)) - np.outer(alpha, alpha)
-    k_se, d, pi = backend.pi_tensor(x, x, hyper.lengthscales)
     s = struct.jr()
-    # sw[a, b, i, l] = sum_k S_ki W[(a, k), (b, l)]; right factors act on l
-    sw = np.einsum("ki,akbl->abil", s, w.reshape(n_pts, n, n_pts, n), optimize=True).reshape(-1, n)
-    w_tilde = (sw @ s).reshape(pi.shape)
+    v = 1.0 / hyper.lengthscales**2
+
+    # K^-1 by LAPACK potri in place of the lower factor, minus alpha alpha^T
+    # by a rank-one update of the same triangle, then mirrored to the upper
+    w, info = dpotri(cho[0], lower=1, overwrite_c=1)
+    del cho
+    if info != 0:
+        raise ConditioningError(f"Gram inverse failed (potri info {info})")
+    w = dsyr(-1.0, alpha, lower=1, a=w, overwrite_a=1)
+    for j in range(w.shape[0] - 1):
+        w[j, j + 1 :] = w[j + 1 :, j]
+    diag_w = np.diagonal(w).reshape(n_pts, n).sum(axis=0)
+    # W is symmetric, so its transpose view reads it in C order
+    planes = w.T.reshape(n_pts, n, n_pts, n).transpose(1, 3, 0, 2).reshape(n, n, n_pts * n_pts)
+    del w
+
+    # pair planes (n, P) over the P = N^2 pairs: d = x_a - x_b, v d, k, u = S v d
+    d = (x[:, :, None] - x[:, None, :]).reshape(n, -1)
+    vd = d * v[:, None]
+    k = np.exp(-0.5 * (v @ (d * d)))
+    u = s @ vd
+    wt_u = np.einsum("klp,kp->lp", planes, u)
+    # traces tr(C^T W_ab) for C = S Lambda^-1 S^T (sigma_f), (S e_q)(S e_q)^T
+    # (the diagonal of S^T W_ab S) and S Lambda^-1 dS_p^T (phi_p)
+    phi = struct.phi
+    ds_all = struct.family.jr_param_grad(phi)
+    s_v = s * v
+    c_mats = np.concatenate([[s_v @ s.T], np.einsum("kq,lq->qkl", s, s), s_v @ ds_all.transpose(0, 2, 1)])
+    traces = c_mats.reshape(-1, n * n) @ planes.reshape(n * n, -1)
     grad = np.empty(hyper.n_hyper)
 
-    # log sigma_f: dK = 2 (K - noise)
-    grad[0] = sf2 * np.vdot(w_tilde, pi)
+    # log sigma_f: dK = 2 (K - noise), and <S^T W_ab S, Pi> per pair
+    w_pi = k * (traces[0] - np.einsum("lp,lp->p", wt_u, u))
+    grad[0] = sf2 * w_pi.sum()
 
     # log lengthscales: Pi = k (diag(v) - (v d)(v d)^T) gives
     # dPi/dlog l_q = v_q d_q^2 Pi + 2 k v_q (d_q (e_q (v d)^T + (v d) e_q^T) - e_q e_q^T),
-    # contracted with W_tilde for every q at once
-    v = 1.0 / hyper.lengthscales**2
-    w_pi = np.einsum("abij,abij->ab", w_tilde, pi)
-    w_vd = np.einsum("abij,abj->abi", w_tilde + w_tilde.transpose(0, 1, 3, 2), d * v)
-    w_qq = np.einsum("abii->abi", w_tilde)
-    dpi_terms = w_pi[:, :, None] * d**2 + 2.0 * k_se[:, :, None] * (d * w_vd - w_qq)
-    grad[1 : 1 + n] = 0.5 * sf2 * v * dpi_terms.sum(axis=(0, 1))
+    # whose contraction with S^T W_ab S needs S^T (W_ab + W_ab^T) u and the
+    # diagonal.  W_ab^T = W_ba while d and u change sign, so summed over all
+    # pairs the W_ab u half equals the W_ab^T u half, which is counted twice
+    cross = d * (2.0 * (s.T @ wt_u)) - traces[1 : 1 + n]
+    grad[1 : 1 + n] = 0.5 * sf2 * v * ((d * d) @ w_pi + 2.0 * (cross @ k))
 
     # log noise variances (block-diagonal entries)
-    grad[1 + n : 1 + 2 * n] = 0.5 * hyper.noise_var * np.diagonal(w).reshape(n_pts, n).sum(axis=0)
+    grad[1 + n : 1 + 2 * n] = 0.5 * hyper.noise_var * diag_w
 
-    # raw structure parameters: the kernel term sf^2 tr((I x S)^T W (I x dS) P)
+    # raw structure parameters: the kernel term sf^2 <(I x S)^T W (I x dS), P>
     # plus the prior-mean term alpha^T dXdot0 with dXdot0 = -(dG u) stacked
-    phi = struct.phi
-    for p, (ds, dg) in enumerate(zip(struct.family.jr_param_grad(phi), struct.family.g_param_grad(phi))):
+    for p, (ds, dg) in enumerate(zip(ds_all, struct.family.g_param_grad(phi))):
+        quad = np.einsum("lp,lp->p", wt_u, ds @ vd)
         dm = -(dg @ dataset.inputs).T.ravel()
-        grad[1 + 2 * n + p] = sf2 * np.vdot((sw @ ds).reshape(pi.shape), pi) + alpha @ dm
-    return value, grad, (cho, jit_used, alpha, xdot0)
+        grad[1 + 2 * n + p] = sf2 * (k @ (traces[1 + n + p] - quad)) + alpha @ dm
+    return value, grad
 
 
 def negative_log_marginal_likelihood(
@@ -187,10 +226,9 @@ def negative_log_marginal_likelihood(
     vector [log sigma_f, log l_i, log sigma2_i, phi] (trace identities; the
     structure parameters additionally feel the prior mean through Xdot0).
     """
-    value, grad, _ = _nlml_impl(dataset, hyper, jitter, max_jitter, with_grad)
     if with_grad:
-        return value, grad
-    return value
+        return _nlml_and_grad(dataset, hyper, jitter, max_jitter)
+    return _nlml_value(dataset, hyper, jitter, max_jitter)[0]
 
 
 @dataclass
@@ -212,6 +250,8 @@ class GpPhsModel:
     risk_p: float = 0.05
     bound_scale: str = "variance"
     x_ref: np.ndarray = None
+    # one exit record per optimizer restart, filled in by `train`
+    restarts: list = field(default_factory=list, init=False, repr=False)
     _h_w: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -339,9 +379,7 @@ def condition(
     bound_scale: str = "variance",
 ) -> GpPhsModel:
     """Condition on the dataset at fixed hyperparameters (no optimization)."""
-    value, _, (cho, jit_used, alpha, xdot0) = _nlml_impl(
-        dataset, hyper, jitter, max_jitter, with_grad=False
-    )
+    value, cho, jit_used, alpha, xdot0 = _nlml_value(dataset, hyper, jitter, max_jitter)
     n = hyper.dim_state
     return GpPhsModel(
         hyper=hyper,
@@ -373,7 +411,9 @@ def train(
     The first restart starts exactly at ``init``; the rest perturb the packed
     log/raw vector with seeded Gaussian noise.  Restarts whose Gram matrix
     never factorizes, or whose structure parameters leave float range, are
-    discarded; if all fail, TrainingError is raised.
+    discarded; if all fail, TrainingError is raised.  Each restart's exit
+    (final NLML, nit, nfev, message, |g|_inf, discarded) is kept on the
+    returned model's ``restarts``.
     """
     cfg = optimizer_config or OptimizerConfig()
     rng = rng or np.random.default_rng(0)
@@ -400,6 +440,7 @@ def train(
         return value, grad
 
     best = None
+    exits = []
     for restart in range(cfg.restarts):
         start = theta0 if restart == 0 else theta0 + cfg.perturb_scale * rng.standard_normal(theta0.shape)
         res = minimize(
@@ -409,14 +450,26 @@ def train(
             method="L-BFGS-B",
             options={"maxiter": cfg.max_iter, "gtol": cfg.gtol},
         )
-        if res.fun < 1e24 and (best is None or res.fun < best.fun):
+        discarded = not res.fun < 1e24
+        exits.append(
+            {
+                "restart": restart,
+                "nlml": float(res.fun),
+                "nit": int(res.nit),
+                "nfev": int(res.nfev),
+                "message": str(res.message),
+                "grad_inf_norm": float(np.max(np.abs(res.jac), initial=0.0)),
+                "discarded": discarded,
+            }
+        )
+        if not discarded and (best is None or res.fun < best.fun):
             best = res
     if best is None:
         raise TrainingError(
             "all optimizer restarts ended infeasible (Gram not factorizable or parameters out of range)"
         )
 
-    return condition(
+    model = condition(
         dataset,
         init.from_vector(best.x),
         jitter=cfg.jitter,
@@ -426,6 +479,8 @@ def train(
         risk_p=risk_p,
         bound_scale=bound_scale,
     )
+    model.restarts = exits
+    return model
 
 
 def calibrate_beta(model: GpPhsModel, validation: FilteredDataset, percentile: float = 99.0):

@@ -79,10 +79,12 @@ def factorize_gram(gram, jitter: float = 1e-10, max_jitter: float = 1e-6):
     eye = np.arange(gram.shape[0])
     current = jitter
     while True:
-        attempt = gram.copy()
+        # one Fortran-ordered copy per attempt, which LAPACK then factorizes in
+        # place; the finiteness scan above already covers every attempt
+        attempt = np.array(gram, order="F")
         attempt[eye, eye] += current
         try:
-            return cho_factor(attempt, lower=True), current
+            return cho_factor(attempt, lower=True, overwrite_a=True, check_finite=False), current
         except np.linalg.LinAlgError:
             pass
         if current >= max_jitter:

@@ -251,6 +251,8 @@ def stage_train(cfg, workdir):
             "noise_var": [float(v) for v in model.hyper.noise_var],
             "b_hat": float(b_hat),
             "r_hat": float(r_hat),
+            "jitter_used": float(model.jitter_used),
+            "restarts": model.restarts,
         }
     with open(_path(workdir, "train_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)

@@ -7,11 +7,13 @@ code (dense loops, no shared helpers) so the two routes can disagree.
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
+from scipy.linalg import cho_factor, cho_solve
 
 from phs_lab import (
     ConditioningError,
     PerfectPhsModel,
     TrainingError,
+    backend,
     condition,
     train,
 )
@@ -25,7 +27,7 @@ from phs_lab.gp import (
     negative_log_marginal_likelihood,
     save_model,
 )
-from phs_lab.structure import FixedStructure, MicroactuatorStructure, StructureEstimate
+from phs_lab.structure import FixedStructure, MicroactuatorStructure, StructureEstimate, StructureFamily
 
 from conftest import micro_hypers, micro_structure, subset
 
@@ -119,6 +121,42 @@ def _dense_mean_grad_h_and_var(ds, hyper, xq):
         prior = hyper.sigma_f**2 * est.jr() @ _se_pi(x, x, hyper.lengthscales) @ est.jr().T
         var[:, q] = np.diag(prior - cross @ np.linalg.solve(gram, cross.T))
     return mean, grad, var
+
+
+def _reference_nlml_grad(ds, hyper, jitter=1e-10):
+    """NLML gradient through the full (N, N, n, n) Pi tensor and an explicit K^-1.
+
+    1/2 tr(W dK/dtheta) with W = K^-1 - alpha alpha^T, K^-1 from solving the
+    dense Gram against the identity, and every kernel term contracted with
+    the Pi blocks (or their lengthscale derivatives) element by element.
+    """
+    x = ds.states
+    n, n_pts = x.shape
+    sf2 = hyper.sigma_f**2
+    struct = hyper.structure
+    cho = cho_factor(_dense_gram(ds, hyper) + jitter * np.eye(n * n_pts), lower=True)
+    alpha = cho_solve(cho, _dense_targets(ds, hyper))
+    w = cho_solve(cho, np.eye(n * n_pts)) - np.outer(alpha, alpha)
+    k_se, d, pi = backend.pi_tensor(x, x, hyper.lengthscales)
+    s = struct.jr()
+    # sw[a, b, i, l] = sum_k S_ki W[(a, k), (b, l)]; right factors act on l
+    sw = np.einsum("ki,akbl->abil", s, w.reshape(n_pts, n, n_pts, n)).reshape(-1, n)
+    w_tilde = (sw @ s).reshape(pi.shape)
+    grad = np.empty(hyper.n_hyper)
+    grad[0] = sf2 * np.vdot(w_tilde, pi)
+    # dPi/dlog l_q = v_q d_q^2 Pi + 2 k v_q (d_q (e_q (v d)^T + (v d) e_q^T) - e_q e_q^T)
+    v = 1.0 / hyper.lengthscales**2
+    w_pi = np.einsum("abij,abij->ab", w_tilde, pi)
+    w_vd = np.einsum("abij,abj->abi", w_tilde + w_tilde.transpose(0, 1, 3, 2), d * v)
+    w_qq = np.einsum("abii->abi", w_tilde)
+    dpi_terms = w_pi[:, :, None] * d**2 + 2.0 * k_se[:, :, None] * (d * w_vd - w_qq)
+    grad[1 : 1 + n] = 0.5 * sf2 * v * dpi_terms.sum(axis=(0, 1))
+    grad[1 + n : 1 + 2 * n] = 0.5 * hyper.noise_var * np.diagonal(w).reshape(n_pts, n).sum(axis=0)
+    phi = struct.phi
+    for p, (ds_p, dg) in enumerate(zip(struct.family.jr_param_grad(phi), struct.family.g_param_grad(phi))):
+        dm = -(dg @ ds.inputs).T.ravel()
+        grad[1 + 2 * n + p] = sf2 * np.vdot((sw @ ds_p).reshape(pi.shape), pi) + alpha @ dm
+    return grad
 
 
 def _hamiltonian_by_quadrature(model, x, tol=1e-9):
@@ -238,11 +276,10 @@ def test_nlml_scalar_hand_value():
     assert value == pytest.approx(expected, abs=1e-12)
 
 
-def test_nlml_gradient_matches_finite_differences(filtered_full):
-    ds = subset(filtered_full, 20)  # 15 points
-    # the microactuator family, and a parameter-free family whose S = J - R
-    # is neither symmetric nor skew and couples every state
-    fixed = StructureEstimate(
+def _coupled_fixed_structure():
+    # a parameter-free family whose S = J - R is neither symmetric nor skew
+    # and couples every state
+    return StructureEstimate(
         family=FixedStructure(
             j=np.array([[0.0, 1.0, 0.4], [-1.0, 0.0, 0.7], [-0.4, -0.7, 0.0]]),
             r=np.array([[0.3, 0.1, 0.0], [0.1, 0.5, 0.2], [0.0, 0.2, 0.8]]),
@@ -250,7 +287,11 @@ def test_nlml_gradient_matches_finite_differences(filtered_full):
         ),
         phi=np.zeros(0),
     )
-    for hyper in (micro_hypers(), micro_hypers(fixed)):
+
+
+def test_nlml_gradient_matches_finite_differences(filtered_full):
+    ds = subset(filtered_full, 20)  # 15 points
+    for hyper in (micro_hypers(), micro_hypers(_coupled_fixed_structure())):
         _, grad = negative_log_marginal_likelihood(ds, hyper, with_grad=True)
         theta0 = hyper.to_vector()
         fd = np.zeros_like(theta0)
@@ -265,6 +306,44 @@ def test_nlml_gradient_matches_finite_differences(filtered_full):
             ) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum(1e-8, np.abs(fd))
         assert np.max(rel) <= 5e-5
+
+
+class _SkewParamStructure(StructureFamily):
+    """S = S_0 + phi_0 J_1 - phi_1 R_1 with J_1 skew: dS/dphi_0 is not symmetric,
+    unlike every dS of the microactuator family."""
+
+    dim_state = 3
+    dim_input = 1
+    n_params = 2
+    _j1 = np.array([[0.0, 0.3, -0.8], [-0.3, 0.0, 0.5], [0.8, -0.5, 0.0]])
+    _r1 = np.array([[0.4, 0.1, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.6]])
+
+    def jr(self, phi):
+        return _coupled_fixed_structure().jr() + phi[0] * self._j1 - phi[1] * self._r1
+
+    def g(self, phi):
+        return np.array([[0.0], [0.0], [1.0]])
+
+    def jr_param_grad(self, phi):
+        return np.stack([self._j1, -self._r1])
+
+    def g_param_grad(self, phi):
+        return np.zeros((2, 3, 1))
+
+
+@pytest.mark.parametrize("step", [20, 6])  # 15 and 50 points
+def test_nlml_gradient_matches_reference_contraction(filtered_full, step):
+    # the closed-form plane contractions from the Cholesky factor against the
+    # Pi-tensor contraction with an explicit inverse, at the initial
+    # hyperparameters and away from them
+    ds = subset(filtered_full, step)
+    skew = StructureEstimate(family=_SkewParamStructure(), phi=np.array([0.5, 0.7]))
+    for init in (micro_hypers(), micro_hypers(_coupled_fixed_structure()), micro_hypers(skew)):
+        for hyper in (init, init.from_vector(init.to_vector() + 0.1)):
+            value, grad = negative_log_marginal_likelihood(ds, hyper, with_grad=True)
+            ref = _reference_nlml_grad(ds, hyper)
+            assert np.max(np.abs(grad - ref)) <= 1e-10 * np.max(np.abs(ref))
+            assert value == negative_log_marginal_likelihood(ds, hyper, with_grad=False)
 
 
 def test_gradient_identity_and_dual_route_hamiltonian(small_dataset, small_model):

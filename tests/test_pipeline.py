@@ -86,6 +86,21 @@ def test_plan_summary_reports_mode_and_residual(mini_run):
     assert (summary["fit"] is None) == (summary["mode"] == "exact")
 
 
+def test_train_summary_records_restart_exits(mini_run):
+    workdir, _ = mini_run
+    with open(workdir / "train_summary.json") as fh:
+        summary = json.load(fh)
+    restarts = summary["restarts"]
+    assert [r["restart"] for r in restarts] == list(range(MINI_OVERRIDES["train"]["restarts"]))
+    for r in restarts:
+        assert set(r) == {"restart", "nlml", "nit", "nfev", "message", "grad_inf_norm", "discarded"}
+        assert r["nfev"] >= r["nit"] >= 0 and r["message"]
+        assert np.isfinite(r["grad_inf_norm"]) and isinstance(r["discarded"], bool)
+    kept = [r["nlml"] for r in restarts if not r["discarded"]]
+    assert min(kept) == pytest.approx(summary["nlml"], rel=1e-9)
+    assert summary["jitter_used"] >= 0.0
+
+
 def test_best_fit_plan_converges_on_reduced_study(tmp_path):
     # the reduced production study (100 training points, a 21-point grid over
     # t in [0, 1]) has no exact plan; the trust-region fit must stop on one of
