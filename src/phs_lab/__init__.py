@@ -70,7 +70,6 @@ from .verify import (
     HdMinimumReport,
     VerifySpec,
     build_desired_dynamics,
-    lasalle_probe,
     validate_hd_minimum,
     verify_dissipation_condition,
 )

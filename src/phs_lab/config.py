@@ -55,18 +55,11 @@ _DEFAULTS = {
         "perturb_scale": 0.3,
         "jitter": 1e-10,
         "max_jitter": 1e-6,
-        "risk_p": 0.05,
-        "bound_scale": "variance",
-        "beta_mode": "calibrate",
-        "beta": None,
-        "beta_percentile": 99.0,
         "calibration": {"x0_offset": [0.05, -0.05, 0.05], "n_samples": 150},
         "perfect_model": False,
     },
     "desired": {
         "r_d_inv": 10.0,
-        "b_hat": None,
-        "recenter": "auto",
         "gate_domain": [[-2.0, 2.0], [-2.0, 2.0], [-2.0, 2.0]],
         "gate_resolution": 21,
     },
@@ -74,7 +67,6 @@ _DEFAULTS = {
         "t_span": [0.0, 13.0],
         "grid_step": 0.05,
         "seed_tail": [0.0, 0.3],
-        "mode": "auto",
         "reference": {
             "kind": "drifting-sine",
             "offset": 1.0,
@@ -89,14 +81,12 @@ _DEFAULTS = {
         "n_dirs": 2000,
         "n_times": 5,
         "bisect_iters": 12,
-        "chunk": 2048,
     },
     "closed_loop": {
         "x0_offset": [0.05, 0.0, 0.0],
         "n_samples": 1301,
         "rtol": 1e-8,
         "atol": 1e-8,
-        "reduced_law": True,
         "hd_increase_tol": 1e-6,
     },
 }
@@ -215,16 +205,6 @@ def validate_config(cfg: dict) -> dict:
     t["perturb_scale"] = _check_number("train.perturb_scale", t["perturb_scale"], lo=0.0)
     t["jitter"] = _check_number("train.jitter", t["jitter"], lo=0.0)
     t["max_jitter"] = _check_number("train.max_jitter", t["max_jitter"], lo=0.0)
-    t["risk_p"] = _check_number("train.risk_p", t["risk_p"], lo=0.0, strict_lo=True, hi=1.0)
-    _check_choice("train.bound_scale", t["bound_scale"], {"variance", "stddev"})
-    _check_choice("train.beta_mode", t["beta_mode"], {"calibrate", "fixed"})
-    if t["beta"] is not None:
-        t["beta"] = _check_vector("train.beta", t["beta"], length=3)
-    if t["beta_mode"] == "fixed" and t["beta"] is None:
-        raise ConfigError("train.beta: required when beta_mode is 'fixed'")
-    t["beta_percentile"] = _check_number(
-        "train.beta_percentile", t["beta_percentile"], lo=0.0, hi=100.0
-    )
     cal = t["calibration"]
     cal["x0_offset"] = _check_vector("train.calibration.x0_offset", cal["x0_offset"], length=3)
     _check_int("train.calibration.n_samples", cal["n_samples"], lo=2)
@@ -232,9 +212,6 @@ def validate_config(cfg: dict) -> dict:
 
     de = c["desired"]
     de["r_d_inv"] = _check_number("desired.r_d_inv", de["r_d_inv"], lo=0.0, strict_lo=True)
-    if de["b_hat"] is not None:
-        de["b_hat"] = _check_number("desired.b_hat", de["b_hat"], lo=0.0)
-    _check_choice("desired.recenter", de["recenter"], {"off", "auto"})
     if not isinstance(de["gate_domain"], list) or len(de["gate_domain"]) != 3:
         _fail("desired.gate_domain", "a list of 3 [lo, hi] pairs", de["gate_domain"])
     de["gate_domain"] = [
@@ -246,7 +223,6 @@ def validate_config(cfg: dict) -> dict:
     pl["t_span"] = _check_span("plan.t_span", pl["t_span"])
     pl["grid_step"] = _check_number("plan.grid_step", pl["grid_step"], lo=0.0, strict_lo=True)
     pl["seed_tail"] = _check_vector("plan.seed_tail", pl["seed_tail"], length=2)
-    _check_choice("plan.mode", pl["mode"], {"auto", "exact", "best-fit"})
     ref = pl["reference"]
     _check_choice("plan.reference.kind", ref["kind"], {"drifting-sine", "constant"})
     for key in ("offset", "slope", "amplitude", "frequency"):
@@ -258,14 +234,12 @@ def validate_config(cfg: dict) -> dict:
     _check_int("verify.n_dirs", v["n_dirs"], lo=1)
     _check_int("verify.n_times", v["n_times"], lo=1)
     _check_int("verify.bisect_iters", v["bisect_iters"], lo=0)
-    _check_int("verify.chunk", v["chunk"], lo=1)
 
     cl = c["closed_loop"]
     cl["x0_offset"] = _check_vector("closed_loop.x0_offset", cl["x0_offset"], length=3)
     _check_int("closed_loop.n_samples", cl["n_samples"], lo=2)
     cl["rtol"] = _check_number("closed_loop.rtol", cl["rtol"], lo=0.0, strict_lo=True)
     cl["atol"] = _check_number("closed_loop.atol", cl["atol"], lo=0.0, strict_lo=True)
-    _check_bool("closed_loop.reduced_law", cl["reduced_law"])
     cl["hd_increase_tol"] = _check_number(
         "closed_loop.hd_increase_tol", cl["hd_increase_tol"], lo=0.0
     )

@@ -2,13 +2,14 @@
 
 The controller shapes the closed loop into desired error dynamics
 
-    xbar_dot = [J_d(xbar) - R_d(xbar)] grad H_d(xbar),   xbar = x - x_d(t)
+    xbar_dot = [J_d - R_d] grad H_d(xbar),   xbar = x - x_d(t)
 
 via the matching condition on the unactuated directions
 
     Gperp mu(xdot | x, D) = Gperp ([J_d - R_d] grad H_d + xdot_d)
 
-with mu the posterior drift mean.  The actuated component gives the control
+with mu the posterior drift mean and (J_d, R_d) constant matrices.  The
+actuated component gives the control
 
     u = (Ghat^T Ghat)^-1 Ghat^T ([J_d - R_d] grad H_d + xdot_d - mu).
 
@@ -64,28 +65,20 @@ __all__ = [
 class DesiredDynamics:
     """Desired interconnection/damping/energy for the closed-loop error.
 
-    ``hd`` and ``hd_grad`` take (x, x_d); the energy depends on the pair only
-    through the error, which ``hd_error*`` expose directly (batched variants
-    take column-major (n, Q) arrays).  ``center`` records the shift applied to
-    the learned Hamiltonian so that the energy minimum sits at zero error.
+    ``jd`` and ``rd`` are constant (n, n) matrices.  ``hd_grad`` takes
+    (x, x_d); the energy depends on the pair only through the error, which
+    ``hd_error_batch`` and ``hd_error_grad_batch`` take directly as
+    column-major (n, Q) arrays.  ``center`` records the shift applied to the
+    learned Hamiltonian so that the energy minimum sits at zero error.
     """
 
-    jd: Callable[[np.ndarray], np.ndarray]
-    rd: Callable[[np.ndarray], np.ndarray]
-    hd: Callable[[np.ndarray, np.ndarray], float]
+    jd: np.ndarray
+    rd: np.ndarray
     hd_grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hd_error: Callable[[np.ndarray], float]
     hd_error_batch: Callable[[np.ndarray], np.ndarray]
     hd_error_grad_batch: Callable[[np.ndarray], np.ndarray]
     center: np.ndarray
     dim_state: int
-
-
-def _as_matrix_fn(mat_or_fn):
-    if callable(mat_or_fn):
-        return mat_or_fn
-    mat = np.asarray(mat_or_fn, dtype=float)
-    return lambda xbar: mat
 
 
 def microactuator_desired_matrices(b_hat: float, r_d_inv: float = 10.0):
@@ -100,7 +93,7 @@ def make_desired_dynamics(model, jd, rd, center=None) -> DesiredDynamics:
 
     H_d(x, x_d) = H_hat(center + x - x_d) - H_hat(center); with center at the
     learned energy minimum the required min-at-zero-error property holds.
-    ``jd``/``rd`` may be constant matrices or callables of the error.
+    ``jd``/``rd`` are the constant desired matrices.
     """
     n = model.dim_state
     center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
@@ -114,17 +107,12 @@ def make_desired_dynamics(model, jd, rd, center=None) -> DesiredDynamics:
         xbar = np.atleast_2d(np.asarray(xbar, dtype=float))
         return model.hamiltonian_grad(center[:, None] + xbar)
 
-    def hd_error(xbar):
-        return float(hd_error_batch(np.asarray(xbar, dtype=float)[:, None])[0])
-
     return DesiredDynamics(
-        jd=_as_matrix_fn(jd),
-        rd=_as_matrix_fn(rd),
-        hd=lambda x, x_d: hd_error(np.asarray(x, dtype=float) - np.asarray(x_d, dtype=float)),
+        jd=np.asarray(jd, dtype=float),
+        rd=np.asarray(rd, dtype=float),
         hd_grad=lambda x, x_d: hd_error_grad_batch(
             (np.asarray(x, dtype=float) - np.asarray(x_d, dtype=float))[:, None]
         )[:, 0],
-        hd_error=hd_error,
         hd_error_batch=hd_error_batch,
         hd_error_grad_batch=hd_error_grad_batch,
         center=center,
@@ -144,11 +132,9 @@ def find_hamiltonian_minimum(model, box, coarse: int = 9, gtol: float = 1e-10) -
     vals = model.hamiltonian(pts)
     x0 = pts[:, int(np.argmin(vals))]
 
-    def fun(x):
-        h, g = model.hamiltonian_scalar(x)
-        return h, g
-
-    res = minimize(fun, x0, jac=True, method="BFGS", options={"gtol": gtol, "maxiter": 200})
+    res = minimize(
+        model.hamiltonian_scalar, x0, jac=True, method="BFGS", options={"gtol": gtol, "maxiter": 200}
+    )
     return np.asarray(res.x, dtype=float)
 
 
@@ -213,8 +199,7 @@ def classical_ida_pbc_control(
 
     def shaped(x):
         x = np.asarray(x, dtype=float)
-        xbar = x - x_d
-        target = (desired.jd(xbar) - desired.rd(xbar)) @ desired.hd_grad(x, x_d)
+        target = (desired.jd - desired.rd) @ desired.hd_grad(x, x_d)
         plant = (model.interconnection(x) - model.dissipation(x)) @ np.asarray(
             model.hamiltonian_gradient(x), dtype=float
         )
@@ -286,9 +271,8 @@ def matching_residual(model, desired: DesiredDynamics, plan: ReferencePlan, x, t
     """Unactuated-direction defect Gperp (mu - [J_d - R_d] grad H_d - xdot_d)."""
     x = np.asarray(x, dtype=float)
     x_d = plan.x_d(t)
-    xbar = x - x_d
     mu = model.drift_mean(x[:, None])[:, 0]
-    rhs = (desired.jd(xbar) - desired.rd(xbar)) @ desired.hd_grad(x, x_d) + plan.x_d_dot(t)
+    rhs = (desired.jd - desired.rd) @ desired.hd_grad(x, x_d) + plan.x_d_dot(t)
     gperp = left_annihilator(model.io_matrix(x))
     return gperp @ (mu - rhs)
 
@@ -349,7 +333,7 @@ def solve_reference_plan(
     xd1dot = np.array([p[1] for p in prim], dtype=float)
 
     g0 = desired.hd_error_grad_batch(np.zeros((n, 1)))[:, 0]
-    shaped0 = (desired.jd(np.zeros(n)) - desired.rd(np.zeros(n))) @ g0
+    shaped0 = (desired.jd - desired.rd) @ g0
 
     z = np.zeros((n_grid, n - 1))
     z0 = np.zeros(n - 1) if seed_tail is None else np.asarray(seed_tail, dtype=float)
@@ -549,9 +533,8 @@ def tracking_control(model, desired: DesiredDynamics, plan: ReferencePlan):
     def control(x, t):
         x = np.asarray(x, dtype=float)
         x_d = plan.x_d(t)
-        xbar = x - x_d
         mu = model.drift_mean(x[:, None])[:, 0]
-        rhs = (desired.jd(xbar) - desired.rd(xbar)) @ desired.hd_grad(x, x_d) + plan.x_d_dot(t) - mu
+        rhs = (desired.jd - desired.rd) @ desired.hd_grad(x, x_d) + plan.x_d_dot(t) - mu
         g = model.io_matrix(x)
         return np.linalg.solve(g.T @ g, g.T @ rhs)
 
@@ -566,7 +549,7 @@ def microactuator_tracking_control(model, desired: DesiredDynamics, plan: Refere
     (0, 0, -1/r_d).  The common textbook rendering drops the r_hat factors,
     which is the special case r_hat = 1.
     """
-    rd33 = float(desired.rd(np.zeros(desired.dim_state))[2, 2])
+    rd33 = float(desired.rd[2, 2])
 
     def control(x, t):
         x = np.asarray(x, dtype=float)
@@ -639,7 +622,7 @@ def simulate_error_dynamics(
 
     def rhs(t, xbar):
         grad = desired.hd_error_grad_batch(xbar[:, None])[:, 0]
-        return (desired.jd(xbar) - desired.rd(xbar)) @ grad
+        return (desired.jd - desired.rd) @ grad
 
     t0, t1 = float(t_span[0]), float(t_span[1])
     sol = solve_ivp(rhs, (t0, t1), xbar0, method="RK45", rtol=rtol, atol=atol, dense_output=True)

@@ -56,6 +56,9 @@ __all__ = [
 
 # query columns per block of the Hamiltonian mean, bounding its (Q, N, n) work arrays
 _H_CHUNK = 2048
+# calibrate_beta sets beta_i to this percentile of |f_i - mu_i| / var_i over
+# the held-out rollout, so eta = beta * var covers 99 % of its samples per row
+BETA_PERCENTILE = 99.0
 
 
 @dataclass(frozen=True)
@@ -247,8 +250,6 @@ class GpPhsModel:
     alpha: np.ndarray
     nlml: float
     beta: np.ndarray
-    risk_p: float = 0.05
-    bound_scale: str = "variance"
     x_ref: np.ndarray = None
     # one exit record per optimizer restart, filled in by `train`
     restarts: list = field(default_factory=list, init=False, repr=False)
@@ -362,10 +363,8 @@ class GpPhsModel:
         return float(h), g
 
     def envelope(self, xq):
-        """Per-dimension model-error envelope beta_i * var (or std) at queries."""
-        var = self._drift_var(xq)
-        scale = var if self.bound_scale == "variance" else np.sqrt(var)
-        return self.beta[:, None] * scale
+        """Per-dimension model-error envelope eta_i = beta_i * var_i at queries."""
+        return self.beta[:, None] * self._drift_var(xq)
 
 
 def condition(
@@ -373,10 +372,6 @@ def condition(
     hyper: GpHyperparams,
     jitter: float = 1e-10,
     max_jitter: float = 1e-6,
-    x_ref: Optional[np.ndarray] = None,
-    beta: Optional[np.ndarray] = None,
-    risk_p: float = 0.05,
-    bound_scale: str = "variance",
 ) -> GpPhsModel:
     """Condition on the dataset at fixed hyperparameters (no optimization)."""
     value, cho, jit_used, alpha, xdot0 = _nlml_value(dataset, hyper, jitter, max_jitter)
@@ -389,10 +384,7 @@ def condition(
         jitter_used=jit_used,
         alpha=alpha,
         nlml=float(value),
-        beta=np.ones(n) if beta is None else np.asarray(beta, dtype=float),
-        risk_p=risk_p,
-        bound_scale=bound_scale,
-        x_ref=x_ref,
+        beta=np.ones(n),
     )
 
 
@@ -401,10 +393,6 @@ def train(
     init: GpHyperparams,
     optimizer_config: Optional[OptimizerConfig] = None,
     rng: Optional[np.random.Generator] = None,
-    x_ref: Optional[np.ndarray] = None,
-    beta: Optional[np.ndarray] = None,
-    risk_p: float = 0.05,
-    bound_scale: str = "variance",
 ) -> GpPhsModel:
     """Fit hyperparameters by multi-restart quasi-Newton NLML minimization.
 
@@ -417,8 +405,6 @@ def train(
     """
     cfg = optimizer_config or OptimizerConfig()
     rng = rng or np.random.default_rng(0)
-    if bound_scale not in ("variance", "stddev"):
-        raise ValueError("bound_scale must be 'variance' or 'stddev'")
 
     theta0 = init.to_vector()
 
@@ -474,23 +460,17 @@ def train(
         init.from_vector(best.x),
         jitter=cfg.jitter,
         max_jitter=cfg.max_jitter,
-        x_ref=x_ref,
-        beta=beta,
-        risk_p=risk_p,
-        bound_scale=bound_scale,
     )
     model.restarts = exits
     return model
 
 
-def calibrate_beta(model: GpPhsModel, validation: FilteredDataset, percentile: float = 99.0):
-    """Set beta from the per-dimension percentile of |error| / var on held-out data."""
+def calibrate_beta(model: GpPhsModel, validation: FilteredDataset):
+    """Set beta_i to the BETA_PERCENTILE-th percentile of |error_i| / var_i on held-out data."""
     mean, var = model.drift(validation.states)
     target = mean_adjust(validation, model.structure).reshape(validation.n_points, -1).T
     err = np.abs(mean - target)
-    scale = var if model.bound_scale == "variance" else np.sqrt(var)
-    scale = np.maximum(scale, 1e-12)
-    beta = np.percentile(err / scale, percentile, axis=1)
+    beta = np.percentile(err / np.maximum(var, 1e-12), BETA_PERCENTILE, axis=1)
     model.beta = beta
     return beta
 
@@ -507,7 +487,6 @@ class PerfectPhsModel:
         self.plant = plant
         self.structure = structure
         self.x_ref = np.zeros(plant.dim_state) if x_ref is None else np.asarray(x_ref, dtype=float)
-        self.bound_scale = "variance"
         self.beta = np.zeros(plant.dim_state)
 
     @property
@@ -576,8 +555,6 @@ def save_model(model: GpPhsModel, path) -> None:
         "jitter_used": model.jitter_used,
         "nlml": model.nlml,
         "beta": model.beta.tolist(),
-        "risk_p": model.risk_p,
-        "bound_scale": model.bound_scale,
         "x_ref": model.x_ref.tolist(),
     }
     with open(path, "w") as fh:
@@ -609,7 +586,5 @@ def load_model(path) -> GpPhsModel:
         alpha=cho_solve(cho, xdot0),
         nlml=payload["nlml"],
         beta=np.asarray(payload["beta"], dtype=float),
-        risk_p=payload["risk_p"],
-        bound_scale=payload["bound_scale"],
         x_ref=np.asarray(payload["x_ref"], dtype=float),
     )

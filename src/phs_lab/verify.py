@@ -30,7 +30,6 @@ __all__ = [
     "ConditionReport",
     "validate_hd_minimum",
     "verify_dissipation_condition",
-    "lasalle_probe",
     "build_desired_dynamics",
 ]
 
@@ -45,7 +44,6 @@ class VerifySpec:
     n_times: int = 5
     bisect_iters: int = 12
     seed: int = 0
-    chunk: int = 2048
 
 
 @dataclass(frozen=True)
@@ -182,43 +180,23 @@ def verify_dissipation_condition(
     n = desired.dim_state
     rng = np.random.default_rng(spec.seed)
     dirs = _sphere_directions(n, spec.n_dirs, rng)
-    n_dirs_total = dirs.shape[1]
 
     idx = np.unique(np.linspace(0, plan.times.size - 1, spec.n_times).round().astype(int))
     times = plan.times[idx]
     centers = np.stack([plan.x_d(t) for t in times], axis=1)
 
-    rd_probe_a = desired.rd(np.zeros(n))
-    rd_probe_b = desired.rd(np.full(n, 0.1))
-    rd_constant = rd_probe_a is rd_probe_b
-
     def radius_parts(radius: float):
         # the gradient and quadratic term live in error coordinates, so they
         # are shared across plan times; only the envelope sees the plant state
         xbar = radius * dirs
-        grads = np.empty((n, n_dirs_total))
-        quad = np.empty(n_dirs_total)
-        for lo in range(0, n_dirs_total, spec.chunk):
-            hi = min(lo + spec.chunk, n_dirs_total)
-            g = desired.hd_error_grad_batch(xbar[:, lo:hi])
-            grads[:, lo:hi] = g
-            if rd_constant:
-                quad[lo:hi] = np.einsum("iq,ij,jq->q", g, rd_probe_a, g)
-            else:
-                quad[lo:hi] = np.array(
-                    [gc @ desired.rd(xbar[:, lo + j]) @ gc for j, gc in enumerate(g.T)]
-                )
+        grads = desired.hd_error_grad_batch(xbar)
+        quad = np.einsum("iq,ij,jq->q", grads, desired.rd, grads)
         return xbar, grads, quad
 
     def margins_at(parts, t_index: int) -> np.ndarray:
         xbar, grads, quad = parts
-        x = centers[:, t_index][:, None] + xbar
-        out = np.empty(n_dirs_total)
-        for lo in range(0, n_dirs_total, spec.chunk):
-            hi = min(lo + spec.chunk, n_dirs_total)
-            eta = model.envelope(x[:, lo:hi])
-            out[lo:hi] = quad[lo:hi] - np.sum(np.abs(grads[:, lo:hi]) * eta, axis=0)
-        return out
+        eta = model.envelope(centers[:, t_index][:, None] + xbar)
+        return quad - np.sum(np.abs(grads) * eta, axis=0)
 
     radii = np.linspace(spec.max_radius / spec.n_radii, spec.max_radius, spec.n_radii)
     min_per_radius = np.empty(spec.n_radii)
@@ -263,69 +241,32 @@ def verify_dissipation_condition(
         min_margin_per_radius=min_per_radius,
         margin_rows=np.asarray(rows, dtype=float),
         times=times,
-        n_dirs=n_dirs_total,
+        n_dirs=dirs.shape[1],
         max_radius=spec.max_radius,
     )
-
-
-def lasalle_probe(
-    trajectories: Sequence,
-    desired: DesiredDynamics,
-    plan: ReferencePlan,
-    tol: float = 1e-3,
-) -> dict:
-    """Empirical convergence probe for the largest invariant set.
-
-    Reports the final tracking-error norm of each run, the fraction below
-    ``tol``, and the final dissipation rate grad H_d^T R_d grad H_d (a stall
-    away from zero error shows up as a vanishing rate at nonzero norm).
-    """
-    final_norms = []
-    rates = []
-    for traj in trajectories:
-        t_end = float(traj.times[-1])
-        xbar = traj.states[-1] - plan.x_d(t_end)
-        g = desired.hd_error_grad_batch(xbar[:, None])[:, 0]
-        final_norms.append(float(np.linalg.norm(xbar)))
-        rates.append(float(g @ desired.rd(xbar) @ g))
-    final_norms = np.asarray(final_norms)
-    return {
-        "final_norms": [float(v) for v in final_norms],
-        "fraction_converged": float(np.mean(final_norms <= tol)) if final_norms.size else 0.0,
-        "tol": float(tol),
-        "final_dissipation_rates": rates,
-    }
 
 
 def build_desired_dynamics(
     model,
     jd,
     rd,
-    recenter: str = "auto",
     gate_domain: Optional[Sequence] = None,
     gate_resolution: int = 21,
     search_box: Optional[Sequence] = None,
 ):
     """Construct H_d from the model and gate it on the minimum check.
 
-    With ``recenter="auto"`` a failed verbatim gate triggers a search for the
-    learned energy minimum (over ``search_box``, defaulting to the training
-    state bounding box) and retries with the shifted energy.  Returns the
-    accepted dynamics plus a dict describing what happened; raises if no
-    candidate passes.
+    A failed verbatim gate triggers a search for the learned energy minimum
+    (over ``search_box``, defaulting to the training state bounding box) and
+    a retry with the shifted energy.  Returns the accepted dynamics plus a
+    dict describing what happened; raises if no candidate passes.
     """
-    if recenter not in ("off", "auto"):
-        raise ValueError(f"unknown recenter mode: {recenter!r}")
     candidate = make_desired_dynamics(model, jd, rd)
     rep0 = validate_hd_minimum(candidate, gate_domain, gate_resolution)
     report = {"mode": "verbatim", "center": [0.0] * candidate.dim_state, "verbatim_gate": rep0.to_jsonable()}
     if rep0.passed:
         report["final_gate"] = rep0.to_jsonable()
         return candidate, report
-    if recenter == "off":
-        raise SynthesisError(
-            "desired energy fails the minimum-at-zero-error check and recentering is off"
-        )
     if search_box is None:
         states = getattr(model, "states", None)
         if states is None:

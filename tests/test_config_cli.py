@@ -45,10 +45,10 @@ def test_unknown_key_rejected_with_path():
     [
         ({"dataset": {"n_samples": 1}}, "dataset.n_samples"),
         ({"dataset": {"noise_var": -0.1}}, "dataset.noise_var"),
-        ({"plan": {"mode": "fastest"}}, "plan.mode"),
+        ({"dataset": {"input": {"kind": "chirp"}}}, "dataset.input.kind"),
         ({"plan": {"grid_step": 0.0}}, "plan.grid_step"),
-        ({"train": {"bound_scale": "sigma"}}, "train.bound_scale"),
-        ({"desired": {"recenter": "always"}}, "desired.recenter"),
+        ({"plan": {"reference": {"kind": "ramp"}}}, "plan.reference.kind"),
+        ({"desired": {"gate_resolution": 2}}, "desired.gate_resolution"),
         ({"closed_loop": {"x0_offset": [0.05, 0.0]}}, "closed_loop.x0_offset"),
         ({"plant": {"kind": "pendulum"}}, "plant.kind"),
     ],
@@ -56,6 +56,29 @@ def test_unknown_key_rejected_with_path():
 def test_validation_errors_name_the_leaf(bad, path):
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
         validate_config(bad)
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        ("train.risk_p", 0.05),
+        ("train.bound_scale", "variance"),
+        ("train.beta_mode", "calibrate"),
+        ("train.beta", None),
+        ("train.beta_percentile", 99.0),
+        ("desired.b_hat", None),
+        ("desired.recenter", "auto"),
+        ("plan.mode", "auto"),
+        ("verify.chunk", 2048),
+        ("closed_loop.reduced_law", True),
+    ],
+)
+def test_removed_leaves_are_unknown_keys(path, value):
+    # these settings had one value in every run; a config that still sets
+    # one, even to its old default, must fail instead of being ignored
+    section, key = path.split(".")
+    with pytest.raises(ConfigError, match=path.replace(".", r"\.") + ": unknown key"):
+        validate_config({section: {key: value}})
 
 
 def test_config_round_trip(tmp_path):
@@ -80,13 +103,13 @@ def test_load_config_bad_json(tmp_path):
 def test_overrides_parse_json_values():
     cfg = apply_overrides(
         default_config(),
-        ["seed=7", "dataset.noise_var=0.002", "closed_loop.reduced_law=false", "plan.mode=best-fit"],
+        ["seed=7", "dataset.noise_var=0.002", "plant.electrical_half=true", "dataset.input.kind=zero"],
     )
     assert cfg["seed"] == 7
     assert cfg["dataset"]["noise_var"] == 0.002
-    assert cfg["closed_loop"]["reduced_law"] is False
+    assert cfg["plant"]["electrical_half"] is True
     # bare strings that are not JSON still land as strings
-    assert cfg["plan"]["mode"] == "best-fit"
+    assert cfg["dataset"]["input"]["kind"] == "zero"
 
 
 def test_overrides_reject_unknown_and_malformed():

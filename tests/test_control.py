@@ -86,13 +86,12 @@ def test_desired_matrices_properties():
 
 
 def test_desired_dynamics_center_and_batch(desired):
-    assert desired.hd_error(np.zeros(3)) == pytest.approx(0.0, abs=1e-12)
+    assert desired.hd_error_batch(np.zeros((3, 1)))[0] == pytest.approx(0.0, abs=1e-12)
     x = np.array([1.2, 0.3, 0.4])
     x_d = np.array([1.1, 0.1, 0.2])
-    assert desired.hd(x, x_d) == pytest.approx(desired.hd_error(x - x_d), abs=1e-12)
     xbar = np.array([[0.1, -0.2], [0.05, 0.0], [0.2, 0.3]])
     batch = desired.hd_error_batch(xbar)
-    singles = [desired.hd_error(xbar[:, i]) for i in range(2)]
+    singles = [desired.hd_error_batch(xbar[:, i : i + 1])[0] for i in range(2)]
     np.testing.assert_allclose(batch, singles, atol=1e-12)
     grad_batch = desired.hd_error_grad_batch(xbar)
     np.testing.assert_allclose(

@@ -19,6 +19,7 @@ from phs_lab import (
 )
 from phs_lab.filtering import FilteredDataset
 from phs_lab.gp import (
+    BETA_PERCENTILE,
     GpHyperparams,
     OptimizerConfig,
     calibrate_beta,
@@ -392,12 +393,12 @@ def test_envelope_scales_with_beta(small_model):
 
 def test_calibration_sets_percentile_coverage(small_model, filtered_full):
     validation = subset(filtered_full, 7)
-    beta = calibrate_beta(small_model, validation, percentile=90.0)
+    beta = calibrate_beta(small_model, validation)
     mean, var = small_model.drift(validation.states)
     target = mean_adjust(validation, small_model.structure).reshape(validation.n_points, -1).T
     covered = np.abs(mean - target) <= beta[:, None] * np.maximum(var, 1e-12) + 1e-12
     # interpolated percentile can sit one order statistic below the target
-    assert np.all(np.mean(covered, axis=1) >= 0.90 - 1.0 / validation.n_points)
+    assert np.all(np.mean(covered, axis=1) >= BETA_PERCENTILE / 100.0 - 1.0 / validation.n_points)
     small_model.beta = np.ones(3)
 
 

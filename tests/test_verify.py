@@ -8,7 +8,7 @@ computed by hand below.
 import numpy as np
 import pytest
 
-from phs_lab import MicroactuatorParams, SynthesisError, Trajectory, make_microactuator
+from phs_lab import MicroactuatorParams, SynthesisError, make_microactuator
 from phs_lab.control import (
     ReferencePlan,
     make_desired_dynamics,
@@ -20,7 +20,6 @@ from phs_lab.structure import FixedStructure, StructureEstimate
 from phs_lab.verify import (
     VerifySpec,
     build_desired_dynamics,
-    lasalle_probe,
     validate_hd_minimum,
     verify_dissipation_condition,
 )
@@ -98,14 +97,10 @@ def quadratic_desired(n, rho):
     # H_d = |xbar|^2 / 2, R_d = rho I: margin on the sphere of radius s is
     # rho s^2 - eta0 s |d|_1, worst over unit d at |d|_1 = sqrt(n), so the
     # certificate radius is eta0 sqrt(n) / rho
-    rd_mat = rho * np.eye(n)
-    jd_mat = np.zeros((n, n))
     return DesiredDynamics(
-        jd=lambda xbar: jd_mat,
-        rd=lambda xbar: rd_mat,
-        hd=lambda x, x_d: 0.5 * float(np.sum((np.asarray(x) - np.asarray(x_d)) ** 2)),
+        jd=np.zeros((n, n)),
+        rd=rho * np.eye(n),
         hd_grad=lambda x, x_d: np.asarray(x, dtype=float) - np.asarray(x_d, dtype=float),
-        hd_error=lambda xbar: 0.5 * float(np.sum(np.asarray(xbar) ** 2)),
         hd_error_batch=lambda xbar: 0.5 * np.sum(np.atleast_2d(xbar) ** 2, axis=0),
         hd_error_grad_batch=lambda xbar: np.atleast_2d(np.asarray(xbar, dtype=float)),
         center=np.zeros(n),
@@ -158,26 +153,6 @@ def test_margin_csv_shape(tmp_path):
     np.testing.assert_allclose(np.unique(rows[:, 0]), np.linspace(0.5 / 6, 0.5, 6), rtol=1e-15)
 
 
-def test_lasalle_probe_reports_convergence(centered_desired):
-    xd_row = np.array([1.0, 0.0, 0.0])
-    plan = constant_plan(xd_row)
-    near = Trajectory(
-        times=np.array([0.0, 1.0]),
-        states=np.vstack([xd_row + 0.3, xd_row]),
-        inputs=np.zeros((2, 1)),
-    )
-    far = Trajectory(
-        times=np.array([0.0, 1.0]),
-        states=np.vstack([xd_row, xd_row + np.array([0.5, 0.5, 0.5])]),
-        inputs=np.zeros((2, 1)),
-    )
-    probe = lasalle_probe([near, far], centered_desired, plan, tol=1e-3)
-    assert probe["fraction_converged"] == pytest.approx(0.5)
-    assert probe["final_norms"][0] == pytest.approx(0.0, abs=1e-12)
-    assert probe["final_norms"][1] == pytest.approx(np.sqrt(0.75), abs=1e-12)
-    assert probe["final_dissipation_rates"][1] > 0.0
-
-
 def test_build_desired_recenter_finds_learned_minimum(plant):
     model = PerfectPhsModel(plant, micro_structure(b=0.5, r=1.0))
     jd, rd = microactuator_desired_matrices(b_hat=0.5, r_d_inv=10.0)
@@ -187,18 +162,15 @@ def test_build_desired_recenter_finds_learned_minimum(plant):
     assert report["mode"] == "recentered"
     assert report["final_gate"]["passed"]
     np.testing.assert_allclose(report["center"], [1.0, 0.0, 0.0], atol=1e-5)
-    assert desired.hd_error(np.zeros(3)) == pytest.approx(0.0, abs=1e-12)
+    assert desired.hd_error_batch(np.zeros((3, 1)))[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_build_desired_recenter_off_raises(plant):
+def test_build_desired_recenter_without_search_box_raises(plant):
+    # the verbatim gate fails (the minimum sits at (1, 0, 0)), and with no
+    # stored training states and no explicit box there is nowhere to search
     model = PerfectPhsModel(plant, micro_structure(b=0.5, r=1.0))
     jd, rd = microactuator_desired_matrices(b_hat=0.5, r_d_inv=10.0)
-    with pytest.raises(SynthesisError):
-        build_desired_dynamics(model, jd, rd, recenter="off")
-    with pytest.raises(ValueError):
-        build_desired_dynamics(model, jd, rd, recenter="sometimes")
-    # no stored training states and no explicit box leaves nowhere to search
-    with pytest.raises(SynthesisError):
+    with pytest.raises(SynthesisError, match="search box"):
         build_desired_dynamics(model, jd, rd)
 
 

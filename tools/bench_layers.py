@@ -7,9 +7,12 @@ Run from the root of a checkout:
 ``--run-dir`` holds a production run (`phs-lab pipeline --seed 42`).  When it
 lacks the artifacts the layers read (model.json, filtered.csv, hd_check.json,
 plan.csv), the stages up to plan are run into it first, with the default
-config at seed 42.  The process holds OpenBLAS to one thread, and each layer
-reports the median and the minimum of ``--repeats`` timed calls after one
-untimed warm-up call:
+config at seed 42.  The run's ``config.json`` is validated again, so a run
+directory written before the config schema dropped its single-valued keys
+(``train.risk_p``, ``plan.mode``, ``verify.chunk`` and the others) fails
+with an unknown-key error and has to be regenerated into an empty directory.
+The process holds OpenBLAS to one thread, and each layer reports the median
+and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
 
 - ``nlml_grad_n300``: NLML plus gradient on the training set at the trained
   hyperparameters;
@@ -92,7 +95,7 @@ def layers(run_dir):
     reference = pipeline.build_reference(cfg["plan"]["reference"])
     prim = np.array([reference(t) for t in plan.times], dtype=float)
     g0 = desired.hd_error_grad_batch(np.zeros((n, 1)))[:, 0]
-    shaped0 = (desired.jd(np.zeros(n)) - desired.rd(np.zeros(n))) @ g0
+    shaped0 = (desired.jd - desired.rd) @ g0
     residual, jacobian = control._best_fit_problem(
         model, prim[:, 0], prim[:, 1], shaped0, plan.xd[0], cfg["plan"]["grid_step"]
     )
