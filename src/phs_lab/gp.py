@@ -18,8 +18,11 @@ rows of A, the rows w_b of sf^2 (A S) Lambda^-1 give the posterior Hamiltonian
 H_hat(x) = sum_b k(x, x_b) (x - x_b)^T w_b, its gradient is the closed-form
 derivative of that sum, and the drift mean is mu(x) = S grad H_hat(x)
 (predicting with cached weights, Rasmussen & Williams 2006, Alg. 2.1).  Only
-the variance needs the cross-covariance, through one triangular solve; its
-prior part sf^2 diag(S Lambda^-1 S^T) is a constant.
+the variance needs the cross-covariance.  The model stores the inverse L^-1 of
+the lower Cholesky factor (LAPACK trtri, once per conditioning), so the
+variance's v = L^-1 k^T is a triangular multiply (BLAS trmm) instead of a
+triangular solve, one per block of _VAR_CHUNK query states; its prior part
+sf^2 diag(S Lambda^-1 S^T) is a constant.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.blas import dsyr
-from scipy.linalg.lapack import dpotri
+from scipy.linalg import cho_solve
+from scipy.linalg.blas import dsyr, dtrmm
+from scipy.linalg.lapack import dpotri, dtrtri
 from scipy.optimize import minimize
 
 from . import backend
@@ -56,6 +59,10 @@ __all__ = [
 
 # query columns per block of the Hamiltonian mean, bounding its (Q, N, n) work arrays
 _H_CHUNK = 2048
+# query columns per block of the posterior variance: the (n Q, n N) cross-
+# covariance block (2.8 MB at N = 300) then stays in cache from phs_cross
+# writing it to trmm reading it
+_VAR_CHUNK = 128
 # calibrate_beta sets beta_i to this percentile of |f_i - mu_i| / var_i over
 # the held-out rollout, so eta = beta * var covers 99 % of its samples per row
 BETA_PERCENTILE = 99.0
@@ -234,10 +241,27 @@ def negative_log_marginal_likelihood(
     return _nlml_value(dataset, hyper, jitter, max_jitter)[0]
 
 
+def _invert_factor(factor):
+    """L^-1 in place of the lower Cholesky factor L, strict upper triangle zeroed.
+
+    ``factor`` is the F-ordered factor from kernels.factorize_gram, whose upper
+    triangle still holds Gram entries; LAPACK trtri overwrites its lower
+    triangle.  Raises ConditioningError when L is singular.
+    """
+    l_inv, info = dtrtri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise ConditioningError(f"Cholesky factor inversion failed (trtri info {info})")
+    for j in range(1, l_inv.shape[1]):
+        l_inv[:j, j] = 0.0
+    return l_inv
+
+
 @dataclass
 class GpPhsModel:
-    """A trained model: hyperparameters plus cached Gram factorization.
+    """A trained model: hyperparameters plus the inverse Gram Cholesky factor.
 
+    ``l_inv`` is L^-1 for the lower factor L of the Gram matrix, its strict
+    upper triangle zero; it is the model's only use of the factorization.
     Immutable by convention after training except for the error-envelope
     scale ``beta`` (set by calibration).  Posterior queries are pure.
     """
@@ -245,7 +269,7 @@ class GpPhsModel:
     hyper: GpHyperparams
     states: np.ndarray
     xdot0: np.ndarray
-    cho: tuple
+    l_inv: np.ndarray
     jitter_used: float
     alpha: np.ndarray
     nlml: float
@@ -287,16 +311,20 @@ class GpPhsModel:
 
     def _drift_var(self, xq):
         # var = prior - k K^-1 k^T = prior - |L^-1 k^T|^2 with the lower factor
-        # L; the prior sf^2 diag(S Lambda^-1 S^T) is the same at every state
+        # L, one trmm per block into the F-ordered transpose of its cross-
+        # covariance; the prior sf^2 diag(S Lambda^-1 S^T) is the same at every state
         xq = self._columns(xq)
+        n = self.dim_state
         s = self.structure.jr()
         sf2 = self.hyper.sigma_f**2
-        v = 1.0 / self.hyper.lengthscales**2
-        cross = backend.phs_cross(xq, self.states, s, sf2, self.hyper.lengthscales)
-        half = solve_triangular(self.cho[0], cross.T, lower=True, check_finite=False)
-        quad = np.einsum("ij,ij->j", half, half).reshape(-1, self.dim_state)
-        prior = sf2 * (s**2 @ v)
-        return np.maximum(prior - quad, 0.0).T
+        quad = np.empty(xq.shape[1] * n)
+        for start in range(0, xq.shape[1], _VAR_CHUNK):
+            block = xq[:, start : start + _VAR_CHUNK]
+            cross = backend.phs_cross(block, self.states, s, sf2, self.hyper.lengthscales)
+            half = dtrmm(1.0, self.l_inv, cross.T, lower=1, overwrite_b=1)
+            quad[start * n : (start + block.shape[1]) * n] = np.einsum("ij,ij->j", half, half)
+        prior = sf2 * (s**2 @ (1.0 / self.hyper.lengthscales**2))
+        return np.maximum(prior - quad.reshape(-1, n), 0.0).T
 
     def dynamics(self, x, u):
         """Posterior state derivative mean mu + G_hat u and its variance."""
@@ -380,7 +408,7 @@ def condition(
         hyper=hyper,
         states=dataset.states.copy(),
         xdot0=xdot0,
-        cho=cho,
+        l_inv=_invert_factor(cho[0]),
         jitter_used=jit_used,
         alpha=alpha,
         nlml=float(value),
@@ -562,7 +590,11 @@ def save_model(model: GpPhsModel, path) -> None:
 
 
 def load_model(path) -> GpPhsModel:
-    """Rebuild a model saved by save_model; the factorization is recomputed."""
+    """Rebuild a model saved by save_model.
+
+    The Gram matrix is factorized again at the saved jitter, alpha is solved
+    from the factor, and the factor is then inverted in place (see condition).
+    """
     with open(path) as fh:
         payload = json.load(fh)
     if payload.get("format") != "phs-lab-gp-model":
@@ -577,13 +609,15 @@ def load_model(path) -> GpPhsModel:
     gram = gram_matrix(states, hyper, jitter=0.0)
     cho, jit_used = factorize_gram(gram, jitter=payload["jitter_used"])
     xdot0 = np.asarray(payload["xdot0"], dtype=float)
+    # alpha before the inversion, which overwrites the factor
+    alpha = cho_solve(cho, xdot0)
     return GpPhsModel(
         hyper=hyper,
         states=states,
         xdot0=xdot0,
-        cho=cho,
+        l_inv=_invert_factor(cho[0]),
         jitter_used=jit_used,
-        alpha=cho_solve(cho, xdot0),
+        alpha=alpha,
         nlml=payload["nlml"],
         beta=np.asarray(payload["beta"], dtype=float),
         x_ref=np.asarray(payload["x_ref"], dtype=float),

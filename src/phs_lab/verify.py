@@ -117,6 +117,11 @@ class ConditionReport:
     times: np.ndarray
     n_dirs: int
     max_radius: float
+    # work counts: model.envelope calls, the states they evaluated, and the
+    # bisection steps that refined eps
+    envelope_calls: int
+    states_evaluated: int
+    bisection_steps: int
 
     def to_text(self) -> str:
         lines = []
@@ -160,6 +165,9 @@ class ConditionReport:
             "radii": [float(v) for v in self.radii],
             "min_margin_per_radius": [float(v) for v in self.min_margin_per_radius],
             "times": [float(v) for v in self.times],
+            "envelope_calls": int(self.envelope_calls),
+            "states_evaluated": int(self.states_evaluated),
+            "bisection_steps": int(self.bisection_steps),
         }
 
 
@@ -174,7 +182,10 @@ def verify_dissipation_condition(
     Directions mix deterministic axis/corner probes with Monte-Carlo sphere
     samples; the certificate radius is refined by bisection between the last
     violating radius and the first radius past which all margins stay
-    nonnegative.
+    nonnegative.  Every shell, on the radius grid or in the bisection, calls
+    ``model.envelope`` once per plan time, so the report's work counts are
+    envelope_calls = (n_radii + bisection_steps) * len(times) and
+    states_evaluated = envelope_calls * n_dirs.
     """
     spec = spec or VerifySpec()
     n = desired.dim_state
@@ -185,37 +196,34 @@ def verify_dissipation_condition(
     times = plan.times[idx]
     centers = np.stack([plan.x_d(t) for t in times], axis=1)
 
-    def radius_parts(radius: float):
-        # the gradient and quadratic term live in error coordinates, so they
-        # are shared across plan times; only the envelope sees the plant state
+    envelope_calls = 0
+
+    def shell_margins(radius: float):
+        """(min, mean) margin per plan time on the sphere of this radius.
+
+        The gradient and quadratic term live in error coordinates, so they are
+        shared across plan times; only the envelope sees the plant state.
+        """
+        nonlocal envelope_calls
         xbar = radius * dirs
         grads = desired.hd_error_grad_batch(xbar)
         quad = np.einsum("iq,ij,jq->q", grads, desired.rd, grads)
-        return xbar, grads, quad
-
-    def margins_at(parts, t_index: int) -> np.ndarray:
-        xbar, grads, quad = parts
-        eta = model.envelope(centers[:, t_index][:, None] + xbar)
-        return quad - np.sum(np.abs(grads) * eta, axis=0)
+        out = []
+        for center in centers.T:
+            m = quad - np.sum(np.abs(grads) * model.envelope(center[:, None] + xbar), axis=0)
+            envelope_calls += 1
+            out.append((float(np.min(m)), float(np.mean(m))))
+        return out
 
     radii = np.linspace(spec.max_radius / spec.n_radii, spec.max_radius, spec.n_radii)
-    min_per_radius = np.empty(spec.n_radii)
     rows = []
-    feasible = np.empty(spec.n_radii, dtype=bool)
-    for i, s in enumerate(radii):
-        parts = radius_parts(s)
-        worst = np.inf
-        for ti in range(times.size):
-            m = margins_at(parts, ti)
-            rows.append([s, times[ti], float(np.min(m)), float(np.mean(m))])
-            worst = min(worst, float(np.min(m)))
-        min_per_radius[i] = worst
-        feasible[i] = worst >= 0.0
+    for s in radii:
+        rows.extend([s, t, m_min, m_mean] for t, (m_min, m_mean) in zip(times, shell_margins(s)))
+    rows = np.asarray(rows, dtype=float)
+    min_per_radius = rows[:, 2].reshape(spec.n_radii, times.size).min(axis=1)
+    feasible = min_per_radius >= 0.0
 
-    def radius_feasible(s: float) -> bool:
-        parts = radius_parts(s)
-        return all(float(np.min(margins_at(parts, ti))) >= 0.0 for ti in range(times.size))
-
+    bisection_steps = 0
     if np.all(feasible):
         satisfied, unbounded, eps = True, False, 0.0
     elif not feasible[-1]:
@@ -227,10 +235,11 @@ def verify_dissipation_condition(
         lo, hi = radii[i_last_bad], radii[i_last_bad + 1]
         for _ in range(spec.bisect_iters):
             mid = 0.5 * (lo + hi)
-            if radius_feasible(mid):
+            if min(m_min for m_min, _ in shell_margins(mid)) >= 0.0:
                 hi = mid
             else:
                 lo = mid
+            bisection_steps += 1
         eps = float(hi)
 
     return ConditionReport(
@@ -239,10 +248,13 @@ def verify_dissipation_condition(
         unbounded=unbounded,
         radii=radii,
         min_margin_per_radius=min_per_radius,
-        margin_rows=np.asarray(rows, dtype=float),
+        margin_rows=rows,
         times=times,
         n_dirs=dirs.shape[1],
         max_radius=spec.max_radius,
+        envelope_calls=envelope_calls,
+        states_evaluated=envelope_calls * dirs.shape[1],
+        bisection_steps=bisection_steps,
     )
 
 

@@ -20,6 +20,7 @@ from phs_lab import (
 from phs_lab.filtering import FilteredDataset
 from phs_lab.gp import (
     BETA_PERCENTILE,
+    _invert_factor,
     GpHyperparams,
     OptimizerConfig,
     calibrate_beta,
@@ -28,6 +29,7 @@ from phs_lab.gp import (
     negative_log_marginal_likelihood,
     save_model,
 )
+from phs_lab.kernels import gram_matrix
 from phs_lab.structure import FixedStructure, MicroactuatorStructure, StructureEstimate, StructureFamily
 
 from conftest import micro_hypers, micro_structure, subset
@@ -535,6 +537,32 @@ def test_save_load_round_trip(tmp_path, small_model):
     np.testing.assert_array_equal(back.beta, [2.0, 3.0, 1.5])
     assert back.nlml == pytest.approx(small_model.nlml, abs=1e-9)
     np.testing.assert_allclose(back.hamiltonian(xq), small_model.hamiltonian(xq), atol=1e-9)
+
+
+def test_stored_inverse_factor_inverts_the_gram_cholesky_factor(small_dataset, small_model):
+    gram = gram_matrix(small_dataset.states, small_model.hyper, jitter=small_model.jitter_used)
+    lower = np.linalg.cholesky(gram)
+    np.testing.assert_allclose(small_model.l_inv @ lower, np.eye(lower.shape[0]), rtol=0, atol=1e-12)
+    assert np.all(np.triu(small_model.l_inv, 1) == 0.0)
+
+
+def test_loaded_model_variance_matches_conditioned(tmp_path, filtered_full):
+    model = condition(subset(filtered_full, 3), micro_hypers())
+    save_model(model, tmp_path / "model.json")
+    back = load_model(tmp_path / "model.json")
+    s = model.structure.jr()
+    prior = model.hyper.sigma_f**2 * (s**2 @ (1.0 / model.hyper.lengthscales**2))
+    lo, hi = model.states.min(axis=1), model.states.max(axis=1)
+    xq = lo[:, None] + (hi - lo)[:, None] * np.random.default_rng(5).uniform(size=(3, 200))
+    diff = np.abs(back._drift_var(xq) - model._drift_var(xq))
+    assert np.all(diff <= 1e-13 * prior[:, None])
+
+
+def test_singular_factor_inversion_raises():
+    factor = np.array(np.linalg.cholesky(np.diag([4.0, 1.0, 9.0])), order="F")
+    factor[1, 1] = 0.0
+    with pytest.raises(ConditioningError, match="inversion"):
+        _invert_factor(factor)
 
 
 def test_hyperparameter_vector_round_trip():

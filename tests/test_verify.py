@@ -125,6 +125,33 @@ def test_dissipation_epsilon_matches_quadratic_oracle():
     assert "holds outside radius" in report.to_text()
 
 
+class _CountingEnvelopeModel(_ConstantEnvelopeModel):
+    def __init__(self, n, eta0):
+        super().__init__(n, eta0)
+        self.calls = 0
+        self.states = 0
+
+    def envelope(self, xq):
+        eta = super().envelope(xq)
+        self.calls += 1
+        self.states += eta.shape[1]
+        return eta
+
+
+@pytest.mark.parametrize("eta0, rho", [(0.05, 0.8), (10.0, 0.1)], ids=["bisects", "unbounded"])
+def test_verify_work_counts(eta0, rho):
+    spec = VerifySpec(max_radius=0.5, n_radii=10, n_dirs=40, n_times=3, bisect_iters=5)
+    model = _CountingEnvelopeModel(3, eta0)
+    plan = ReferencePlan(times=np.linspace(0.0, 1.0, 5), xd=np.zeros((5, 3)), xddot=np.zeros((5, 3)))
+    report = verify_dissipation_condition(model, quadratic_desired(3, rho), plan, spec)
+    out = report.to_jsonable()
+    n_times = report.times.size
+    assert out["bisection_steps"] == (0 if report.unbounded else spec.bisect_iters)
+    assert out["envelope_calls"] == spec.n_radii * n_times + out["bisection_steps"] * n_times
+    assert out["envelope_calls"] == model.calls
+    assert out["states_evaluated"] == model.states == model.calls * report.n_dirs
+
+
 def test_dissipation_unbounded_when_envelope_dominates():
     report = verify_dissipation_condition(
         _ConstantEnvelopeModel(3, 10.0),

@@ -19,6 +19,9 @@ and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
 - ``mean_q261``: the posterior drift mean on the plan grid;
 - ``mean_var_q2014``: drift mean plus variance at 2014 states drawn
   uniformly in the training-data box (seeded), the size of one verify shell;
+- ``envelope_q2014``: the error envelope beta * var alone at the same 2014
+  states, the variance-only call that verify makes once per shell and plan
+  time (``envelope_calls`` in ``verify_report.json``);
 - ``controller_q1``: one call of the closed-loop controller at a state off
   the reference;
 - ``best_fit_residual_jacobian``: one residual plus one banded Jacobian of
@@ -105,6 +108,7 @@ def layers(run_dir):
         "nlml_grad_n300": (f"N = {dataset.n_points}", lambda: negative_log_marginal_likelihood(dataset, model.hyper)),
         "mean_q261": (f"Q = {plan.times.size}", lambda: model.drift_mean(plan.xd.T)),
         "mean_var_q2014": (f"Q = {N_SHELL}", lambda: model.drift(shell)),
+        "envelope_q2014": (f"Q = {N_SHELL}", lambda: model.envelope(shell)),
         "controller_q1": ("Q = 1", lambda: controller(x_off, t_mid)),
         "best_fit_residual_jacobian": (
             f"{plan.times.size} grid points x {n - 1} unknowns",
