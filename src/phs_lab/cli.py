@@ -25,9 +25,9 @@ import sys
 import numpy as np
 
 from .config import apply_overrides, default_config, load_config, resolve_out_dir
-from .core import energy_balance_residual, simulate, trajectory_to_csv
+from .core import energy_balance_residual, trajectory_to_csv
 from .errors import ConfigError, PhsLabError, StageError
-from .pipeline import STAGE_ORDER, build_input, build_plant, run_pipeline
+from .pipeline import STAGE_ORDER, rollout_plant, run_pipeline
 
 _SUBCOMMAND_STAGES = {
     "generate-data": ["generate", "filter"],
@@ -85,17 +85,7 @@ def _effective_config(args) -> dict:
 
 
 def _cmd_simulate(cfg, workdir) -> int:
-    plant, _ = build_plant(cfg)
-    d = cfg["dataset"]
-    traj = simulate(
-        plant,
-        np.asarray(d["x0"]),
-        build_input(d["input"]),
-        d["t_span"],
-        n_samples=d["n_samples"],
-        rtol=d["rtol"],
-        atol=d["atol"],
-    )
+    plant, traj = rollout_plant(cfg, cfg["dataset"]["n_samples"], record_outputs=True)
     os.makedirs(workdir, exist_ok=True)
     path = os.path.join(workdir, "open_loop.csv")
     trajectory_to_csv(traj, path)

@@ -13,6 +13,10 @@ actuated component gives the control
 
     u = (Ghat^T Ghat)^-1 Ghat^T ([J_d - R_d] grad H_d + xdot_d - mu).
 
+Ghat is a constant of the learned model (its ``g_hat``, see structure.py),
+so Gperp is one matrix: a plan solve computes it once, and the laws and
+outputs read Ghat when they are built, not per state.
+
 The full-state reference plan enforces the matching condition along the
 reference itself (xbar = 0) only, recovering the unactuated reference
 components from the primary one by damped-Newton continuation.  Off the
@@ -138,13 +142,11 @@ def find_hamiltonian_minimum(model, box, coarse: int = 9, gtol: float = 1e-10) -
     return np.asarray(res.x, dtype=float)
 
 
-def left_annihilator(g_mat, prev: Optional[np.ndarray] = None) -> np.ndarray:
+def left_annihilator(g_mat) -> np.ndarray:
     """Orthonormal full-row-rank Gperp with Gperp G = 0, rows (n - m, n).
 
-    Without ``prev`` the basis is canonicalized (rows ordered by leading
-    entry, leading entries positive); with ``prev`` rows are permuted/signed
-    to align with the previous basis so the annihilator varies continuously
-    along a trajectory of queries.
+    The basis is canonical: rows ordered by leading entry, leading entries
+    positive.
     """
     g_mat = np.atleast_2d(np.asarray(g_mat, dtype=float))
     n, m = g_mat.shape
@@ -153,21 +155,6 @@ def left_annihilator(g_mat, prev: Optional[np.ndarray] = None) -> np.ndarray:
         raise SynthesisError(
             f"input matrix is rank-deficient: left null space has dimension {basis.shape[0]}, expected {n - m}"
         )
-    if prev is not None:
-        prev = np.asarray(prev, dtype=float)
-        overlap = basis @ prev.T
-        order = np.empty(n - m, dtype=int)
-        taken = np.zeros(n - m, dtype=bool)
-        for col in range(n - m):
-            cand = np.abs(overlap[:, col]).copy()
-            cand[taken] = -1.0
-            row = int(np.argmax(cand))
-            taken[row] = True
-            order[col] = row
-        basis = basis[order]
-        signs = np.sign(np.einsum("ij,ij->i", basis, prev))
-        signs[signs == 0] = 1.0
-        return basis * signs[:, None]
     leads = []
     for row in basis:
         nz = np.nonzero(np.abs(row) > 1e-12)[0]
@@ -273,8 +260,7 @@ def matching_residual(model, desired: DesiredDynamics, plan: ReferencePlan, x, t
     x_d = plan.x_d(t)
     mu = model.drift_mean(x[:, None])[:, 0]
     rhs = (desired.jd - desired.rd) @ desired.hd_grad(x, x_d) + plan.x_d_dot(t)
-    gperp = left_annihilator(model.io_matrix(x))
-    return gperp @ (mu - rhs)
+    return left_annihilator(model.g_hat) @ (mu - rhs)
 
 
 def solve_reference_plan(
@@ -309,10 +295,11 @@ def solve_reference_plan(
     finite differences, so the defect spreads smoothly across a no-root
     window instead of kinking).  Its Jacobian is built from the derivative
     stencil plus one batched central difference of the drift mean per
-    unknown component, and best-fit needs a state-independent input matrix.
-    The achieved defect is recoverable through `matching_residual`, and the
-    solver's exit through `ReferencePlan.fit`.  The default mode="exact"
-    keeps the strict per-point-root contract and raises on failure.
+    unknown component.  Both modes project with the one Gperp of the
+    model's constant ``g_hat``.  The achieved defect is recoverable through
+    `matching_residual`, and the solver's exit through `ReferencePlan.fit`.
+    The default mode="exact" keeps the strict per-point-root contract and
+    raises on failure.
 
     Best-fit solves are confined to the training-data bounding box when the
     model carries its data: off the data the posterior mean decays to the
@@ -339,12 +326,13 @@ def solve_reference_plan(
     z0 = np.zeros(n - 1) if seed_tail is None else np.asarray(seed_tail, dtype=float)
     xddot = np.zeros((n_grid, n))
     xddot[:, 0] = xd1dot
-    gperp_prev = None
 
     if mode == "best-fit":
         return _solve_plan_best_fit(model, times, xd1, xd1dot, shaped0, z0, grid_step)
 
-    def residual(k, zk, gperp):
+    gperp = left_annihilator(model.g_hat)
+
+    def residual(k, zk):
         x_full = np.concatenate([[xd1[k]], zk])
         mu = model.drift_mean(x_full[:, None])[:, 0]
         return gperp @ (shaped0 + xddot[k] - mu)
@@ -356,10 +344,7 @@ def solve_reference_plan(
             zk = warm.copy() if (sweep == 0 or k == 0) else z[k].copy()
             if sweep == 0 and k > 0:
                 zk = z[k - 1].copy()
-            x_probe = np.concatenate([[xd1[k]], zk])
-            gperp = left_annihilator(model.io_matrix(x_probe), prev=gperp_prev)
-            gperp_prev = gperp
-            f_val = residual(k, zk, gperp)
+            f_val = residual(k, zk)
             it = 0
             while np.linalg.norm(f_val) > newton_tol:
                 if it >= max_newton:
@@ -373,7 +358,7 @@ def solve_reference_plan(
                     zp[c] += h
                     zm = zk.copy()
                     zm[c] -= h
-                    jac[:, c] = (residual(k, zp, gperp) - residual(k, zm, gperp)) / (2 * h)
+                    jac[:, c] = (residual(k, zp) - residual(k, zm)) / (2 * h)
                 try:
                     step = np.linalg.solve(jac, -f_val)
                 except np.linalg.LinAlgError as exc:
@@ -386,7 +371,7 @@ def solve_reference_plan(
                 norm0 = np.linalg.norm(f_val)
                 while lam > 1e-4:
                     trial = zk + lam * step
-                    f_trial = residual(k, trial, gperp)
+                    f_trial = residual(k, trial)
                     if np.linalg.norm(f_trial) < (1.0 - 0.5 * lam) * norm0 + newton_tol:
                         zk = trial
                         f_val = f_trial
@@ -420,7 +405,7 @@ def _derivative_stencil(n_grid, h):
     return d / (2 * h)
 
 
-def _best_fit_problem(model, xd1, xd1dot, shaped0, probe, grid_step):
+def _best_fit_problem(model, xd1, xd1dot, shaped0, grid_step):
     """Residual and Jacobian of the best-fit plan in the flat tail z = (z_0, ..., z_K).
 
     Row block k is Gperp (shaped0 + xdot_d(t_k) - mu(x_d(t_k))), where the
@@ -431,10 +416,7 @@ def _best_fit_problem(model, xd1, xd1dot, shaped0, probe, grid_step):
     n = model.dim_state
     n_grid = xd1.size
     n_tail = n - 1
-    g_probe = model.io_matrix(probe)
-    if not np.array_equal(g_probe, model.io_matrix(probe + 0.1)):
-        raise PlanError("best-fit plan solving needs a state-independent input matrix")
-    gperp = left_annihilator(g_probe)
+    gperp = left_annihilator(model.g_hat)
     stencil = _derivative_stencil(n_grid, grid_step)
     neighbours = np.kron(stencil, gperp[:, 1:])
     diag = np.arange(n_grid)
@@ -483,9 +465,7 @@ def _solve_plan_best_fit(model, times, xd1, xd1dot, shaped0, z0, grid_step):
         z_lo = np.full(n_grid * n_tail, -np.inf)
         z_hi = np.full(n_grid * n_tail, np.inf)
 
-    residual, jacobian = _best_fit_problem(
-        model, xd1, xd1dot, shaped0, np.concatenate([[xd1[0]], z0]), grid_step
-    )
+    residual, jacobian = _best_fit_problem(model, xd1, xd1dot, shaped0, grid_step)
     start = np.tile(np.clip(z0, z_lo[:n_tail], z_hi[:n_tail]), n_grid)
     fit = least_squares(
         residual,
@@ -525,18 +505,17 @@ def _solve_plan_best_fit(model, times, xd1, xd1dot, shaped0, z0, grid_step):
 
 def tracking_control(model, desired: DesiredDynamics, plan: ReferencePlan):
     """General tracking law u = (Ghat^T Ghat)^-1 Ghat^T ([J_d - R_d] grad H_d + xdot_d - mu)."""
-    probe = plan.x_d(plan.times[0])
-    g_probe = model.io_matrix(probe)
-    if np.linalg.cond(g_probe.T @ g_probe) > 1e12:
-        raise SynthesisError("Ghat^T Ghat is singular along the plan")
+    g = model.g_hat
+    gtg = g.T @ g
+    if np.linalg.cond(gtg) > 1e12:
+        raise SynthesisError("Ghat^T Ghat is singular")
 
     def control(x, t):
         x = np.asarray(x, dtype=float)
         x_d = plan.x_d(t)
         mu = model.drift_mean(x[:, None])[:, 0]
         rhs = (desired.jd - desired.rd) @ desired.hd_grad(x, x_d) + plan.x_d_dot(t) - mu
-        g = model.io_matrix(x)
-        return np.linalg.solve(g.T @ g, g.T @ rhs)
+        return np.linalg.solve(gtg, g.T @ rhs)
 
     return control
 
@@ -550,11 +529,11 @@ def microactuator_tracking_control(model, desired: DesiredDynamics, plan: Refere
     which is the special case r_hat = 1.
     """
     rd33 = float(desired.rd[2, 2])
+    r_hat = 1.0 / float(model.g_hat[2, 0])
 
     def control(x, t):
         x = np.asarray(x, dtype=float)
         x_d = plan.x_d(t)
-        r_hat = 1.0 / float(model.io_matrix(x)[2, 0])
         d3_hd = desired.hd_grad(x, x_d)[2]
         d3_h = model.hamiltonian_grad(x[:, None])[2, 0]
         return np.array([-r_hat * rd33 * d3_hd + r_hat * plan.x_d_dot(t)[2] + d3_h])
@@ -572,13 +551,12 @@ def semi_passive_control(base_control, u_ex: Callable[[float], np.ndarray]):
 
 
 def external_output(model, desired: DesiredDynamics, plan: ReferencePlan):
-    """Conjugate external output y_ex(x, t) = Ghat(xbar)^T grad H_d(x, x_d)."""
+    """Conjugate external output y_ex(x, t) = Ghat^T grad H_d(x, x_d)."""
+    g_t = model.g_hat.T
 
     def output(x, t):
         x = np.asarray(x, dtype=float)
-        x_d = plan.x_d(t)
-        xbar = x - x_d
-        return model.io_matrix(xbar).T @ desired.hd_grad(x, x_d)
+        return g_t @ desired.hd_grad(x, plan.x_d(t))
 
     return output
 

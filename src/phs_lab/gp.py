@@ -134,17 +134,19 @@ def mean_adjust(dataset: FilteredDataset, structure: StructureEstimate) -> np.nd
     return (dataset.derivatives - structure.g() @ dataset.inputs).T.ravel()
 
 
-def _nlml_value(dataset, hyper, jitter, max_jitter):
-    """NLML and the conditioning it rests on: (value, cho, jitter used, alpha, Xdot0)."""
-    n, n_pts = dataset.states.shape
-    gram = gram_matrix(dataset.states, hyper)
+def _solve(states, xdot0, hyper, jitter, max_jitter):
+    """Gram -> Cholesky factor -> alpha = K^-1 Xdot0, and the NLML they give.
+
+    The one conditioning step of the likelihood, `condition` and `load_model`.
+    Returns (value, cho, jitter used, alpha).
+    """
+    gram = gram_matrix(states, hyper)
     cho, jit_used = factorize_gram(gram, jitter=jitter, max_jitter=max_jitter)
     del gram
-    xdot0 = mean_adjust(dataset, hyper.structure)
     alpha = cho_solve(cho, xdot0, check_finite=False)
     log_det_half = float(np.sum(np.log(np.diag(cho[0]))))
-    value = 0.5 * xdot0 @ alpha + log_det_half + 0.5 * n * n_pts * np.log(2 * np.pi)
-    return value, cho, jit_used, alpha, xdot0
+    value = 0.5 * xdot0 @ alpha + log_det_half + 0.5 * xdot0.size * np.log(2 * np.pi)
+    return value, cho, jit_used, alpha
 
 
 def _nlml_and_grad(dataset, hyper, jitter, max_jitter):
@@ -162,7 +164,8 @@ def _nlml_and_grad(dataset, hyper, jitter, max_jitter):
     W[k, l][a, b] = W[(a, k), (b, l)]; the traces are one matmul of the planes
     with the flattened C matrices, and the quadratic forms need W^T (S v d).
     """
-    value, cho, _, alpha, _ = _nlml_value(dataset, hyper, jitter, max_jitter)
+    xdot0 = mean_adjust(dataset, hyper.structure)
+    value, cho, _, alpha = _solve(dataset.states, xdot0, hyper, jitter, max_jitter)
     x = dataset.states
     n, n_pts = x.shape
     sf2 = hyper.sigma_f**2
@@ -238,7 +241,8 @@ def negative_log_marginal_likelihood(
     """
     if with_grad:
         return _nlml_and_grad(dataset, hyper, jitter, max_jitter)
-    return _nlml_value(dataset, hyper, jitter, max_jitter)[0]
+    xdot0 = mean_adjust(dataset, hyper.structure)
+    return _solve(dataset.states, xdot0, hyper, jitter, max_jitter)[0]
 
 
 def _invert_factor(factor):
@@ -262,8 +266,12 @@ class GpPhsModel:
 
     ``l_inv`` is L^-1 for the lower factor L of the Gram matrix, its strict
     upper triangle zero; it is the model's only use of the factorization.
-    Immutable by convention after training except for the error-envelope
-    scale ``beta`` (set by calibration).  Posterior queries are pure.
+    The structure is constant (see structure.py), so the model reads it once
+    when it is built: ``s_hat`` = J_hat - R_hat and ``g_hat`` = G_hat, the
+    prior variance ``prior_var`` = sf^2 diag(S Lambda^-1 S^T) and the
+    Hamiltonian weights ``h_weights`` (see `hamiltonian_grad`).  Immutable by
+    convention except for the error-envelope scale ``beta`` (set by
+    calibration).  Posterior queries are pure.
     """
 
     hyper: GpHyperparams
@@ -277,14 +285,26 @@ class GpPhsModel:
     x_ref: np.ndarray = None
     # one exit record per optimizer restart, filled in by `train`
     restarts: list = field(default_factory=list, init=False, repr=False)
-    _h_w: np.ndarray = field(default=None, repr=False)
+    s_hat: np.ndarray = field(init=False, repr=False)
+    g_hat: np.ndarray = field(init=False, repr=False)
+    prior_var: np.ndarray = field(init=False, repr=False)
+    h_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.x_ref is None:
             self.x_ref = np.zeros(self.hyper.dim_state)
         self.x_ref = np.asarray(self.x_ref, dtype=float)
         self.beta = np.asarray(self.beta, dtype=float)
-        self._h_w = None
+        sf2 = self.hyper.sigma_f**2
+        v = 1.0 / self.hyper.lengthscales**2
+        self.s_hat = self.structure.jr()
+        self.g_hat = self.structure.g()
+        self.prior_var = sf2 * (self.s_hat**2 @ v)
+        # cov(H(x), xdot(x_i)) = sf^2 S Lambda^-1 (x - x_i) k(x, x_i), so the
+        # posterior H mean is sum_i k(x, x_i) (x - x_i)^T w_i with the
+        # query-independent rows w_i of sf^2 (A S) Lambda^-1, where A holds
+        # alpha_i as rows
+        self.h_weights = sf2 * (self.alpha.reshape(-1, self.dim_state) @ self.s_hat) * v
 
     @property
     def dim_state(self):
@@ -298,40 +318,35 @@ class GpPhsModel:
     def structure(self):
         return self.hyper.structure
 
-    def io_matrix(self, x):
-        return self.structure.g()
-
     def drift(self, xq):
         """Posterior drift mean and per-dimension variance at query states (n, Q)."""
         return self.drift_mean(xq), self._drift_var(xq)
 
     def drift_mean(self, xq):
         """Posterior drift mean only: S grad H_hat(x), no cross-covariance."""
-        return self.structure.jr() @ self.hamiltonian_grad(self._columns(xq))
+        return self.s_hat @ self.hamiltonian_grad(self._columns(xq))
 
     def _drift_var(self, xq):
         # var = prior - k K^-1 k^T = prior - |L^-1 k^T|^2 with the lower factor
         # L, one trmm per block into the F-ordered transpose of its cross-
-        # covariance; the prior sf^2 diag(S Lambda^-1 S^T) is the same at every state
+        # covariance; the prior is the same at every state
         xq = self._columns(xq)
         n = self.dim_state
-        s = self.structure.jr()
         sf2 = self.hyper.sigma_f**2
         quad = np.empty(xq.shape[1] * n)
         for start in range(0, xq.shape[1], _VAR_CHUNK):
             block = xq[:, start : start + _VAR_CHUNK]
-            cross = backend.phs_cross(block, self.states, s, sf2, self.hyper.lengthscales)
+            cross = backend.phs_cross(block, self.states, self.s_hat, sf2, self.hyper.lengthscales)
             half = dtrmm(1.0, self.l_inv, cross.T, lower=1, overwrite_b=1)
             quad[start * n : (start + block.shape[1]) * n] = np.einsum("ij,ij->j", half, half)
-        prior = sf2 * (s**2 @ (1.0 / self.hyper.lengthscales**2))
-        return np.maximum(prior - quad.reshape(-1, n), 0.0).T
+        return np.maximum(self.prior_var - quad.reshape(-1, n), 0.0).T
 
     def dynamics(self, x, u):
         """Posterior state derivative mean mu + G_hat u and its variance."""
         x = np.asarray(x, dtype=float)
         u = np.atleast_1d(np.asarray(u, dtype=float))
         mean, var = self.drift(x[:, None])
-        return mean[:, 0] + self.io_matrix(x) @ u, var[:, 0]
+        return mean[:, 0] + self.g_hat @ u, var[:, 0]
 
     def hamiltonian_grad(self, xq):
         """Posterior mean of grad H at query columns (n, Q)."""
@@ -340,7 +355,7 @@ class GpPhsModel:
         # sum_b Pi(x, x_b) t_b for t_b = sf^2 S^T alpha_b
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
         v = 1.0 / self.hyper.lengthscales**2
-        w = self._h_weights
+        w = self.h_weights
         diff = xq.T[:, None, :] - self.states.T[None, :, :]
         vd = diff * v
         k = np.exp(-0.5 * np.einsum("qpn,qpn->qp", diff, vd))
@@ -351,23 +366,11 @@ class GpPhsModel:
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
         return xq if xq.shape[0] == self.dim_state else xq.T
 
-    @property
-    def _h_weights(self):
-        # cov(H(x), xdot(x_i)) = sf^2 S Lambda^-1 (x - x_i) k(x, x_i), so the
-        # posterior H mean is sum_i k(x, x_i) (x - x_i)^T w_i with the
-        # query-independent rows w_i of sf^2 (A S) Lambda^-1 cached, where
-        # A holds alpha_i as rows
-        if self._h_w is None:
-            a = self.alpha.reshape(-1, self.dim_state)
-            v = 1.0 / self.hyper.lengthscales**2
-            self._h_w = self.hyper.sigma_f**2 * (a @ self.structure.jr()) * v
-        return self._h_w
-
     def _h_mean_raw(self, xq):
         ls = self.hyper.lengthscales
         diff = xq.T[:, None, :] - self.states.T[None, :, :]
         k = np.exp(-0.5 * np.einsum("qpn,n->qp", diff**2, 1.0 / ls**2))
-        return np.einsum("qp,qpn,pn->q", k, diff, self._h_weights)
+        return np.einsum("qp,qpn,pn->q", k, diff, self.h_weights)
 
     def hamiltonian(self, xq):
         """Posterior Hamiltonian mean, pinned to H_hat(x_ref) = 0.
@@ -395,6 +398,28 @@ class GpPhsModel:
         return self.beta[:, None] * self._drift_var(xq)
 
 
+def _conditioned(hyper, states, xdot0, jitter, max_jitter, **fields) -> GpPhsModel:
+    """The one conditioning routine of `condition` and `load_model`.
+
+    Solves alpha from the Gram's Cholesky factor (see _solve), then inverts
+    the factor in place; ``fields`` are the model's beta and x_ref.  The Gram
+    is built from ``states`` as given, and the model keeps a C-ordered copy:
+    phs_cross sums in an order that follows the memory layout, so a strided
+    view (as filtered_from_csv returns) can change the last bits of the Gram.
+    """
+    value, cho, jit_used, alpha = _solve(states, xdot0, hyper, jitter, max_jitter)
+    return GpPhsModel(
+        hyper=hyper,
+        states=np.array(states, order="C"),
+        xdot0=xdot0,
+        l_inv=_invert_factor(cho[0]),
+        jitter_used=jit_used,
+        alpha=alpha,
+        nlml=float(value),
+        **fields,
+    )
+
+
 def condition(
     dataset: FilteredDataset,
     hyper: GpHyperparams,
@@ -402,18 +427,8 @@ def condition(
     max_jitter: float = 1e-6,
 ) -> GpPhsModel:
     """Condition on the dataset at fixed hyperparameters (no optimization)."""
-    value, cho, jit_used, alpha, xdot0 = _nlml_value(dataset, hyper, jitter, max_jitter)
-    n = hyper.dim_state
-    return GpPhsModel(
-        hyper=hyper,
-        states=dataset.states.copy(),
-        xdot0=xdot0,
-        l_inv=_invert_factor(cho[0]),
-        jitter_used=jit_used,
-        alpha=alpha,
-        nlml=float(value),
-        beta=np.ones(n),
-    )
+    xdot0 = mean_adjust(dataset, hyper.structure)
+    return _conditioned(hyper, dataset.states, xdot0, jitter, max_jitter, beta=np.ones(hyper.dim_state))
 
 
 def train(
@@ -507,13 +522,15 @@ class PerfectPhsModel:
     """Drop-in replacement for GpPhsModel using the exact vector field.
 
     Posterior mean equals (J - R) grad H, variance and error envelope are
-    identically zero, and the Hamiltonian is H(x) - H(x_ref).  Used for the
-    eta = 0 baseline.
+    identically zero, and the Hamiltonian is H(x) - H(x_ref).  ``g_hat`` is
+    the structure's constant G_hat, as on GpPhsModel.  Used for the eta = 0
+    baseline.
     """
 
     def __init__(self, plant: PhsModel, structure: StructureEstimate, x_ref=None):
         self.plant = plant
         self.structure = structure
+        self.g_hat = structure.g()
         self.x_ref = np.zeros(plant.dim_state) if x_ref is None else np.asarray(x_ref, dtype=float)
         self.beta = np.zeros(plant.dim_state)
 
@@ -524,9 +541,6 @@ class PerfectPhsModel:
     @property
     def dim_input(self):
         return self.plant.dim_input
-
-    def io_matrix(self, x):
-        return self.structure.g()
 
     def drift(self, xq):
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
@@ -592,8 +606,9 @@ def save_model(model: GpPhsModel, path) -> None:
 def load_model(path) -> GpPhsModel:
     """Rebuild a model saved by save_model.
 
-    The Gram matrix is factorized again at the saved jitter, alpha is solved
-    from the factor, and the factor is then inverted in place (see condition).
+    The model is conditioned again (see condition), starting the Gram
+    factorization at the saved jitter; the NLML is recomputed from the same
+    factor, so it equals the saved value.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -605,20 +620,12 @@ def load_model(path) -> GpPhsModel:
         noise_var=np.asarray(payload["hyper"]["noise_var"], dtype=float),
         structure=structure_from_jsonable(payload["hyper"]["structure"]),
     )
-    states = np.asarray(payload["states"], dtype=float)
-    gram = gram_matrix(states, hyper, jitter=0.0)
-    cho, jit_used = factorize_gram(gram, jitter=payload["jitter_used"])
-    xdot0 = np.asarray(payload["xdot0"], dtype=float)
-    # alpha before the inversion, which overwrites the factor
-    alpha = cho_solve(cho, xdot0)
-    return GpPhsModel(
-        hyper=hyper,
-        states=states,
-        xdot0=xdot0,
-        l_inv=_invert_factor(cho[0]),
-        jitter_used=jit_used,
-        alpha=alpha,
-        nlml=payload["nlml"],
+    return _conditioned(
+        hyper,
+        np.asarray(payload["states"], dtype=float),
+        np.asarray(payload["xdot0"], dtype=float),
+        payload["jitter_used"],
+        OptimizerConfig.max_jitter,
         beta=np.asarray(payload["beta"], dtype=float),
         x_ref=np.asarray(payload["x_ref"], dtype=float),
     )

@@ -61,6 +61,7 @@ __all__ = [
     "build_input",
     "build_reference",
     "generate_dataset",
+    "rollout_plant",
     "run_pipeline",
     "run_stage",
     "emit_figure_data",
@@ -122,22 +123,34 @@ def build_reference(spec):
     return reference
 
 
-def generate_dataset(cfg) -> Trajectory:
-    """Simulate the plant under the configured excitation and add observation
-    noise (variance ``dataset.noise_var`` per state) from the generate-stage
-    stream."""
+def rollout_plant(cfg, n_samples, x0_offset=0.0, record_outputs=False):
+    """Noise-free plant rollout under the configured excitation: (plant, trajectory).
+
+    Starts at ``dataset.x0`` plus ``x0_offset`` and integrates over
+    ``dataset.t_span`` at the dataset's tolerances, sampled at ``n_samples``
+    times.
+    """
     plant, _ = build_plant(cfg)
     d = cfg["dataset"]
     traj = simulate(
         plant,
-        np.asarray(d["x0"]),
+        np.asarray(d["x0"]) + np.asarray(x0_offset),
         build_input(d["input"]),
         d["t_span"],
-        n_samples=d["n_samples"],
+        n_samples=n_samples,
         rtol=d["rtol"],
         atol=d["atol"],
-        record_outputs=False,
+        record_outputs=record_outputs,
     )
+    return plant, traj
+
+
+def generate_dataset(cfg) -> Trajectory:
+    """Simulate the plant under the configured excitation and add observation
+    noise (variance ``dataset.noise_var`` per state) from the generate-stage
+    stream."""
+    d = cfg["dataset"]
+    _, traj = rollout_plant(cfg, d["n_samples"])
     rng = _stage_rng(cfg, "generate")
     noisy = traj.states + rng.normal(0.0, np.sqrt(d["noise_var"]), size=traj.states.shape)
     return Trajectory(times=traj.times, states=noisy, inputs=traj.inputs)
@@ -172,21 +185,8 @@ def _true_structure(params: MicroactuatorParams) -> StructureEstimate:
 def _calibration_dataset(cfg) -> FilteredDataset:
     """Noiseless plant rollout from a displaced start with exact derivatives,
     used to scale the error-envelope multipliers."""
-    plant, _ = build_plant(cfg)
-    d = cfg["dataset"]
     cal = cfg["train"]["calibration"]
-    x0 = np.asarray(d["x0"]) + np.asarray(cal["x0_offset"])
-    u_fn = build_input(d["input"])
-    traj = simulate(
-        plant,
-        x0,
-        u_fn,
-        d["t_span"],
-        n_samples=cal["n_samples"],
-        rtol=d["rtol"],
-        atol=d["atol"],
-        record_outputs=False,
-    )
+    plant, traj = rollout_plant(cfg, cal["n_samples"], x0_offset=cal["x0_offset"])
     derivs = np.stack(
         [eval_dynamics(plant, x, u) for x, u in zip(traj.states, traj.inputs)]
     )
@@ -413,14 +413,14 @@ def _model_hd_increments(model, desired, plan, traj):
     """Per-step H_d increments the model predicts along a closed-loop run.
 
     The slope grad H_d^T (mu + Ghat u - xdot_d) at each sample, with u the
-    recorded input, integrated over each sample step by the trapezoid rule.
+    recorded input and Ghat the model's constant, integrated over each sample
+    step by the trapezoid rule.
     It carries the assigned dissipation and the off-reference matching
     mismatch but not the model error, which criterion 1b bounds separately.
     """
     xs, ts = traj.states, traj.times
     grad = desired.hd_error_grad_batch((xs - plan.x_d(ts)).T)
-    g_u = np.stack([model.io_matrix(x) @ u for x, u in zip(xs, traj.inputs)], axis=1)
-    velocity = model.drift_mean(xs.T) + g_u - plan.x_d_dot(ts).T
+    velocity = model.drift_mean(xs.T) + model.g_hat @ traj.inputs.T - plan.x_d_dot(ts).T
     slope = np.einsum("nk,nk->k", grad, velocity)
     return 0.5 * np.diff(ts) * (slope[:-1] + slope[1:])
 

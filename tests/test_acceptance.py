@@ -124,8 +124,7 @@ def nominal_hd_increments(model, desired, plan, traj):
     """
     xs, ts = traj.states, traj.times
     grad = desired.hd_error_grad_batch((xs - plan.x_d(ts)).T)
-    g_u = np.stack([model.io_matrix(x) @ u for x, u in zip(xs, traj.inputs)], axis=1)
-    velocity = model.drift_mean(xs.T) + g_u - plan.x_d_dot(ts).T
+    velocity = model.drift_mean(xs.T) + model.g_hat @ traj.inputs.T - plan.x_d_dot(ts).T
     slope = np.einsum("nk,nk->k", grad, velocity)
     return 0.5 * np.diff(ts) * (slope[:-1] + slope[1:])
 
@@ -196,9 +195,9 @@ def test_criterion_1b_flags_dropped_feedforward(production_loop):
     plant, model, desired, plan, traj = production_loop
     cl = default_config()["closed_loop"]
     law = microactuator_tracking_control(model, desired, plan)
+    r_hat = 1.0 / float(model.g_hat[2, 0])
 
     def dropped(x, t):
-        r_hat = 1.0 / float(model.io_matrix(x)[2, 0])
         return law(x, t) - r_hat * plan.x_d_dot(t)[2]
 
     t0, t1 = plan.t_span

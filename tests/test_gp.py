@@ -537,6 +537,34 @@ def test_save_load_round_trip(tmp_path, small_model):
     np.testing.assert_array_equal(back.beta, [2.0, 3.0, 1.5])
     assert back.nlml == pytest.approx(small_model.nlml, abs=1e-9)
     np.testing.assert_allclose(back.hamiltonian(xq), small_model.hamiltonian(xq), atol=1e-9)
+    # the structure constants depend on the hyperparameters alone
+    for name in ("g_hat", "s_hat", "prior_var"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(small_model, name), err_msg=name)
+    # the fixture's states are Fortran-ordered and load_model reads C-ordered
+    # ones; phs_cross's sums follow the memory layout, so the Gram and
+    # everything solved from it may differ in the last bits
+    for name in ("h_weights", "l_inv", "alpha"):
+        ref = getattr(small_model, name)
+        np.testing.assert_allclose(
+            getattr(back, name), ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)), err_msg=name
+        )
+
+
+def test_save_load_round_trip_is_bit_exact_on_c_ordered_states(tmp_path, small_dataset):
+    # condition and load_model share one conditioning routine: given states
+    # in the layout load_model reads, everything the loaded model stores
+    # equals the conditioned model's bit for bit
+    c_ordered = FilteredDataset(
+        states=np.ascontiguousarray(small_dataset.states),
+        derivatives=small_dataset.derivatives,
+        inputs=small_dataset.inputs,
+        times=small_dataset.times,
+    )
+    model = condition(c_ordered, micro_hypers(), jitter=0.0)
+    save_model(model, tmp_path / "model.json")
+    back = load_model(tmp_path / "model.json")
+    for name in ("g_hat", "s_hat", "prior_var", "h_weights", "l_inv", "alpha", "nlml", "jitter_used"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(model, name), err_msg=name)
 
 
 def test_stored_inverse_factor_inverts_the_gram_cholesky_factor(small_dataset, small_model):

@@ -100,7 +100,7 @@ def layers(run_dir):
     g0 = desired.hd_error_grad_batch(np.zeros((n, 1)))[:, 0]
     shaped0 = (desired.jd - desired.rd) @ g0
     residual, jacobian = control._best_fit_problem(
-        model, prim[:, 0], prim[:, 1], shaped0, plan.xd[0], cfg["plan"]["grid_step"]
+        model, prim[:, 0], prim[:, 1], shaped0, cfg["plan"]["grid_step"]
     )
     tail = plan.xd[:, 1:].ravel()
 
