@@ -4,8 +4,8 @@
 Pi(x_a, x_b) for every pair of columns at once.  No program path builds them
 any more (the NLML gradient contracts Pi in closed form, see gp.py); it stays
 as the batched reference the tests check the contractions against.
-`phs_cross` assembles the block cross-covariance sf^2 S Pi S^T for one
-constant structure matrix S = J_hat - R_hat.  With Lambda = diag(l_i^2) and
+`phs_blocks` assembles the block matrix sf^2 S Pi S^T for one constant
+structure matrix S = J_hat - R_hat.  With Lambda = diag(l_i^2) and
 Pi = k (Lambda^-1 - Lambda^-1 d d^T Lambda^-1), d = x - x', each block is the
 rank-one update
 
@@ -13,9 +13,11 @@ rank-one update
     M = S Lambda^-1 S^T,  u = S Lambda^-1 (x - x'),
 
 so no Pi tensor is built for it, and the blocks are written straight into
-the (A n, B n) matrix, sample-major.  kernels.se_hessian and kernels.phs_kernel
-are the one-pair references both are tested against.  States are
-column-major (n, N).
+the (A n, B n) matrix, sample-major.  It takes the pair terms k and u from
+its caller: `phs_cross` forms them for the training Gram, and the posterior
+variance (gp.py) takes them from the SE evaluation its mean also reads.
+kernels.se_hessian and kernels.phs_kernel are the one-pair references all
+of these are tested against.  States are column-major (n, N).
 """
 
 from __future__ import annotations
@@ -48,25 +50,44 @@ def pi_tensor(xa, xb, lengthscales):
     return k, d, pi
 
 
+# entries of the (n, n, rows, B) block-product buffer one pass fills: 512 KB,
+# which stays in L2 cache between forming the products and writing them out
+_PASS_ENTRIES = 1 << 16
+
+
+def phs_blocks(sf2_k, u, m):
+    """The (A n, B n) matrix whose block (a, b) is sf2_k[a, b] (M - u_ab u_ab^T).
+
+    sf2_k is (A, B), u is (n, A, B) with u[:, a, b] = u_ab and m is M (n, n).
+    Block (a, b) fills rows a n .. a n + n - 1 and columns b n .. b n + n - 1.
+    A pass forms the products of a few rows component-major in one buffer,
+    where every loop runs over B contiguous entries, and one multiply writes
+    them into the assembled layout; at one row, a pass is three ufunc calls.
+    """
+    n, n_a, n_b = u.shape
+    out = np.empty((n_a, n, n_b, n))
+    # blocks[i, j, a, b] is entry (i, j) of block (a, b)
+    blocks = out.transpose(1, 3, 0, 2)
+    step = max(1, min(n_a, _PASS_ENTRIES // (n * n * n_b)))
+    buf = np.empty((n, n, step, n_b))
+    for start in range(0, n_a, step):
+        rows = slice(start, start + step)
+        prod = buf[:, :, : min(step, n_a - start)]
+        np.multiply(u[:, None, rows], u[None, :, rows], out=prod)
+        np.subtract(m[:, :, None, None], prod, out=prod)
+        np.multiply(sf2_k[rows], prod, out=blocks[:, :, rows])
+    return out.reshape(n_a * n, n_b * n)
+
+
 def phs_cross(xa, xb, s, sf2, lengthscales):
-    """Assembled block cross-covariance sf2 * S Pi(x_a, x_b) S^T.
+    """Assembled block cross-covariance sf2 * S Pi(x_a, x_b) S^T (the Gram's).
 
     xa, xb are float arrays (n, A), (n, B) and s is the constant (n, n)
-    structure matrix.  Returns the (A n, B n) matrix whose block (a, b),
-    rows a n .. a n + n - 1 and columns b n .. b n + n - 1, is
-    sf2 k(x_a, x_b) (M - u u^T).
+    structure matrix.  Returns the (A n, B n) matrix of `phs_blocks` with
+    sf2_k = sf2 k(x_a, x_b) and u = S Lambda^-1 (x_a - x_b).
     """
     v = 1.0 / np.asarray(lengthscales, dtype=float) ** 2
     s_v = s * v
-    m = s_v @ s.T
-    n, n_a = xa.shape
-    n_b = xb.shape[1]
     d = xa[:, :, None] - xb[:, None, :]
     sf2_k = sf2 * np.exp(-0.5 * np.einsum("nab,n->ab", d * d, v))
-    u = np.tensordot(s_v, d, axes=1)
-    # write each (i, j) entry of every block straight into the assembled layout
-    out = np.empty((n_a, n, n_b, n))
-    for i in range(n):
-        for j in range(n):
-            out[:, i, :, j] = sf2_k * (m[i, j] - u[i] * u[j])
-    return out.reshape(n_a * n, n_b * n)
+    return phs_blocks(sf2_k, np.tensordot(s_v, d, axes=1), s_v @ s.T)

@@ -532,10 +532,10 @@ def microactuator_tracking_control(model, desired: DesiredDynamics, plan: Refere
     r_hat = 1.0 / float(model.g_hat[2, 0])
 
     def control(x, t):
+        # grad H_hat at x and grad H_d = grad H_hat(c + x - x_d) in one call
         x = np.asarray(x, dtype=float)
-        x_d = plan.x_d(t)
-        d3_hd = desired.hd_grad(x, x_d)[2]
-        d3_h = model.hamiltonian_grad(x[:, None])[2, 0]
+        cols = np.stack([x, desired.center + (x - plan.x_d(t))], axis=1)
+        d3_h, d3_hd = model.hamiltonian_grad(cols)[2]
         return np.array([-r_hat * rd33 * d3_hd + r_hat * plan.x_d_dot(t)[2] + d3_h])
 
     return control

@@ -17,11 +17,15 @@ Posterior queries read cached weights: with alpha = K^-1 Xdot0 stacked as the
 rows of A, the rows w_b of sf^2 (A S) Lambda^-1 give the posterior Hamiltonian
 H_hat(x) = sum_b k(x, x_b) (x - x_b)^T w_b, its gradient is the closed-form
 derivative of that sum, and the drift mean is mu(x) = S grad H_hat(x)
-(predicting with cached weights, Rasmussen & Williams 2006, Alg. 2.1).  Only
-the variance needs the cross-covariance.  The model stores the inverse L^-1 of
-the lower Cholesky factor (LAPACK trtri, once per conditioning), so the
-variance's v = L^-1 k^T is a triangular multiply (BLAS trmm) instead of a
-triangular solve, one per block of _VAR_CHUNK query states; its prior part
+(predicting with cached weights, Rasmussen & Williams 2006, Alg. 2.1).  The
+variance needs the cross-covariance, built from the same SE values: every
+posterior query (drift, drift_mean, hamiltonian_grad, envelope, dynamics)
+goes through one routine that evaluates the pair terms x - x_b,
+Lambda^-1 (x - x_b) and k(x, x_b) once per block of _VAR_CHUNK query states
+and derives the mean, the variance or both from them.  The model stores the
+inverse L^-1 of the lower Cholesky factor (LAPACK trtri, once per
+conditioning), so the variance's v = L^-1 k^T is a triangular multiply (BLAS
+trmm) instead of a triangular solve, one per block; its prior part
 sf^2 diag(S Lambda^-1 S^T) is a constant.
 """
 
@@ -59,8 +63,8 @@ __all__ = [
 
 # query columns per block of the Hamiltonian mean, bounding its (Q, N, n) work arrays
 _H_CHUNK = 2048
-# query columns per block of the posterior variance: the (n Q, n N) cross-
-# covariance block (2.8 MB at N = 300) then stays in cache from phs_cross
+# query columns per block of the posterior's pair terms: the (n Q, n N) cross-
+# covariance block (2.8 MB at N = 300) then stays in cache from phs_blocks
 # writing it to trmm reading it
 _VAR_CHUNK = 128
 # calibrate_beta sets beta_i to this percentile of |f_i - mu_i| / var_i over
@@ -268,8 +272,9 @@ class GpPhsModel:
     upper triangle zero; it is the model's only use of the factorization.
     The structure is constant (see structure.py), so the model reads it once
     when it is built: ``s_hat`` = J_hat - R_hat and ``g_hat`` = G_hat, the
-    prior variance ``prior_var`` = sf^2 diag(S Lambda^-1 S^T) and the
-    Hamiltonian weights ``h_weights`` (see `hamiltonian_grad`).  Immutable by
+    prior variance ``prior_var`` = sf^2 diag(S Lambda^-1 S^T), ``m_hat`` =
+    S Lambda^-1 S^T and the Hamiltonian weights ``h_weights`` (see
+    `_posterior`).  Immutable by
     convention except for the error-envelope scale ``beta`` (set by
     calibration).  Posterior queries are pure.
     """
@@ -288,6 +293,7 @@ class GpPhsModel:
     s_hat: np.ndarray = field(init=False, repr=False)
     g_hat: np.ndarray = field(init=False, repr=False)
     prior_var: np.ndarray = field(init=False, repr=False)
+    m_hat: np.ndarray = field(init=False, repr=False)
     h_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -300,6 +306,8 @@ class GpPhsModel:
         self.s_hat = self.structure.jr()
         self.g_hat = self.structure.g()
         self.prior_var = sf2 * (self.s_hat**2 @ v)
+        # M = S Lambda^-1 S^T of the cross-covariance blocks sf^2 k (M - u u^T)
+        self.m_hat = (self.s_hat * v) @ self.s_hat.T
         # cov(H(x), xdot(x_i)) = sf^2 S Lambda^-1 (x - x_i) k(x, x_i), so the
         # posterior H mean is sum_i k(x, x_i) (x - x_i)^T w_i with the
         # query-independent rows w_i of sf^2 (A S) Lambda^-1, where A holds
@@ -320,47 +328,62 @@ class GpPhsModel:
 
     def drift(self, xq):
         """Posterior drift mean and per-dimension variance at query states (n, Q)."""
-        return self.drift_mean(xq), self._drift_var(xq)
+        grad, var = self._posterior(self._columns(xq), mean=True, var=True)
+        return self.s_hat @ grad, var
 
     def drift_mean(self, xq):
         """Posterior drift mean only: S grad H_hat(x), no cross-covariance."""
         return self.s_hat @ self.hamiltonian_grad(self._columns(xq))
 
-    def _drift_var(self, xq):
-        # var = prior - k K^-1 k^T = prior - |L^-1 k^T|^2 with the lower factor
-        # L, one trmm per block into the F-ordered transpose of its cross-
-        # covariance; the prior is the same at every state
-        xq = self._columns(xq)
-        n = self.dim_state
-        sf2 = self.hyper.sigma_f**2
-        quad = np.empty(xq.shape[1] * n)
-        for start in range(0, xq.shape[1], _VAR_CHUNK):
-            block = xq[:, start : start + _VAR_CHUNK]
-            cross = backend.phs_cross(block, self.states, self.s_hat, sf2, self.hyper.lengthscales)
-            half = dtrmm(1.0, self.l_inv, cross.T, lower=1, overwrite_b=1)
-            quad[start * n : (start + block.shape[1]) * n] = np.einsum("ij,ij->j", half, half)
-        return np.maximum(self.prior_var - quad.reshape(-1, n), 0.0).T
-
     def dynamics(self, x, u):
-        """Posterior state derivative mean mu + G_hat u and its variance."""
-        x = np.asarray(x, dtype=float)
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        mean, var = self.drift(x[:, None])
-        return mean[:, 0] + self.g_hat @ u, var[:, 0]
+        """Posterior state derivative mean mu + G_hat u and its variance at one state.
+
+        x is an (n,) and u an (m,) float array.
+        """
+        grad, var = self._posterior(x[:, None], mean=True, var=True)
+        return (self.s_hat @ grad)[:, 0] + self.g_hat @ u, var[:, 0]
 
     def hamiltonian_grad(self, xq):
         """Posterior mean of grad H at query columns (n, Q)."""
-        # gradient of sum_b k(x, x_b) d_b^T w_b with d_b = x - x_b:
-        # sum_b k(x, x_b) (w_b - (d_b^T w_b) Lambda^-1 d_b), which equals
-        # sum_b Pi(x, x_b) t_b for t_b = sf^2 S^T alpha_b
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
+        return self._posterior(np.atleast_2d(np.asarray(xq, dtype=float)), mean=True, var=False)[0]
+
+    def _posterior(self, xq, mean, var):
+        """Posterior grad H_hat and drift variance at query columns xq (n, Q).
+
+        Returns (grad, var), None for the one not asked for.  One SE
+        evaluation per block of _VAR_CHUNK states gives the pair terms
+        d_b = x - x_b, Lambda^-1 d_b and k(x, x_b).  grad, the derivative of
+        H_hat(x) = sum_b k d_b^T w_b, is sum_b k (w_b - (d_b^T w_b) Lambda^-1 d_b)
+        (= sum_b Pi(x, x_b) t_b for t_b = sf^2 S^T alpha_b); its k @ w runs
+        once over all Q states, as BLAS gemm may round a row differently with
+        the number of rows.  var = prior - |L^-1 k^T|^2 for the lower factor
+        L: per block, phs_blocks assembles sf^2 k (M - u u^T) with
+        u = S Lambda^-1 d, and one trmm multiplies its transpose by L^-1.
+        """
+        n, n_q = xq.shape
         v = 1.0 / self.hyper.lengthscales**2
         w = self.h_weights
-        diff = xq.T[:, None, :] - self.states.T[None, :, :]
-        vd = diff * v
-        k = np.exp(-0.5 * np.einsum("qpn,qpn->qp", diff, vd))
-        dw = np.einsum("qpn,pn->qp", diff, w)
-        return (k @ w - np.einsum("qp,qpn->qn", k * dw, vd)).T
+        n_pts = self.states.shape[1]
+        k_all = np.empty((n_q, n_pts))
+        corr = np.empty((n_q, n))
+        quad = np.empty((n_q, n))
+        sf2 = self.hyper.sigma_f**2
+        for start in range(0, n_q, _VAR_CHUNK):
+            rows = slice(start, start + _VAR_CHUNK)
+            diff = xq[:, rows].T[:, None, :] - self.states.T[None, :, :]
+            vd = diff * v
+            k = np.exp(-0.5 * np.einsum("qpn,qpn->qp", diff, vd))
+            if mean:
+                k_all[rows] = k
+                corr[rows] = np.einsum("qp,qpn->qn", k * np.einsum("qpn,pn->qp", diff, w), vd)
+            if var:
+                # numpy lays diff and vd out component-major, so this reshape is a view
+                u = (self.s_hat @ vd.transpose(2, 0, 1).reshape(n, -1)).reshape(n, -1, n_pts)
+                cross = backend.phs_blocks(sf2 * k, u, self.m_hat)
+                half = dtrmm(1.0, self.l_inv, cross.T, lower=1, overwrite_b=1)
+                quad[rows] = np.einsum("ij,ij->j", half, half).reshape(-1, n)
+        grad = (k_all @ w - corr).T if mean else None
+        return grad, (np.maximum(self.prior_var - quad, 0.0).T if var else None)
 
     def _columns(self, xq):
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
@@ -395,7 +418,7 @@ class GpPhsModel:
 
     def envelope(self, xq):
         """Per-dimension model-error envelope eta_i = beta_i * var_i at queries."""
-        return self.beta[:, None] * self._drift_var(xq)
+        return self.beta[:, None] * self._posterior(self._columns(xq), mean=False, var=True)[1]
 
 
 def _conditioned(hyper, states, xdot0, jitter, max_jitter, **fields) -> GpPhsModel:
@@ -403,14 +426,16 @@ def _conditioned(hyper, states, xdot0, jitter, max_jitter, **fields) -> GpPhsMod
 
     Solves alpha from the Gram's Cholesky factor (see _solve), then inverts
     the factor in place; ``fields`` are the model's beta and x_ref.  The Gram
-    is built from ``states`` as given, and the model keeps a C-ordered copy:
-    phs_cross sums in an order that follows the memory layout, so a strided
-    view (as filtered_from_csv returns) can change the last bits of the Gram.
+    is built from a C-ordered copy of ``states``, which the model keeps:
+    phs_cross sums in an order that follows the memory layout, and a strided
+    view (as filtered_from_csv returns) would change the last bits of the
+    Gram, so a trained model would differ from the one load_model rebuilds.
     """
+    states = np.array(states, order="C")
     value, cho, jit_used, alpha = _solve(states, xdot0, hyper, jitter, max_jitter)
     return GpPhsModel(
         hyper=hyper,
-        states=np.array(states, order="C"),
+        states=states,
         xdot0=xdot0,
         l_inv=_invert_factor(cho[0]),
         jitter_used=jit_used,

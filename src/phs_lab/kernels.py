@@ -12,9 +12,9 @@ with the estimated structure matrix S = J_hat - R_hat:
 
 With this convention Pi(x, x) = diag(1 / l_i^2).  S is constant in the state
 (the structure contract, see structure.py), so each block is the rank-one
-update sigma_f^2 k(x, x') (M - u u^T) of backend.phs_cross.  `gram_matrix` is
-the one Gram builder: the likelihood, conditioning and model loading all
-call it.
+update sigma_f^2 k(x, x') (M - u u^T) that backend.phs_blocks assembles;
+backend.phs_cross gives it the training pairs.  `gram_matrix` is the one
+Gram builder: the likelihood, conditioning and model loading all call it.
 """
 
 from __future__ import annotations

@@ -426,12 +426,16 @@ def _model_hd_increments(model, desired, plan, traj):
 
 
 def _drift_envelope_ratio(plant, model, states):
-    """max_i,k |f_i - mu_i| / eta_i over the rows of states (T, n); 0 where both vanish."""
+    """max_i,k |f_i - mu_i| / eta_i over the rows of states (T, n); 0 where both vanish.
+
+    mu and var come from one drift call, and eta = beta * var.
+    """
     u0 = np.zeros(plant.dim_input)
     f = np.stack([eval_dynamics(plant, x, u0) for x in states], axis=1)
-    err = np.abs(f - model.drift_mean(states.T))
+    mean, var = model.drift(states.T)
+    err = np.abs(f - mean)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(err == 0.0, 0.0, err / model.envelope(states.T))
+        ratio = np.where(err == 0.0, 0.0, err / (model.beta[:, None] * var))
     return float(np.max(ratio))
 
 

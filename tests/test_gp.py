@@ -215,11 +215,24 @@ def test_weight_space_mean_and_grad_match_dense_oracle(family, n_query):
     assert mean.shape == grad.shape == (3, n_query)
     assert np.max(np.abs(mean - mean_o)) <= 1e-10 * np.max(np.abs(mean_o))
     assert np.max(np.abs(grad - grad_o)) <= 1e-10 * np.max(np.abs(grad_o))
-    # the variance goes through the multi-row cross-covariance of backend.phs_cross
+    # the variance reads the same SE evaluation as the mean, per block of
+    # query states, through the cross-covariance blocks of backend.phs_blocks
     mean_d, var = model.drift(xq)
     np.testing.assert_array_equal(mean_d, mean)
     assert var.shape == (3, n_query)
     assert np.max(np.abs(var - var_o)) <= 1e-10 * np.max(np.abs(var_o))
+    # dynamics at single states: the oracle plus G_hat u, and equal to drift
+    # on the one column plus G_hat u
+    for q in range(min(n_query, 3)):
+        x, u = xq[:, q].copy(), rng.standard_normal(1)
+        dyn_mean, dyn_var = model.dynamics(x, u)
+        gu = model.g_hat @ u
+        scale = np.max(np.abs(mean_o[:, q] + gu))
+        assert np.max(np.abs(dyn_mean - (mean_o[:, q] + gu))) <= 1e-10 * scale
+        assert np.max(np.abs(dyn_var - var_o[:, q])) <= 1e-10 * np.max(np.abs(var_o))
+        mean_1, var_1 = model.drift(x[:, None])
+        np.testing.assert_array_equal(dyn_mean, mean_1[:, 0] + gu)
+        np.testing.assert_array_equal(dyn_var, var_1[:, 0])
 
 
 @pytest.fixture(scope="module")
@@ -385,11 +398,15 @@ def test_hamiltonian_reference_pin(small_model):
 
 
 def test_envelope_scales_with_beta(small_model):
-    x = np.array([0.6, 0.2, 0.5])
+    # envelope reads the variance alone from the same blocks as drift; 129
+    # and 261 states cross the _VAR_CHUNK boundary
+    rng = np.random.default_rng(6)
     small_model.beta = np.array([1.0, 2.0, 4.0])
-    env = small_model.envelope(x[:, None])[:, 0]
-    _, var = small_model.drift(x[:, None])
-    np.testing.assert_allclose(env, np.array([1.0, 2.0, 4.0]) * var[:, 0], atol=1e-14)
+    for n_query in (1, 129, 261):
+        xq = rng.uniform(-0.5, 1.5, size=(3, n_query))
+        env = small_model.envelope(xq)
+        _, var = small_model.drift(xq)
+        np.testing.assert_array_equal(env, np.array([1.0, 2.0, 4.0])[:, None] * var)
     small_model.beta = np.ones(3)
 
 
@@ -532,22 +549,15 @@ def test_save_load_round_trip(tmp_path, small_model):
     xq = np.array([[0.5, 1.2], [0.3, -0.4], [0.7, 0.2]])
     m1, v1 = small_model.drift(xq)
     m2, v2 = back.drift(xq)
-    np.testing.assert_allclose(m2, m1, atol=1e-12)
-    np.testing.assert_allclose(v2, v1, atol=1e-12)
+    np.testing.assert_array_equal(m2, m1)
+    np.testing.assert_array_equal(v2, v1)
     np.testing.assert_array_equal(back.beta, [2.0, 3.0, 1.5])
-    assert back.nlml == pytest.approx(small_model.nlml, abs=1e-9)
-    np.testing.assert_allclose(back.hamiltonian(xq), small_model.hamiltonian(xq), atol=1e-9)
-    # the structure constants depend on the hyperparameters alone
-    for name in ("g_hat", "s_hat", "prior_var"):
-        np.testing.assert_array_equal(getattr(back, name), getattr(small_model, name), err_msg=name)
+    np.testing.assert_array_equal(back.hamiltonian(xq), small_model.hamiltonian(xq))
     # the fixture's states are Fortran-ordered and load_model reads C-ordered
-    # ones; phs_cross's sums follow the memory layout, so the Gram and
-    # everything solved from it may differ in the last bits
-    for name in ("h_weights", "l_inv", "alpha"):
-        ref = getattr(small_model, name)
-        np.testing.assert_allclose(
-            getattr(back, name), ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)), err_msg=name
-        )
+    # ones; both models build the Gram from a C-ordered copy, so everything
+    # the loaded model stores equals the conditioned model's bit for bit
+    for name in ("g_hat", "s_hat", "prior_var", "h_weights", "l_inv", "alpha", "nlml", "jitter_used"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(small_model, name), err_msg=name)
 
 
 def test_save_load_round_trip_is_bit_exact_on_c_ordered_states(tmp_path, small_dataset):
@@ -582,7 +592,7 @@ def test_loaded_model_variance_matches_conditioned(tmp_path, filtered_full):
     prior = model.hyper.sigma_f**2 * (s**2 @ (1.0 / model.hyper.lengthscales**2))
     lo, hi = model.states.min(axis=1), model.states.max(axis=1)
     xq = lo[:, None] + (hi - lo)[:, None] * np.random.default_rng(5).uniform(size=(3, 200))
-    diff = np.abs(back._drift_var(xq) - model._drift_var(xq))
+    diff = np.abs(back.drift(xq)[1] - model.drift(xq)[1])
     assert np.all(diff <= 1e-13 * prior[:, None])
 
 

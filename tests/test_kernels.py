@@ -169,3 +169,22 @@ def test_batched_hot_path_matches_pairwise_reference():
                 phs_kernel(xa[:, a], xb[:, b], hyper),
                 atol=1e-13,
             )
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (1, 300), (128, 300), (300, 300)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_block_assembly_matches_per_entry_loop(shape):
+    # phs_blocks forms the products a few rows per pass; the per-entry loop
+    # it replaced is the reference, with the same arithmetic per entry, so
+    # the Gram's bits must not move.  (128, 300) and (300, 300) take several
+    # passes, the last one partial
+    rng = np.random.default_rng(shape[0] + shape[1])
+    n_a, n_b = shape
+    sf2_k = rng.uniform(size=(n_a, n_b))
+    u = rng.standard_normal((3, n_a, n_b))
+    s = rng.standard_normal((3, 3))
+    m = (s * rng.uniform(0.5, 2.0, 3)) @ s.T
+    expected = np.empty((n_a, 3, n_b, 3))
+    for i in range(3):
+        for j in range(3):
+            expected[:, i, :, j] = sf2_k * (m[i, j] - u[i] * u[j])
+    np.testing.assert_array_equal(backend.phs_blocks(sf2_k, u, m), expected.reshape(3 * n_a, 3 * n_b))

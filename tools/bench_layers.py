@@ -24,6 +24,9 @@ and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
   time (``envelope_calls`` in ``verify_report.json``);
 - ``controller_q1``: one call of the closed-loop controller at a state off
   the reference;
+- ``dynamics_q1``: one ``model.dynamics`` call (mean plus variance at one
+  state, with an input) at the same state, the query shape of the
+  learning-curve study;
 - ``best_fit_residual_jacobian``: one residual plus one banded Jacobian of
   the best-fit plan problem at the plan's solved tail.
 
@@ -110,6 +113,7 @@ def layers(run_dir):
         "mean_var_q2014": (f"Q = {N_SHELL}", lambda: model.drift(shell)),
         "envelope_q2014": (f"Q = {N_SHELL}", lambda: model.envelope(shell)),
         "controller_q1": ("Q = 1", lambda: controller(x_off, t_mid)),
+        "dynamics_q1": ("Q = 1", lambda: model.dynamics(x_off, np.zeros(model.dim_input))),
         "best_fit_residual_jacobian": (
             f"{plan.times.size} grid points x {n - 1} unknowns",
             lambda: (residual(tail), jacobian(tail)),
