@@ -4,18 +4,21 @@
 Pi(x_a, x_b) for every pair of columns at once.  No program path builds them
 any more (the NLML gradient contracts Pi in closed form, see gp.py); it stays
 as the batched reference the tests check the contractions against.
-`phs_blocks` assembles the block matrix sf^2 S Pi S^T for one constant
-structure matrix S = J_hat - R_hat.  With Lambda = diag(l_i^2) and
-Pi = k (Lambda^-1 - Lambda^-1 d d^T Lambda^-1), d = x - x', each block is the
-rank-one update
+With Lambda = diag(l_i^2) and Pi = k (Lambda^-1 - Lambda^-1 d d^T Lambda^-1),
+d = x - x', each block of sf^2 S Pi S^T for one constant structure matrix
+S = J_hat - R_hat is the rank-one update
 
     sf^2 S Pi(x, x') S^T = sf^2 k(x, x') (M - u u^T),
     M = S Lambda^-1 S^T,  u = S Lambda^-1 (x - x'),
 
-so no Pi tensor is built for it, and the blocks are written straight into
-the (A n, B n) matrix, sample-major.  It takes the pair terms k and u from
-its caller: `phs_cross` forms them for the training Gram, and the posterior
-variance (gp.py) takes them from the SE evaluation its mean also reads.
+so no Pi tensor is built for it.  The assemblers take the pair terms sf^2 k
+and u from their caller, and `se_values` computes k from squared
+differences.  `phs_blocks` writes the blocks of all pairs of two state sets
+straight into the (A n, B n) matrix, sample-major, for the posterior
+variance (gp.py); `pair_blocks` forms the blocks of a list of pairs in the
+layout kernels.TrainingPairs copies into the lower triangle of the training
+Gram.  `phs_cross` assembles all pairs of two state sets; no program path
+calls it, and the tests check the training Gram against it.
 kernels.se_hessian and kernels.phs_kernel are the one-pair references all
 of these are tested against.  States are column-major (n, N).
 """
@@ -79,8 +82,36 @@ def phs_blocks(sf2_k, u, m):
     return out.reshape(n_a * n, n_b * n)
 
 
+def se_values(dd, v):
+    """SE kernel values exp(-1/2 sum_i v_i dd_i), summing over the first axis of dd.
+
+    dd holds squared differences, component first; v = 1 / l^2.  The sum
+    takes one multiply and one add per component, in component order, so a
+    value does not depend on its position in dd (einsum's vectorized loops
+    fuse multiply and add in some positions and not in others).
+    """
+    total = v[0] * dd[0]
+    for v_i, dd_i in zip(v[1:], dd[1:]):
+        total += v_i * dd_i
+    return np.exp(-0.5 * total)
+
+
+def pair_blocks(sf2_k, u, m):
+    """The blocks sf2_k[p] (M - u_p u_p^T) of P pairs, block column major.
+
+    sf2_k is (P,), u is (n, P) with u[:, p] = u_p and m is M (n, n).  Returns
+    the (n, P, n) array whose entry [j, p, i] is entry (i, j) of pair p's
+    block, with the arithmetic of `phs_blocks` per entry: column j of the
+    blocks of consecutive pairs is one contiguous run.
+    """
+    out = u[:, :, None] * u.T[None, :, :]
+    np.subtract(m.T[:, None, :], out, out=out)
+    np.multiply(sf2_k[:, None], out, out=out)
+    return out
+
+
 def phs_cross(xa, xb, s, sf2, lengthscales):
-    """Assembled block cross-covariance sf2 * S Pi(x_a, x_b) S^T (the Gram's).
+    """Assembled block cross-covariance sf2 * S Pi(x_a, x_b) S^T of two state sets.
 
     xa, xb are float arrays (n, A), (n, B) and s is the constant (n, n)
     structure matrix.  Returns the (A n, B n) matrix of `phs_blocks` with
@@ -89,5 +120,5 @@ def phs_cross(xa, xb, s, sf2, lengthscales):
     v = 1.0 / np.asarray(lengthscales, dtype=float) ** 2
     s_v = s * v
     d = xa[:, :, None] - xb[:, None, :]
-    sf2_k = sf2 * np.exp(-0.5 * np.einsum("nab,n->ab", d * d, v))
+    sf2_k = sf2 * se_values(d * d, v)
     return phs_blocks(sf2_k, np.tensordot(s_v, d, axes=1), s_v @ s.T)

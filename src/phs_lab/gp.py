@@ -6,12 +6,20 @@ minimizes the negative log marginal likelihood over log-scale kernel
 hyperparameters, log noise variances, and the raw structure parameters.
 
 S = J_hat - R_hat and G_hat are constant matrices (the structure contract of
-structure.py), and every path here uses them as such.  The likelihood builds
-its Gram matrix with kernels.gram_matrix.  Its gradient is 1/2 tr(W dK/dtheta)
-with W = K^-1 - alpha alpha^T (Rasmussen & Williams 2006, eq. 5.9); K^-1 comes
-from the Cholesky factor in place (LAPACK potri), W is reordered once into
-component planes, and each hyperparameter is a closed-form contraction with
-the SE-Hessian blocks Pi, taken from k and Lambda^-1 d without forming Pi.
+structure.py), and every path here uses them as such.  The likelihood,
+`condition` and `load_model` build the Gram through kernels.TrainingPairs:
+the pair geometry x_a - x_b of the strict-lower pairs a > b is computed once
+per training set (`train`'s objective holds it for the whole fit), and each
+evaluation forms k and u = S Lambda^-1 (x_a - x_b) once and writes the
+blocks into the lower triangle that LAPACK factorizes in place.  The NLML
+gradient is 1/2 tr(W dK/dtheta) with W = K^-1 - alpha alpha^T (Rasmussen &
+Williams 2006, eq. 5.9); K^-1 comes from the Cholesky factor in place
+(LAPACK potri), W's strict-lower blocks are read once as component planes
+of W_ab + W_ab^T, and each hyperparameter is a closed-form contraction with
+the SE-Hessian blocks Pi over the strict-lower pairs and the diagonal
+blocks, taken from the Gram's own k and u without forming Pi.  `train`'s
+objective keeps its last two results, as L-BFGS-B asks again for a point
+after a failed trial step.
 
 Posterior queries read cached weights: with alpha = K^-1 Xdot0 stacked as the
 rows of A, the rows w_b of sf^2 (A S) Lambda^-1 give the posterior Hamiltonian
@@ -45,7 +53,7 @@ from . import backend
 from .core import PhsModel, eval_dynamics
 from .errors import ConditioningError, TrainingError
 from .filtering import FilteredDataset
-from .kernels import factorize_gram, gram_matrix
+from .kernels import TrainingPairs, factorize_gram
 from .structure import StructureEstimate, structure_from_jsonable
 
 __all__ = [
@@ -138,95 +146,106 @@ def mean_adjust(dataset: FilteredDataset, structure: StructureEstimate) -> np.nd
     return (dataset.derivatives - structure.g() @ dataset.inputs).T.ravel()
 
 
-def _solve(states, xdot0, hyper, jitter, max_jitter):
+def _solve(pairs, xdot0, hyper, jitter, max_jitter):
     """Gram -> Cholesky factor -> alpha = K^-1 Xdot0, and the NLML they give.
 
     The one conditioning step of the likelihood, `condition` and `load_model`.
-    Returns (value, cho, jitter used, alpha).
+    ``pairs`` is the training set's kernels.TrainingPairs; the Gram is built
+    from its one SE evaluation, again on each jitter retry.  Returns (value,
+    cho, jitter used, alpha, the SE evaluation (sf^2 k, u, M)).
     """
-    gram = gram_matrix(states, hyper)
-    cho, jit_used = factorize_gram(gram, jitter=jitter, max_jitter=max_jitter)
-    del gram
+    terms = pairs.terms(hyper)
+    cho, jit_used = factorize_gram(lambda: pairs.gram(hyper, terms), jitter=jitter, max_jitter=max_jitter)
     alpha = cho_solve(cho, xdot0, check_finite=False)
     log_det_half = float(np.sum(np.log(np.diag(cho[0]))))
     value = 0.5 * xdot0 @ alpha + log_det_half + 0.5 * xdot0.size * np.log(2 * np.pi)
-    return value, cho, jit_used, alpha
+    return value, cho, jit_used, alpha, terms
 
 
-def _nlml_and_grad(dataset, hyper, jitter, max_jitter):
+def _nlml_and_grad(dataset, pairs, hyper, jitter, max_jitter):
     """NLML and its gradient; the Cholesky factor is overwritten with K^-1.
 
     dNLML/dtheta = 1/2 tr(W dK/dtheta) with W = K^-1 - alpha alpha^T
-    (Rasmussen & Williams 2006, eq. 5.9).  Every kernel term is a contraction
-    <A_ab, Pi_ab> summed over the pairs, with A = S^T W_ab S for sigma_f and
-    the lengthscales and A = S^T W_ab dS_p for phi_p.  Pi = k (Lambda^-1 -
-    (v d)(v d)^T) with v d = Lambda^-1 (x_a - x_b), so in closed form
+    (Rasmussen & Williams 2006, eq. 5.9).  Every kernel term is a sum over
+    the ordered pairs (a, b) of contractions <A_ab, Pi_ab>, with
+    A = S^T W_ab S for sigma_f and the lengthscales and A = S^T W_ab dS_p for
+    phi_p.  Pi = k (Lambda^-1 - (v d)(v d)^T) with v d = Lambda^-1 (x_a - x_b),
+    so in closed form
 
         <A, Pi> = k (tr(C^T W_ab) - (S v d)^T W_ab (dS_p v d)),  C = S Lambda^-1 dS_p^T,
 
-    and neither Pi nor A is formed.  W is reordered once into component planes
-    W[k, l][a, b] = W[(a, k), (b, l)]; the traces are one matmul of the planes
-    with the flattened C matrices, and the quadratic forms need W^T (S v d).
+    and neither Pi nor A is formed.  W is symmetric, so W_ba = W_ab^T, while d
+    and u = S v d change sign: the (b, a) term of every sum is the (a, b)
+    term with C^T for C and W_ab u for W_ab^T u.  Each sum over the ordered
+    pairs is therefore one over the strict-lower pairs a > b, with the traces
+    <C, W_ab + W_ab^T> and the quadratic forms in y = (W_ab + W_ab^T) u, plus
+    the diagonal blocks a = b, where d = u = 0 and k = 1 leave
+    tr(C^T sum_a W_aa).  The gradient reads W's lower triangle once, in the
+    pair order of the Gram (kernels.TrainingPairs), and the k and u the Gram
+    was built from; the lengthscale and phi quadratic forms need only the
+    n x n sum Y = sum_p sf^2 k_p y_p d_p^T.
     """
     xdot0 = mean_adjust(dataset, hyper.structure)
-    value, cho, _, alpha = _solve(dataset.states, xdot0, hyper, jitter, max_jitter)
-    x = dataset.states
-    n, n_pts = x.shape
+    value, cho, _, alpha, (sf2_k, u, m) = _solve(pairs, xdot0, hyper, jitter, max_jitter)
+    n = pairs.states.shape[0]
     sf2 = hyper.sigma_f**2
     struct = hyper.structure
     s = struct.jr()
     v = 1.0 / hyper.lengthscales**2
 
     # K^-1 by LAPACK potri in place of the lower factor, minus alpha alpha^T
-    # by a rank-one update of the same triangle, then mirrored to the upper
+    # by a rank-one update of the same triangle
     w, info = dpotri(cho[0], lower=1, overwrite_c=1)
     del cho
     if info != 0:
         raise ConditioningError(f"Gram inverse failed (potri info {info})")
     w = dsyr(-1.0, alpha, lower=1, a=w, overwrite_a=1)
-    for j in range(w.shape[0] - 1):
-        w[j, j + 1 :] = w[j + 1 :, j]
-    diag_w = np.diagonal(w).reshape(n_pts, n).sum(axis=0)
-    # W is symmetric, so its transpose view reads it in C order
-    planes = w.T.reshape(n_pts, n, n_pts, n).transpose(1, 3, 0, 2).reshape(n, n, n_pts * n_pts)
+    # sym[i, j, p] = (W_ab + W_ab^T)[i, j] over the strict-lower pairs
+    sym = pairs.planes(w)
+    sym += sym.transpose(1, 0, 2)
+    w_diag = pairs.diagonal_sum(w)
     del w
 
-    # pair planes (n, P) over the P = N^2 pairs: d = x_a - x_b, v d, k, u = S v d
-    d = (x[:, :, None] - x[:, None, :]).reshape(n, -1)
-    vd = d * v[:, None]
-    k = np.exp(-0.5 * (v @ (d * d)))
-    u = s @ vd
-    wt_u = np.einsum("klp,kp->lp", planes, u)
-    # traces tr(C^T W_ab) for C = S Lambda^-1 S^T (sigma_f), (S e_q)(S e_q)^T
-    # (the diagonal of S^T W_ab S) and S Lambda^-1 dS_p^T (phi_p)
+    # per pair <C, W_ab + W_ab^T>: for the symmetric C = M / 2 (sigma_f) and
+    # (S e_q)(S e_q)^T / 2 (the diagonal of S^T W_ab S, lengthscales) the
+    # trace of the (a, b) term, for C_p = S Lambda^-1 dS_p^T (phi_p) that of
+    # both orders
     phi = struct.phi
     ds_all = struct.family.jr_param_grad(phi)
-    s_v = s * v
-    c_mats = np.concatenate([[s_v @ s.T], np.einsum("kq,lq->qkl", s, s), s_v @ ds_all.transpose(0, 2, 1)])
-    traces = c_mats.reshape(-1, n * n) @ planes.reshape(n * n, -1)
+    c_phi = (s * v) @ ds_all.transpose(0, 2, 1)
+    coef = np.concatenate([[0.5 * m], 0.5 * np.einsum("iq,jq->qij", s, s), c_phi])
+    traces = coef.reshape(len(coef), n * n) @ sym.reshape(n * n, -1)
+    y = np.einsum("ijp,jp->ip", sym, u)
+    del sym
+    y_d = y @ (sf2_k * pairs.d).T
     grad = np.empty(hyper.n_hyper)
 
-    # log sigma_f: dK = 2 (K - noise), and <S^T W_ab S, Pi> per pair
-    w_pi = k * (traces[0] - np.einsum("lp,lp->p", wt_u, u))
-    grad[0] = sf2 * w_pi.sum()
+    # log sigma_f: dK = 2 (K - noise), and sf^2 <S^T W_ab S, Pi> per pair
+    # (u^T W_ab u = u^T y / 2)
+    w_pi = sf2_k * (traces[0] - 0.5 * np.einsum("ip,ip->p", u, y))
+    grad[0] = 2.0 * w_pi.sum() + sf2 * np.vdot(m, w_diag)
 
     # log lengthscales: Pi = k (diag(v) - (v d)(v d)^T) gives
     # dPi/dlog l_q = v_q d_q^2 Pi + 2 k v_q (d_q (e_q (v d)^T + (v d) e_q^T) - e_q e_q^T),
-    # whose contraction with S^T W_ab S needs S^T (W_ab + W_ab^T) u and the
-    # diagonal.  W_ab^T = W_ba while d and u change sign, so summed over all
-    # pairs the W_ab u half equals the W_ab^T u half, which is counted twice
-    cross = d * (2.0 * (s.T @ wt_u)) - traces[1 : 1 + n]
-    grad[1 : 1 + n] = 0.5 * sf2 * v * ((d * d) @ w_pi + 2.0 * (cross @ k))
+    # whose contraction with S^T W_ab S needs S^T y (summed: sum_i S_iq Y_iq)
+    # and the diagonal of S^T W_ab S
+    cross = np.einsum("iq,iq->q", s, y_d) - traces[1 : 1 + n] @ sf2_k
+    diag_term = sf2 * np.einsum("iq,ij,jq->q", s, w_diag, s)
+    grad[1 : 1 + n] = v * (pairs.dd @ w_pi + 2.0 * cross - diag_term)
 
     # log noise variances (block-diagonal entries)
-    grad[1 + n : 1 + 2 * n] = 0.5 * hyper.noise_var * diag_w
+    grad[1 + n : 1 + 2 * n] = 0.5 * hyper.noise_var * np.diagonal(w_diag)
 
-    # raw structure parameters: the kernel term sf^2 <(I x S)^T W (I x dS), P>
-    # plus the prior-mean term alpha^T dXdot0 with dXdot0 = -(dG u) stacked
-    for p, (ds, dg) in enumerate(zip(ds_all, struct.family.g_param_grad(phi))):
-        quad = np.einsum("lp,lp->p", wt_u, ds @ vd)
-        dm = -(dg @ dataset.inputs).T.ravel()
-        grad[1 + 2 * n + p] = sf2 * (k @ (traces[1 + n + p] - quad)) + alpha @ dm
+    # raw structure parameters: the kernel term sf^2 <(I x S)^T W (I x dS), P>,
+    # whose quadratic form summed is <dS_p Lambda^-1, Y>, plus the prior-mean
+    # term alpha^T dXdot0 with dXdot0 = -(dG u) stacked
+    kernel = (
+        traces[1 + n :] @ sf2_k
+        - np.einsum("pij,ij->p", ds_all * v, y_d)
+        + sf2 * np.einsum("pij,ij->p", c_phi, w_diag)
+    )
+    prior = [alpha @ (dg @ dataset.inputs).T.ravel() for dg in struct.family.g_param_grad(phi)]
+    grad[1 + 2 * n :] = kernel - prior
     return value, grad
 
 
@@ -236,25 +255,29 @@ def negative_log_marginal_likelihood(
     jitter: float = 1e-10,
     max_jitter: float = 1e-6,
     with_grad: bool = True,
+    pairs: Optional[TrainingPairs] = None,
 ):
     """NLML = 1/2 Xdot0^T K^-1 Xdot0 + 1/2 log |K| + (n N / 2) log 2 pi.
 
     With ``with_grad`` also returns the gradient with respect to the packed
     vector [log sigma_f, log l_i, log sigma2_i, phi] (trace identities; the
     structure parameters additionally feel the prior mean through Xdot0).
+    ``pairs`` is TrainingPairs(dataset.states), built here when not given.
     """
+    if pairs is None:
+        pairs = TrainingPairs(dataset.states)
     if with_grad:
-        return _nlml_and_grad(dataset, hyper, jitter, max_jitter)
+        return _nlml_and_grad(dataset, pairs, hyper, jitter, max_jitter)
     xdot0 = mean_adjust(dataset, hyper.structure)
-    return _solve(dataset.states, xdot0, hyper, jitter, max_jitter)[0]
+    return _solve(pairs, xdot0, hyper, jitter, max_jitter)[0]
 
 
 def _invert_factor(factor):
     """L^-1 in place of the lower Cholesky factor L, strict upper triangle zeroed.
 
-    ``factor`` is the F-ordered factor from kernels.factorize_gram, whose upper
-    triangle still holds Gram entries; LAPACK trtri overwrites its lower
-    triangle.  Raises ConditioningError when L is singular.
+    ``factor`` is the F-ordered factor from kernels.factorize_gram, whose
+    strict upper triangle was never written; LAPACK trtri overwrites its
+    lower triangle.  Raises ConditioningError when L is singular.
     """
     l_inv, info = dtrtri(factor, lower=1, overwrite_c=1)
     if info != 0:
@@ -426,16 +449,19 @@ def _conditioned(hyper, states, xdot0, jitter, max_jitter, **fields) -> GpPhsMod
 
     Solves alpha from the Gram's Cholesky factor (see _solve), then inverts
     the factor in place; ``fields`` are the model's beta and x_ref.  The Gram
-    is built from a C-ordered copy of ``states``, which the model keeps:
-    phs_cross sums in an order that follows the memory layout, and a strided
-    view (as filtered_from_csv returns) would change the last bits of the
-    Gram, so a trained model would differ from the one load_model rebuilds.
+    is built from kernels.TrainingPairs, which copies ``states`` to C order,
+    and the model keeps that copy.  Training builds its likelihood Grams the
+    same way, so the Gram a trained model is conditioned on, the Grams its
+    hyperparameters were fitted on and the Gram load_model rebuilds do not
+    depend on the memory layout of the states (filtered_from_csv returns
+    strided views): a trained model equals the one load_model rebuilds bit
+    for bit.
     """
-    states = np.array(states, order="C")
-    value, cho, jit_used, alpha = _solve(states, xdot0, hyper, jitter, max_jitter)
+    pairs = TrainingPairs(states)
+    value, cho, jit_used, alpha, _ = _solve(pairs, xdot0, hyper, jitter, max_jitter)
     return GpPhsModel(
         hyper=hyper,
-        states=states,
+        states=pairs.states,
         xdot0=xdot0,
         l_inv=_invert_factor(cho[0]),
         jitter_used=jit_used,
@@ -454,6 +480,27 @@ def condition(
     """Condition on the dataset at fixed hyperparameters (no optimization)."""
     xdot0 = mean_adjust(dataset, hyper.structure)
     return _conditioned(hyper, dataset.states, xdot0, jitter, max_jitter, beta=np.ones(hyper.dim_state))
+
+
+def _memo_last_two(objective):
+    """``objective(theta) -> (value, grad)``, keeping its last two results.
+
+    After a failed trial step L-BFGS-B asks again for the point it evaluated
+    two calls before.  The results are keyed by the bytes of theta and
+    returned as copies, so the optimizer cannot alter a kept gradient.
+    """
+    kept = {}
+
+    def memoized(theta):
+        key = np.asarray(theta, dtype=float).tobytes()
+        if key not in kept:
+            kept[key] = objective(theta)
+            if len(kept) > 2:
+                del kept[next(iter(kept))]
+        value, grad = kept[key]
+        return value, grad.copy()
+
+    return memoized
 
 
 def train(
@@ -475,7 +522,9 @@ def train(
     rng = rng or np.random.default_rng(0)
 
     theta0 = init.to_vector()
+    pairs = TrainingPairs(dataset.states)
 
+    @_memo_last_two
     def objective(theta):
         # line-search trial points can push a parameter past float range (exp
         # underflow makes a lengthscale zero, softplus underflow a structure
@@ -485,7 +534,7 @@ def train(
             try:
                 hyper = init.from_vector(theta)
                 value, grad = negative_log_marginal_likelihood(
-                    dataset, hyper, jitter=cfg.jitter, max_jitter=cfg.max_jitter
+                    dataset, hyper, jitter=cfg.jitter, max_jitter=cfg.max_jitter, pairs=pairs
                 )
             except (ConditioningError, ValueError):
                 return 1e25, np.zeros_like(theta)

@@ -4,6 +4,8 @@ The conditioning oracle here is written independently of the package kernel
 code (dense loops, no shared helpers) so the two routes can disagree.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
@@ -17,7 +19,8 @@ from phs_lab import (
     condition,
     train,
 )
-from phs_lab.filtering import FilteredDataset
+from phs_lab import gp as gp_mod
+from phs_lab.filtering import FilteredDataset, filter_derivatives
 from phs_lab.gp import (
     BETA_PERCENTILE,
     _invert_factor,
@@ -347,12 +350,21 @@ class _SkewParamStructure(StructureFamily):
         return np.zeros((2, 3, 1))
 
 
-@pytest.mark.parametrize("step", [20, 6])  # 15 and 50 points
+@pytest.mark.parametrize("step", [20, 6, 150, 300])  # 15, 50, 2 and 1 points
 def test_nlml_gradient_matches_reference_contraction(filtered_full, step):
-    # the closed-form plane contractions from the Cholesky factor against the
-    # Pi-tensor contraction with an explicit inverse, at the initial
-    # hyperparameters and away from them
-    ds = subset(filtered_full, step)
+    # the closed-form contractions over the strict-lower pairs and the
+    # diagonal blocks, from the Cholesky factor, against the Pi-tensor
+    # contraction with an explicit inverse, at the initial hyperparameters
+    # and away from them.  Two points have one strict-lower pair and one
+    # point none; FilteredDataset needs two samples, and the likelihood reads
+    # only states, derivatives and inputs, so every case is a namespace
+    idx = np.arange(0, filtered_full.n_points, step)
+    ds = SimpleNamespace(
+        states=filtered_full.states[:, idx],
+        derivatives=filtered_full.derivatives[:, idx],
+        inputs=filtered_full.inputs[:, idx],
+        n_points=idx.size,
+    )
     skew = StructureEstimate(family=_SkewParamStructure(), phi=np.array([0.5, 0.7]))
     for init in (micro_hypers(), micro_hypers(_coupled_fixed_structure()), micro_hypers(skew)):
         for hyper in (init, init.from_vector(init.to_vector() + 0.1)):
@@ -433,6 +445,60 @@ def test_training_improves_on_init(filtered_full):
     )
     assert np.isfinite(model.nlml)
     assert model.nlml < start
+
+
+def _same_fit(model, other):
+    assert model.restarts == other.restarts
+    assert model.hyper.to_vector().tobytes() == other.hyper.to_vector().tobytes()
+    for name in ("states", "l_inv", "alpha", "nlml", "jitter_used"):
+        np.testing.assert_array_equal(getattr(model, name), getattr(other, name), err_msg=name)
+
+
+def test_memoized_training_matches_unmemoized(clean_trajectory, monkeypatch):
+    # on noiseless data L-BFGS-B asks again for points it has evaluated (after
+    # a failed trial step); the kept results answer those requests, and the
+    # fit is the same bit for bit
+    ds = subset(filter_derivatives(clean_trajectory), 12)  # 25 points
+    nlml = gp_mod.negative_log_marginal_likelihood
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return nlml(*args, **kwargs)
+
+    def fit():
+        calls.clear()
+        cfg = OptimizerConfig(restarts=2, max_iter=60)
+        model = train(ds, micro_hypers(), optimizer_config=cfg, rng=np.random.default_rng(1))
+        return model, len(calls)
+
+    monkeypatch.setattr(gp_mod, "negative_log_marginal_likelihood", counted)
+    memoized, n_memoized = fit()
+    monkeypatch.setattr(gp_mod, "_memo_last_two", lambda objective: objective)
+    plain, n_plain = fit()
+    assert n_plain == sum(r["nfev"] for r in plain.restarts)
+    assert n_memoized < n_plain
+    _same_fit(memoized, plain)
+
+
+def test_training_does_not_depend_on_the_state_layout(filtered_full):
+    # filtered_from_csv returns strided views of one table; every Gram of
+    # training and conditioning is built from a C-ordered copy of the states
+    ds = subset(filtered_full, 12)  # 25 points
+    table = np.column_stack([ds.times, ds.states.T, ds.derivatives.T, ds.inputs.T])
+    strided = FilteredDataset(
+        states=table[:, 1:4].T, derivatives=table[:, 4:7].T, inputs=table[:, 7:].T, times=table[:, 0]
+    )
+    assert not strided.states.flags.c_contiguous
+    contiguous = FilteredDataset(
+        states=np.ascontiguousarray(strided.states),
+        derivatives=np.ascontiguousarray(strided.derivatives),
+        inputs=np.ascontiguousarray(strided.inputs),
+        times=strided.times,
+    )
+    cfg = OptimizerConfig(restarts=2, max_iter=30)
+    fits = [train(d, micro_hypers(), optimizer_config=cfg, rng=np.random.default_rng(1)) for d in (strided, contiguous)]
+    _same_fit(*fits)
 
 
 def test_training_survives_extreme_restart_points(filtered_full):

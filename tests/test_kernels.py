@@ -5,7 +5,8 @@ import pytest
 
 from phs_lab import ConditioningError, gram_matrix, phs_kernel, se_hessian
 from phs_lab import backend
-from phs_lab.kernels import factorize_gram
+from phs_lab.gp import GpHyperparams
+from phs_lab.kernels import TrainingPairs, factorize_gram
 from phs_lab.structure import FixedStructure, StructureEstimate
 
 from conftest import micro_hypers, micro_structure
@@ -115,7 +116,7 @@ def test_factorize_gram_escalates_jitter():
     # a slightly indefinite matrix cannot factor until the jitter outweighs
     # the negative eigenvalue
     gram = np.diag([1.0, 1.0, -1e-8])
-    cho, jitter_used = factorize_gram(gram, jitter=1e-12, max_jitter=1e-4)
+    cho, jitter_used = factorize_gram(lambda: np.array(gram, order="F"), jitter=1e-12, max_jitter=1e-4)
     assert 1e-8 <= jitter_used <= 1e-4
     ident = np.eye(3)
     from scipy.linalg import cho_solve
@@ -127,7 +128,64 @@ def test_factorize_gram_escalates_jitter():
 def test_factorize_gram_gives_up():
     bad = np.diag([1.0, -1.0])
     with pytest.raises(ConditioningError):
-        factorize_gram(bad, jitter=1e-12, max_jitter=1e-6)
+        factorize_gram(lambda: np.array(bad, order="F"), jitter=1e-12, max_jitter=1e-6)
+
+
+def _coupled_fixed_hypers():
+    # S = J - R neither symmetric nor skew, coupling every state
+    structure = StructureEstimate(
+        family=FixedStructure(
+            j=np.array([[0.0, 1.0, 0.4], [-1.0, 0.0, 0.7], [-0.4, -0.7, 0.0]]),
+            r=np.array([[0.3, 0.1, 0.0], [0.1, 0.5, 0.2], [0.0, 0.2, 0.8]]),
+            g=np.array([[0.0], [0.0], [1.0]]),
+        ),
+        phi=np.zeros(0),
+    )
+    return micro_hypers(structure)
+
+
+@pytest.mark.parametrize("n_pts", [1, 2, 15])
+@pytest.mark.parametrize("family", ["microactuator", "fixed"])
+def test_lower_triangle_gram_matches_phs_cross(family, n_pts):
+    # the training Gram is written over the strict-lower pairs and the
+    # diagonal blocks only; on and below the diagonal it is phs_cross's full
+    # Gram plus the noise, bit for bit (one point has no strict-lower pair,
+    # two have one)
+    hyper = micro_hypers() if family == "microactuator" else _coupled_fixed_hypers()
+    states = np.random.default_rng(n_pts).uniform(-1.5, 1.5, size=(3, n_pts))
+    pairs = TrainingPairs(states)
+    lower = pairs.gram(hyper, pairs.terms(hyper))
+    assert lower.flags.f_contiguous and lower.shape == (3 * n_pts, 3 * n_pts)
+    full = backend.phs_cross(states, states, hyper.structure.jr(), hyper.sigma_f**2, hyper.lengthscales)
+    eye = np.arange(3 * n_pts)
+    full[eye, eye] += np.tile(hyper.noise_var, n_pts)
+    np.testing.assert_array_equal(np.tril(lower), np.tril(full))
+    np.testing.assert_array_equal(gram_matrix(states, hyper), np.tril(full) + np.tril(full, -1).T)
+
+
+def test_factorization_retry_starts_from_a_fresh_build():
+    # a repeated state without noise makes the Gram singular: potrf fails
+    # late, after overwriting most of the lower triangle, so the retry must
+    # factorize a new build to match a first attempt at its jitter
+    states = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 12))
+    states[:, -1] = states[:, 0]
+    base = micro_hypers()
+    hyper = GpHyperparams(
+        sigma_f=base.sigma_f, lengthscales=base.lengthscales, noise_var=np.zeros(3), structure=base.structure
+    )
+    pairs = TrainingPairs(states)
+    terms = pairs.terms(hyper)
+    builds = []
+
+    def build():
+        builds.append(1)
+        return pairs.gram(hyper, terms)
+
+    (retried, _), jitter_used = factorize_gram(build, jitter=0.0, max_jitter=1e-6)
+    assert len(builds) == 2 and jitter_used == 1e-12
+    (fresh, _), _ = factorize_gram(build, jitter=jitter_used, max_jitter=1e-6)
+    assert len(builds) == 3
+    np.testing.assert_array_equal(np.tril(retried), np.tril(fresh))
 
 
 def test_jr_stack_equals_per_column_jr():

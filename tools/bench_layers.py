@@ -16,6 +16,8 @@ and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
 
 - ``nlml_grad_n300``: NLML plus gradient on the training set at the trained
   hyperparameters;
+- ``nlml_grad_n100``: the same on the first 100 training points, the
+  training size of the perfbench ``study`` workload;
 - ``mean_q261``: the posterior drift mean on the plan grid;
 - ``mean_var_q2014``: drift mean plus variance at 2014 states drawn
   uniformly in the training-data box (seeded), the size of one verify shell;
@@ -30,6 +32,9 @@ and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
 - ``best_fit_residual_jacobian``: one residual plus one banded Jacobian of
   the best-fit plan problem at the plan's solved tail.
 
+The two NLML rows also report ``peak_traced_mb``, the peak of the memory
+allocated through Python (tracemalloc) during one more call, which builds
+the pair geometry of its training set as a single likelihood call does.
 The last line of standard output is one JSON object.
 """
 
@@ -44,6 +49,7 @@ import json  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -52,9 +58,12 @@ import numpy as np  # noqa: E402
 
 from phs_lab import control, pipeline  # noqa: E402
 from phs_lab.config import validate_config  # noqa: E402
+from phs_lab.filtering import FilteredDataset  # noqa: E402
 from phs_lab.gp import negative_log_marginal_likelihood  # noqa: E402
 
 NEEDED = ("config.json", "model.json", "filtered.csv", "hd_check.json", "plan.csv")
+N_STUDY = 100
+TRACED_LAYERS = ("nlml_grad_n300", "nlml_grad_n100")
 N_SHELL = 2014
 SHELL_SEED = 0
 PRODUCTION_SEED = 42
@@ -77,12 +86,27 @@ def time_calls(fn, repeats):
     return {"median_s": statistics.median(times), "min_s": min(times)}
 
 
+def peak_traced_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def layers(run_dir):
     """The layer name -> (shape note, zero-argument call) table for one run directory."""
     with open(os.path.join(run_dir, "config.json")) as fh:
         cfg = validate_config(json.load(fh))
     model = pipeline.load_model_artifact(cfg, run_dir)
     dataset = pipeline.filtered_from_csv(os.path.join(run_dir, "filtered.csv"))
+    first = FilteredDataset(
+        states=dataset.states[:, :N_STUDY],
+        derivatives=dataset.derivatives[:, :N_STUDY],
+        inputs=dataset.inputs[:, :N_STUDY],
+        times=dataset.times[:N_STUDY],
+    )
     plan = control.plan_from_csv(os.path.join(run_dir, "plan.csv"))
     with open(os.path.join(run_dir, "hd_check.json")) as fh:
         hd_check = json.load(fh)
@@ -109,6 +133,7 @@ def layers(run_dir):
 
     return {
         "nlml_grad_n300": (f"N = {dataset.n_points}", lambda: negative_log_marginal_likelihood(dataset, model.hyper)),
+        "nlml_grad_n100": (f"N = {first.n_points}", lambda: negative_log_marginal_likelihood(first, model.hyper)),
         "mean_q261": (f"Q = {plan.times.size}", lambda: model.drift_mean(plan.xd.T)),
         "mean_var_q2014": (f"Q = {N_SHELL}", lambda: model.drift(shell)),
         "envelope_q2014": (f"Q = {N_SHELL}", lambda: model.envelope(shell)),
@@ -132,6 +157,8 @@ def main(argv=None):
     out = {"blas_threads": 1, "repeats": args.repeats, "layers": {}}
     for name, (shape, fn) in layers(args.run_dir).items():
         out["layers"][name] = dict(shape=shape, **time_calls(fn, args.repeats))
+        if name in TRACED_LAYERS:
+            out["layers"][name]["peak_traced_mb"] = peak_traced_mb(fn)
     print(json.dumps(out, indent=1))
 
 
