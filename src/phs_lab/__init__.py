@@ -18,7 +18,6 @@ from .control import (
     microactuator_desired_matrices,
     microactuator_tracking_control,
     semi_passive_control,
-    simulate_closed_loop,
     solve_reference_plan,
     tracking_control,
 )

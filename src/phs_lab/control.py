@@ -19,12 +19,12 @@ outputs read Ghat when they are built, not per state.
 
 The full-state reference plan enforces the matching condition along the
 reference itself (xbar = 0) only, recovering the unactuated reference
-components from the primary one by damped-Newton continuation.  Off the
-reference the unactuated rows carry the mismatch
+components from the primary one by a least-squares fit over the whole time
+grid.  Off the reference the unactuated rows carry the mismatch
 
     Gperp (mu(x) - mu(x_d) - [J_d - R_d] (grad H_d(xbar) - grad H_d(0)))
 
-(plus the plan's own defect at x_d when it is solved in best-fit mode), so
+(plus the plan's own defect at x_d where the condition has no root), so
 the model-predicted error dynamics equal the desired ones exactly only on
 the reference.  On the true plant the model error (f - mu) + (G - Ghat) u
 enters on top; it is bounded by the GP envelope, not cancelled.
@@ -41,7 +41,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import null_space
 from scipy.optimize import least_squares, minimize
 
-from .core import PhsModel, Trajectory, simulate_feedback
+from .core import PhsModel, Trajectory
 from .errors import PlanError, SimulationDivergedError, SynthesisError
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "microactuator_tracking_control",
     "semi_passive_control",
     "external_output",
-    "simulate_closed_loop",
     "simulate_error_dynamics",
     "plan_to_csv",
     "plan_from_csv",
@@ -218,8 +217,8 @@ class ReferencePlan:
     Evaluation between grid points uses a cubic spline of the sampled x_d;
     the derivative is the exact spline derivative, so the two interpolants
     are consistent by construction.  ``fit`` records how the trust-region
-    solver of a best-fit plan exited (status, message, nfev, njev, cost,
-    optimality); it is None for exact plans and plans read from CSV.
+    solver of `solve_reference_plan` exited (status, message, nfev, njev,
+    cost, optimality); it is None for plans read from CSV.
     """
 
     times: np.ndarray
@@ -270,11 +269,6 @@ def solve_reference_plan(
     t_span,
     grid_step: float,
     seed_tail: Optional[np.ndarray] = None,
-    max_sweeps: int = 12,
-    sweep_tol: float = 1e-10,
-    newton_tol: float = 1e-12,
-    max_newton: int = 50,
-    mode: str = "exact",
 ) -> ReferencePlan:
     """Recover the unactuated reference components along the primary reference.
 
@@ -282,37 +276,32 @@ def solve_reference_plan(
 
         Gperp ([J_d - R_d] grad H_d(0) + xdot_d - mu(x_d)) = 0,
 
-    is solved for the n-1 unknown components of x_d by damped Newton with
-    warm starts; the derivative estimates of the solved components are
-    refreshed by spline differentiation in outer sweeps until the grid values
-    settle.  ``primary_reference`` maps t to (x_d1, xdot_d1).
+    constrains the n-1 unknown components of x_d.  They are fitted over the
+    whole grid at once by bounded trust-region least squares on the total
+    squared defect, with xdot_d of the unknowns taken from the plan's own
+    cubic-spline derivative at the grid points.  The fit's objective is
+    therefore the defect that `matching_residual` reports at the grid points,
+    up to the spline's error in xdot_d1, which the objective takes from
+    ``primary_reference``; where a root exists at every grid time the
+    zero-residual fit is the exact plan.  A learned drift can put the
+    condition out of exact reach (posterior-mean error shifts the residual
+    surface, and the root may cease to exist over some time window); the fit
+    then spreads the defect smoothly across that window.  ``primary_reference`` maps t to
+    (x_d1, xdot_d1), and ``seed_tail`` starts every grid point's unknowns.
+    The solver's exit is recorded in `ReferencePlan.fit`.
 
-    A learned drift can put the condition out of exact reach: posterior-mean
-    error shifts the residual surface, and the root may cease to exist over
-    some time window.  mode="best-fit" then minimizes the total squared
-    residual over the whole grid at once (trust-region least squares with a
-    banded Jacobian; the solved components' derivatives enter through local
-    finite differences, so the defect spreads smoothly across a no-root
-    window instead of kinking).  Its Jacobian is built from the derivative
-    stencil plus one batched central difference of the drift mean per
-    unknown component.  Both modes project with the one Gperp of the
-    model's constant ``g_hat``.  The achieved defect is recoverable through
-    `matching_residual`, and the solver's exit through `ReferencePlan.fit`.
-    The default mode="exact" keeps the strict per-point-root contract and
-    raises on failure.
-
-    Best-fit solves are confined to the training-data bounding box when the
-    model carries its data: off the data the posterior mean decays to the
-    prior and grows spurious roots on branches the data never visited.
+    The fit is confined to the training-data bounding box, widened by 15 % of
+    its span, when the model carries its data: off the data the posterior mean decays to the prior and
+    grows spurious roots on branches the data never visited.
     """
-    if mode not in ("exact", "best-fit"):
-        raise ValueError(f"unknown plan mode '{mode}'")
     n = model.dim_state
-    m = model.dim_input
-    if m != 1:
+    n_tail = n - 1
+    if model.dim_input != 1:
         raise PlanError("reference-plan solving is implemented for single-input systems")
     t0, t1 = float(t_span[0]), float(t_span[1])
     n_grid = int(round((t1 - t0) / grid_step)) + 1
+    if n_grid < 3:
+        raise PlanError("plan solving needs at least 3 grid points")
     times = np.linspace(t0, t1, n_grid)
 
     prim = [primary_reference(t) for t in times]
@@ -321,140 +310,7 @@ def solve_reference_plan(
 
     g0 = desired.hd_error_grad_batch(np.zeros((n, 1)))[:, 0]
     shaped0 = (desired.jd - desired.rd) @ g0
-
-    z = np.zeros((n_grid, n - 1))
-    z0 = np.zeros(n - 1) if seed_tail is None else np.asarray(seed_tail, dtype=float)
-    xddot = np.zeros((n_grid, n))
-    xddot[:, 0] = xd1dot
-
-    if mode == "best-fit":
-        return _solve_plan_best_fit(model, times, xd1, xd1dot, shaped0, z0, grid_step)
-
-    gperp = left_annihilator(model.g_hat)
-
-    def residual(k, zk):
-        x_full = np.concatenate([[xd1[k]], zk])
-        mu = model.drift_mean(x_full[:, None])[:, 0]
-        return gperp @ (shaped0 + xddot[k] - mu)
-
-    for sweep in range(max_sweeps):
-        z_prev = z.copy()
-        warm = z0.copy() if sweep == 0 else z[0].copy()
-        for k in range(n_grid):
-            zk = warm.copy() if (sweep == 0 or k == 0) else z[k].copy()
-            if sweep == 0 and k > 0:
-                zk = z[k - 1].copy()
-            f_val = residual(k, zk)
-            it = 0
-            while np.linalg.norm(f_val) > newton_tol:
-                if it >= max_newton:
-                    raise PlanError(
-                        "Newton iteration failed", time=times[k], residual=float(np.linalg.norm(f_val))
-                    )
-                jac = np.empty((n - m, n - 1))
-                for c in range(n - 1):
-                    h = 1e-7 * max(1.0, abs(zk[c]))
-                    zp = zk.copy()
-                    zp[c] += h
-                    zm = zk.copy()
-                    zm[c] -= h
-                    jac[:, c] = (residual(k, zp) - residual(k, zm)) / (2 * h)
-                try:
-                    step = np.linalg.solve(jac, -f_val)
-                except np.linalg.LinAlgError as exc:
-                    raise PlanError(
-                        f"singular Newton Jacobian: {exc}",
-                        time=times[k],
-                        residual=float(np.linalg.norm(f_val)),
-                    ) from exc
-                lam = 1.0
-                norm0 = np.linalg.norm(f_val)
-                while lam > 1e-4:
-                    trial = zk + lam * step
-                    f_trial = residual(k, trial)
-                    if np.linalg.norm(f_trial) < (1.0 - 0.5 * lam) * norm0 + newton_tol:
-                        zk = trial
-                        f_val = f_trial
-                        break
-                    lam *= 0.5
-                else:
-                    raise PlanError(
-                        "Newton line search stalled", time=times[k], residual=float(norm0)
-                    )
-                it += 1
-            z[k] = zk
-        if n_grid >= 2:
-            spline_z = CubicSpline(times, z, axis=0)
-            xddot[:, 1:] = spline_z(times, 1)
-        if np.max(np.abs(z - z_prev)) <= sweep_tol:
-            break
-
-    xd_full = np.column_stack([xd1, z])
-    spline_full = CubicSpline(times, xd_full, axis=0)
-    return ReferencePlan(times=times, xd=xd_full, xddot=spline_full(times, 1))
-
-
-def _derivative_stencil(n_grid, h):
-    """Second-order finite-difference derivative on a uniform grid as an (n_grid, n_grid) matrix."""
-    d = np.zeros((n_grid, n_grid))
-    k = np.arange(1, n_grid - 1)
-    d[k, k - 1] = -1.0
-    d[k, k + 1] = 1.0
-    d[0, :3] = (-3.0, 4.0, -1.0)
-    d[-1, -3:] = (1.0, -4.0, 3.0)
-    return d / (2 * h)
-
-
-def _best_fit_problem(model, xd1, xd1dot, shaped0, grid_step):
-    """Residual and Jacobian of the best-fit plan in the flat tail z = (z_0, ..., z_K).
-
-    Row block k is Gperp (shaped0 + xdot_d(t_k) - mu(x_d(t_k))), where the
-    tail derivatives come from the stencil over neighbouring grid points, so
-    the Jacobian is banded: the stencil kron'd with Gperp[:, 1:], minus
-    Gperp dmu/dz_k on the diagonal blocks.
-    """
-    n = model.dim_state
-    n_grid = xd1.size
-    n_tail = n - 1
-    gperp = left_annihilator(model.g_hat)
-    stencil = _derivative_stencil(n_grid, grid_step)
-    neighbours = np.kron(stencil, gperp[:, 1:])
-    diag = np.arange(n_grid)
-
-    def states(zflat):
-        zz = zflat.reshape(n_grid, n_tail)
-        return zz, np.vstack([xd1, zz.T])
-
-    def residual(zflat):
-        zz, x_all = states(zflat)
-        target = shaped0[:, None] + np.vstack([xd1dot, (stencil @ zz).T]) - model.drift_mean(x_all)
-        return (gperp @ target).T.ravel()
-
-    def jacobian(zflat):
-        zz, x_all = states(zflat)
-        # mu(x_k) depends on z_k alone, so one central difference per tail
-        # component perturbs every grid point at once
-        dmu = np.empty((n_grid, n, n_tail))
-        for c in range(n_tail):
-            shift = np.zeros_like(x_all)
-            shift[c + 1] = 1e-6 * np.maximum(1.0, np.abs(zz[:, c]))
-            diff = model.drift_mean(x_all + shift) - model.drift_mean(x_all - shift)
-            dmu[:, :, c] = (diff / (2 * shift[c + 1])).T
-        jac = neighbours.copy()
-        jac.reshape(n_grid, n_tail, n_grid, n_tail)[diag, :, diag, :] -= np.einsum(
-            "ij,kjc->kic", gperp, dmu
-        )
-        return jac
-
-    return residual, jacobian
-
-
-def _solve_plan_best_fit(model, times, xd1, xd1dot, shaped0, z0, grid_step):
-    n = model.dim_state
-    n_grid = times.size
-    n_tail = n - 1
-    if n_grid < 3:
-        raise PlanError("best-fit plan solving needs at least 3 grid points")
+    z0 = np.zeros(n_tail) if seed_tail is None else np.asarray(seed_tail, dtype=float)
 
     data = getattr(model, "states", None)
     if data is not None:
@@ -465,7 +321,7 @@ def _solve_plan_best_fit(model, times, xd1, xd1dot, shaped0, z0, grid_step):
         z_lo = np.full(n_grid * n_tail, -np.inf)
         z_hi = np.full(n_grid * n_tail, np.inf)
 
-    residual, jacobian = _best_fit_problem(model, xd1, xd1dot, shaped0, grid_step)
+    residual, jacobian = _best_fit_problem(model, times, xd1, xd1dot, shaped0)
     start = np.tile(np.clip(z0, z_lo[:n_tail], z_hi[:n_tail]), n_grid)
     fit = least_squares(
         residual,
@@ -489,8 +345,7 @@ def _solve_plan_best_fit(model, times, xd1, xd1dot, shaped0, z0, grid_step):
             time=float(times[0]),
             residual=float(np.linalg.norm(fit.fun)),
         )
-    z = fit.x.reshape(n_grid, n_tail)
-    xd_full = np.column_stack([xd1, z])
+    xd_full = np.column_stack([xd1, fit.x.reshape(n_grid, n_tail)])
     spline_full = CubicSpline(times, xd_full, axis=0)
     report = {
         "status": int(fit.status),
@@ -501,6 +356,51 @@ def _solve_plan_best_fit(model, times, xd1, xd1dot, shaped0, z0, grid_step):
         "optimality": float(fit.optimality),
     }
     return ReferencePlan(times=times, xd=xd_full, xddot=spline_full(times, 1), fit=report)
+
+
+def _best_fit_problem(model, times, xd1, xd1dot, shaped0):
+    """Residual and Jacobian of the plan fit in the flat tail z = (z_0, ..., z_K).
+
+    Row block k is Gperp (shaped0 + xdot_d(t_k) - mu(x_d(t_k))), where the
+    tail derivatives are those of the cubic spline through the tail on
+    ``times``.  The spline is linear in its data, so they are D z with D the
+    spline derivative of the identity, and the Jacobian is D kron'd with
+    Gperp[:, 1:], minus Gperp dmu/dz_k on the diagonal blocks.
+    """
+    n = model.dim_state
+    n_grid = times.size
+    n_tail = n - 1
+    gperp = left_annihilator(model.g_hat)
+    deriv = CubicSpline(times, np.eye(n_grid), axis=0)(times, 1)
+    neighbours = np.kron(deriv, gperp[:, 1:])
+    diag = np.arange(n_grid)
+
+    def states(zflat):
+        zz = zflat.reshape(n_grid, n_tail)
+        return zz, np.vstack([xd1, zz.T])
+
+    def residual(zflat):
+        zz, x_all = states(zflat)
+        target = shaped0[:, None] + np.vstack([xd1dot, (deriv @ zz).T]) - model.drift_mean(x_all)
+        return (gperp @ target).T.ravel()
+
+    def jacobian(zflat):
+        zz, x_all = states(zflat)
+        # mu(x_k) depends on z_k alone, so one central difference per tail
+        # component perturbs every grid point at once
+        dmu = np.empty((n_grid, n, n_tail))
+        for c in range(n_tail):
+            shift = np.zeros_like(x_all)
+            shift[c + 1] = 1e-6 * np.maximum(1.0, np.abs(zz[:, c]))
+            diff = model.drift_mean(x_all + shift) - model.drift_mean(x_all - shift)
+            dmu[:, :, c] = (diff / (2 * shift[c + 1])).T
+        jac = neighbours.copy()
+        jac.reshape(n_grid, n_tail, n_grid, n_tail)[diag, :, diag, :] -= np.einsum(
+            "ij,kjc->kic", gperp, dmu
+        )
+        return jac
+
+    return residual, jacobian
 
 
 def tracking_control(model, desired: DesiredDynamics, plan: ReferencePlan):
@@ -559,31 +459,6 @@ def external_output(model, desired: DesiredDynamics, plan: ReferencePlan):
         return g_t @ desired.hd_grad(x, plan.x_d(t))
 
     return output
-
-
-def simulate_closed_loop(
-    plant: PhsModel,
-    controller,
-    x0,
-    t_span,
-    n_samples: Optional[int] = None,
-    sample_times: Optional[np.ndarray] = None,
-    rtol: float = 1e-8,
-    atol: float = 1e-8,
-    blowup: float = 1e6,
-) -> Trajectory:
-    """Integrate the plant under state feedback u = controller(x, t); see core.simulate_feedback."""
-    return simulate_feedback(
-        plant,
-        x0,
-        controller,
-        t_span,
-        n_samples=n_samples,
-        sample_times=sample_times,
-        rtol=rtol,
-        atol=atol,
-        blowup=blowup,
-    )
 
 
 def simulate_error_dynamics(

@@ -37,7 +37,6 @@ from .control import (
     microactuator_tracking_control,
     plan_from_csv,
     plan_to_csv,
-    simulate_closed_loop,
     solve_reference_plan,
 )
 from .core import (
@@ -47,10 +46,11 @@ from .core import (
     eval_dynamics,
     make_microactuator,
     simulate,
+    simulate_feedback,
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from .errors import ConfigError, PlanError, StageError
+from .errors import ConfigError, StageError
 from .filtering import FilteredDataset, filter_derivatives, filtered_from_csv, filtered_to_csv
 from .structure import MicroactuatorStructure, StructureEstimate
 from .verify import VerifySpec, build_desired_dynamics, verify_dissipation_condition
@@ -293,23 +293,14 @@ def stage_plan(cfg, workdir):
     desired = _load_desired(cfg, workdir, model)
     pl = cfg["plan"]
 
-    def solve(mode):
-        return solve_reference_plan(
-            model,
-            desired,
-            build_reference(pl["reference"]),
-            pl["t_span"],
-            pl["grid_step"],
-            seed_tail=np.asarray(pl["seed_tail"]),
-            mode=mode,
-        )
-
-    try:
-        plan, mode = solve("exact"), "exact"
-    except PlanError:
-        # learned-model error can leave the matching condition without a
-        # root at some grid times; fall back to the residual minimizer
-        plan, mode = solve("best-fit"), "best-fit"
+    plan = solve_reference_plan(
+        model,
+        desired,
+        build_reference(pl["reference"]),
+        pl["t_span"],
+        pl["grid_step"],
+        seed_tail=np.asarray(pl["seed_tail"]),
+    )
     plan_to_csv(plan, _path(workdir, "plan.csv"))
     check_idx = np.unique(np.linspace(0, plan.times.size - 1, 25).round().astype(int))
     residuals = [
@@ -323,7 +314,6 @@ def stage_plan(cfg, workdir):
                 "checked_times": [float(plan.times[i]) for i in check_idx],
                 "grid_step": pl["grid_step"],
                 "fit": plan.fit,
-                "mode": mode,
                 "n_grid": int(plan.times.size),
             },
             fh,
@@ -371,10 +361,10 @@ def stage_closed_loop(cfg, workdir):
     controller = build_controller(cfg, model, desired, plan)
     t0, t1 = plan.t_span
     x0 = plan.x_d(t0) + np.asarray(cl["x0_offset"])
-    traj = simulate_closed_loop(
+    traj = simulate_feedback(
         plant,
-        controller,
         x0,
+        controller,
         (t0, t1),
         n_samples=cl["n_samples"],
         rtol=cl["rtol"],

@@ -33,12 +33,11 @@ from phs_lab.control import (
     plan_from_csv,
     plan_to_csv,
     semi_passive_control,
-    simulate_closed_loop,
     simulate_error_dynamics,
     solve_reference_plan,
     tracking_control,
 )
-from phs_lab.core import eval_dynamics
+from phs_lab.core import eval_dynamics, simulate_feedback
 from phs_lab.filtering import FilteredDataset
 from phs_lab.gp import PerfectPhsModel
 
@@ -130,8 +129,8 @@ def test_classical_set_point_zero_residual_and_convergence(plant, perfect_model,
     x_d = np.array([1.0, 0.0, 0.0])
     checks = [np.array([0.5, 0.4, 0.3]), np.array([1.5, -0.8, 1.0]), x_d]
     ctrl = classical_ida_pbc_control(plant, desired, x_d, check_states=checks, matching_tol=1e-10)
-    traj = simulate_closed_loop(
-        plant, lambda x, t: ctrl(x), np.array([0.5, 0.0, 0.5]), (0.0, 40.0), n_samples=200
+    traj = simulate_feedback(
+        plant, np.array([0.5, 0.0, 0.5]), lambda x, t: ctrl(x), (0.0, 40.0), n_samples=200
     )
     assert traj.inputs.shape == (200, 1)
     np.testing.assert_allclose(traj.states[-1], x_d, atol=1e-3)
@@ -189,7 +188,7 @@ def test_plan_constant_reference_is_stationary(perfect_model, desired):
         seed_tail=np.array([0.0, 0.1]),
     )
     # x_d3 enters the matching defect squared, so x_d3 = 0 is a double root
-    # and Newton stops near sqrt(newton_tol)
+    # and the fit stops on its gradient test short of it
     np.testing.assert_allclose(plan.xd, np.tile([1.0, 0.0, 0.0], (plan.times.size, 1)), atol=2e-6)
     np.testing.assert_allclose(plan.xddot, 0.0, atol=1e-5)
 
@@ -238,28 +237,30 @@ class _OffsetDrift:
 
 def test_plan_best_fit_reaches_residual_floor(perfect_model, desired):
     # the bias makes x_d3^2 = -0.02 the exact-matching requirement, so no
-    # root exists anywhere; exact mode must refuse.  The minimizer keeps
-    # x_d3 at zero and trades the bias between the two unactuated rows by
-    # bending x_d2, which caps the pointwise defect well below 0.02 while
-    # keeping it bounded away from zero.
+    # root exists anywhere.  The minimizer keeps x_d3 at zero and trades the
+    # bias between the two unactuated rows by bending x_d2, which caps the
+    # pointwise defect well below 0.02 while keeping it bounded away from
+    # zero.  The fit's objective is the reported defect itself, also on a
+    # step that does not divide the span (0.15 on [0, 1] gives 8 points).
     biased = _OffsetDrift(perfect_model, np.array([0.0, -0.02, 0.0]))
-    args = (biased, desired, lambda t: (1.0, 0.0), (0.0, 1.0), 0.1)
-    with pytest.raises(PlanError):
-        solve_reference_plan(*args, seed_tail=np.array([0.0, 0.1]))
-    plan = solve_reference_plan(*args, seed_tail=np.array([0.0, 0.1]), mode="best-fit")
-    res = [
-        np.linalg.norm(matching_residual(biased, desired, plan, plan.xd[k], plan.times[k]))
-        for k in range(plan.times.size)
-    ]
-    assert 0.004 <= max(res) <= 0.02
-    np.testing.assert_allclose(plan.xd[:, 2], 0.0, atol=1e-2)
-    with pytest.raises(ValueError):
-        solve_reference_plan(*args, mode="fastest")
+    for step in (0.1, 0.15):
+        plan = solve_reference_plan(
+            biased, desired, lambda t: (1.0, 0.0), (0.0, 1.0), step, seed_tail=np.array([0.0, 0.1])
+        )
+        res = np.array(
+            [
+                matching_residual(biased, desired, plan, plan.xd[k], plan.times[k])
+                for k in range(plan.times.size)
+            ]
+        )
+        assert np.sum(res**2) == pytest.approx(2.0 * plan.fit["cost"], rel=1e-8)
+        assert 0.004 <= np.max(np.linalg.norm(res, axis=1)) <= 0.02
+        np.testing.assert_allclose(plan.xd[:, 2], 0.0, atol=1e-2)
 
 
 @pytest.mark.parametrize("kind", ["gp", "perfect"])
 def test_best_fit_jacobian_matches_finite_differences(kind, plant, perfect_model):
-    # the closed-form banded Jacobian against scipy's own differencing of the
+    # the closed-form Jacobian against scipy's own differencing of the
     # residual, at random tails on a 9-point grid
     model = perfect_model
     if kind == "gp":
@@ -273,11 +274,12 @@ def test_best_fit_jacobian_matches_finite_differences(kind, plant, perfect_model
         )
         model = condition(ds, micro_hypers())
     rng = np.random.default_rng(5)
-    n_grid, step = 9, 0.1
+    n_grid = 9
+    times = np.linspace(0.0, 0.8, n_grid)
     xd1 = 1.0 + 0.05 * rng.standard_normal(n_grid)
     xd1dot = 0.1 * rng.standard_normal(n_grid)
     shaped0 = rng.standard_normal(3)
-    residual, jacobian = _best_fit_problem(model, xd1, xd1dot, shaped0, step)
+    residual, jacobian = _best_fit_problem(model, times, xd1, xd1dot, shaped0)
     for _ in range(3):
         z = np.column_stack(
             [rng.uniform(-0.3, 0.3, n_grid), rng.uniform(0.2, 1.2, n_grid)]
@@ -315,8 +317,8 @@ def test_tracking_control_rejects_singular_g(perfect_model, desired, plan):
 
 def test_closed_loop_divergence_reports_last_time(plant):
     with pytest.raises(SimulationDivergedError) as err:
-        simulate_closed_loop(
-            plant, lambda x, t: np.array([50.0]), np.zeros(3), (0.0, 20.0), blowup=5.0
+        simulate_feedback(
+            plant, np.zeros(3), lambda x, t: np.array([50.0]), (0.0, 20.0), blowup=5.0
         )
     assert 0.0 <= err.value.last_valid_time <= 20.0
 
@@ -337,13 +339,13 @@ def test_closed_loop_matches_open_loop_failure_modes():
     with pytest.raises(SimulationDivergedError) as open_err:
         simulate(edge, x0, lambda t: np.ones(1), (0.0, 3.0))
     with pytest.raises(SimulationDivergedError) as closed_err:
-        simulate_closed_loop(edge, lambda x, t: np.ones(1), x0, (0.0, 3.0))
+        simulate_feedback(edge, x0, lambda x, t: np.ones(1), (0.0, 3.0))
     assert 0.0 < closed_err.value.last_valid_time <= 1.0
     assert closed_err.value.last_valid_time == open_err.value.last_valid_time
 
     with pytest.raises(ValueError):
-        simulate_closed_loop(
-            edge, lambda x, t: np.zeros(1), x0, (0.0, 0.5), n_samples=5, sample_times=[0.0, 0.25, 0.5]
+        simulate_feedback(
+            edge, x0, lambda x, t: np.zeros(1), (0.0, 0.5), n_samples=5, sample_times=[0.0, 0.25, 0.5]
         )
 
 

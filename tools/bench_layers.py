@@ -29,8 +29,8 @@ and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
 - ``dynamics_q1``: one ``model.dynamics`` call (mean plus variance at one
   state, with an input) at the same state, the query shape of the
   learning-curve study;
-- ``best_fit_residual_jacobian``: one residual plus one banded Jacobian of
-  the best-fit plan problem at the plan's solved tail.
+- ``best_fit_residual_jacobian``: one residual plus one Jacobian of the
+  plan fit at the plan's solved tail.
 
 The two NLML rows also report ``peak_traced_mb``, the peak of the memory
 allocated through Python (tracemalloc) during one more call, which builds
@@ -126,9 +126,7 @@ def layers(run_dir):
     prim = np.array([reference(t) for t in plan.times], dtype=float)
     g0 = desired.hd_error_grad_batch(np.zeros((n, 1)))[:, 0]
     shaped0 = (desired.jd - desired.rd) @ g0
-    residual, jacobian = control._best_fit_problem(
-        model, prim[:, 0], prim[:, 1], shaped0, cfg["plan"]["grid_step"]
-    )
+    residual, jacobian = control._best_fit_problem(model, plan.times, prim[:, 0], prim[:, 1], shaped0)
     tail = plan.xd[:, 1:].ravel()
 
     return {
