@@ -39,7 +39,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import null_space
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import least_squares, root
 
 from .core import PhsModel, Trajectory
 from .errors import PlanError, SimulationDivergedError, SynthesisError
@@ -123,11 +123,16 @@ def make_desired_dynamics(model, jd, rd, center=None) -> DesiredDynamics:
     )
 
 
-def find_hamiltonian_minimum(model, box, coarse: int = 9, gtol: float = 1e-10) -> np.ndarray:
-    """Locate the minimizer of the posterior Hamiltonian inside a box.
+def find_hamiltonian_minimum(model, box, coarse: int = 9):
+    """Locate the learned energy minimum inside a box as a root of grad H_hat.
 
-    Coarse grid scan followed by gradient-based polish.  ``box`` is a sequence
-    of (low, high) per dimension.
+    A coarse grid scan of H_hat (``coarse`` points per axis of ``box``, a
+    sequence of (low, high) per dimension) picks the start, and
+    scipy.optimize.root (MINPACK hybrd) solves grad H_hat(c) = 0 from there.
+    The centre therefore depends on grad H_hat alone, not on the rounding of
+    H_hat; a root that is not a minimum is left to the energy-minimum gate
+    to reject.  Returns c and the root's exit: status, message, nfev and
+    |grad H_hat(c)|_inf.
     """
     axes = [np.linspace(lo, hi, coarse) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -135,10 +140,14 @@ def find_hamiltonian_minimum(model, box, coarse: int = 9, gtol: float = 1e-10) -
     vals = model.hamiltonian(pts)
     x0 = pts[:, int(np.argmin(vals))]
 
-    res = minimize(
-        model.hamiltonian_scalar, x0, jac=True, method="BFGS", options={"gtol": gtol, "maxiter": 200}
-    )
-    return np.asarray(res.x, dtype=float)
+    res = root(lambda x: model.hamiltonian_grad(x[:, None])[:, 0], x0, method="hybr")
+    exit_record = {
+        "status": int(res.status),
+        "message": str(res.message),
+        "nfev": int(res.nfev),
+        "grad_inf_norm": float(np.max(np.abs(res.fun))),
+    }
+    return np.asarray(res.x, dtype=float), exit_record
 
 
 def left_annihilator(g_mat) -> np.ndarray:

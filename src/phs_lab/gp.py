@@ -27,10 +27,13 @@ H_hat(x) = sum_b k(x, x_b) (x - x_b)^T w_b, its gradient is the closed-form
 derivative of that sum, and the drift mean is mu(x) = S grad H_hat(x)
 (predicting with cached weights, Rasmussen & Williams 2006, Alg. 2.1).  The
 variance needs the cross-covariance, built from the same SE values: every
-posterior query (drift, drift_mean, hamiltonian_grad, envelope, dynamics)
-goes through one routine that evaluates the pair terms x - x_b,
+posterior query (hamiltonian, hamiltonian_grad, drift, drift_mean, envelope,
+dynamics) takes its states as the columns of an (n, Q) array and goes
+through one routine that evaluates the pair terms x - x_b,
 Lambda^-1 (x - x_b) and k(x, x_b) once per block of _VAR_CHUNK query states
-and derives the mean, the variance or both from them.  The model stores the
+and derives H_hat with its gradient, the variance or both from them.  H_hat
+is pinned to zero at x_ref by its raw value there, computed once when the
+model is built.  The model stores the
 inverse L^-1 of the lower Cholesky factor (LAPACK trtri, once per
 conditioning), so the variance's v = L^-1 k^T is a triangular multiply (BLAS
 trmm) instead of a triangular solve, one per block; its prior part
@@ -69,8 +72,6 @@ __all__ = [
     "load_model",
 ]
 
-# query columns per block of the Hamiltonian mean, bounding its (Q, N, n) work arrays
-_H_CHUNK = 2048
 # query columns per block of the posterior's pair terms: the (n Q, n N) cross-
 # covariance block (2.8 MB at N = 300) then stays in cache from phs_blocks
 # writing it to trmm reading it
@@ -296,8 +297,8 @@ class GpPhsModel:
     The structure is constant (see structure.py), so the model reads it once
     when it is built: ``s_hat`` = J_hat - R_hat and ``g_hat`` = G_hat, the
     prior variance ``prior_var`` = sf^2 diag(S Lambda^-1 S^T), ``m_hat`` =
-    S Lambda^-1 S^T and the Hamiltonian weights ``h_weights`` (see
-    `_posterior`).  Immutable by
+    S Lambda^-1 S^T, the Hamiltonian weights ``h_weights`` (see
+    `_posterior`) and the raw energy ``h_ref`` at x_ref.  Immutable by
     convention except for the error-envelope scale ``beta`` (set by
     calibration).  Posterior queries are pure.
     """
@@ -318,6 +319,7 @@ class GpPhsModel:
     prior_var: np.ndarray = field(init=False, repr=False)
     m_hat: np.ndarray = field(init=False, repr=False)
     h_weights: np.ndarray = field(init=False, repr=False)
+    h_ref: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.x_ref is None:
@@ -336,6 +338,7 @@ class GpPhsModel:
         # query-independent rows w_i of sf^2 (A S) Lambda^-1, where A holds
         # alpha_i as rows
         self.h_weights = sf2 * (self.alpha.reshape(-1, self.dim_state) @ self.s_hat) * v
+        self.h_ref = self._posterior(self.x_ref[:, None], mean=True, var=False)[0][0]
 
     @property
     def dim_state(self):
@@ -351,42 +354,64 @@ class GpPhsModel:
 
     def drift(self, xq):
         """Posterior drift mean and per-dimension variance at query states (n, Q)."""
-        grad, var = self._posterior(self._columns(xq), mean=True, var=True)
+        _, grad, var = self._posterior(xq, mean=True, var=True)
         return self.s_hat @ grad, var
 
     def drift_mean(self, xq):
         """Posterior drift mean only: S grad H_hat(x), no cross-covariance."""
-        return self.s_hat @ self.hamiltonian_grad(self._columns(xq))
+        return self.s_hat @ self.hamiltonian_grad(xq)
 
     def dynamics(self, x, u):
         """Posterior state derivative mean mu + G_hat u and its variance at one state.
 
         x is an (n,) and u an (m,) float array.
         """
-        grad, var = self._posterior(x[:, None], mean=True, var=True)
+        _, grad, var = self._posterior(x[:, None], mean=True, var=True)
         return (self.s_hat @ grad)[:, 0] + self.g_hat @ u, var[:, 0]
 
     def hamiltonian_grad(self, xq):
-        """Posterior mean of grad H at query columns (n, Q)."""
-        return self._posterior(np.atleast_2d(np.asarray(xq, dtype=float)), mean=True, var=False)[0]
+        """Posterior mean of grad H at query states (n, Q)."""
+        return self._posterior(xq, mean=True, var=False)[1]
+
+    def hamiltonian(self, xq):
+        """Posterior Hamiltonian mean at query states (n, Q), pinned to H_hat(x_ref) = 0.
+
+        The latent energy is conditioned directly on the drift observations;
+        the additive constant is fixed by subtracting ``h_ref``, the raw
+        value at x_ref.  Each value is a sum over the training states only,
+        so a state gets the same bits alone as inside any batch.
+        """
+        return self._posterior(xq, mean=True, var=False)[0] - self.h_ref
+
+    def envelope(self, xq):
+        """Per-dimension model-error envelope eta_i = beta_i * var_i at query states (n, Q)."""
+        return self.beta[:, None] * self._posterior(xq, mean=False, var=True)[2]
 
     def _posterior(self, xq, mean, var):
-        """Posterior grad H_hat and drift variance at query columns xq (n, Q).
+        """Posterior H_hat (raw), grad H_hat and drift variance at query states xq (n, Q).
 
-        Returns (grad, var), None for the one not asked for.  One SE
-        evaluation per block of _VAR_CHUNK states gives the pair terms
-        d_b = x - x_b, Lambda^-1 d_b and k(x, x_b).  grad, the derivative of
-        H_hat(x) = sum_b k d_b^T w_b, is sum_b k (w_b - (d_b^T w_b) Lambda^-1 d_b)
+        Returns (h, grad, var), None for what was not asked for; ``mean``
+        gives h and grad.  Raises ValueError unless xq is an (n, Q) array.
+        One SE evaluation per block of _VAR_CHUNK states gives the pair terms
+        d_b = x - x_b, Lambda^-1 d_b and k(x, x_b).  h is the row sum of
+        k (d_b^T w_b) over the training states b, before the x_ref pin.
+        grad, the derivative of H_hat(x) = sum_b k d_b^T w_b, is
+        sum_b k (w_b - (d_b^T w_b) Lambda^-1 d_b)
         (= sum_b Pi(x, x_b) t_b for t_b = sf^2 S^T alpha_b); its k @ w runs
         once over all Q states, as BLAS gemm may round a row differently with
         the number of rows.  var = prior - |L^-1 k^T|^2 for the lower factor
         L: per block, phs_blocks assembles sf^2 k (M - u u^T) with
         u = S Lambda^-1 d, and one trmm multiplies its transpose by L^-1.
         """
-        n, n_q = xq.shape
+        xq = np.asarray(xq, dtype=float)
+        n = self.dim_state
+        if xq.ndim != 2 or xq.shape[0] != n:
+            raise ValueError(f"query states must be an ({n}, Q) array, got shape {xq.shape}")
+        n_q = xq.shape[1]
         v = 1.0 / self.hyper.lengthscales**2
         w = self.h_weights
         n_pts = self.states.shape[1]
+        h = np.empty(n_q)
         k_all = np.empty((n_q, n_pts))
         corr = np.empty((n_q, n))
         quad = np.empty((n_q, n))
@@ -398,50 +423,19 @@ class GpPhsModel:
             k = np.exp(-0.5 * np.einsum("qpn,qpn->qp", diff, vd))
             if mean:
                 k_all[rows] = k
-                corr[rows] = np.einsum("qp,qpn->qn", k * np.einsum("qpn,pn->qp", diff, w), vd)
+                kdw = k * np.einsum("qpn,pn->qp", diff, w)
+                h[rows] = kdw.sum(axis=1)
+                corr[rows] = np.einsum("qp,qpn->qn", kdw, vd)
             if var:
                 # numpy lays diff and vd out component-major, so this reshape is a view
                 u = (self.s_hat @ vd.transpose(2, 0, 1).reshape(n, -1)).reshape(n, -1, n_pts)
                 cross = backend.phs_blocks(sf2 * k, u, self.m_hat)
                 half = dtrmm(1.0, self.l_inv, cross.T, lower=1, overwrite_b=1)
                 quad[rows] = np.einsum("ij,ij->j", half, half).reshape(-1, n)
-        grad = (k_all @ w - corr).T if mean else None
-        return grad, (np.maximum(self.prior_var - quad, 0.0).T if var else None)
-
-    def _columns(self, xq):
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        return xq if xq.shape[0] == self.dim_state else xq.T
-
-    def _h_mean_raw(self, xq):
-        ls = self.hyper.lengthscales
-        diff = xq.T[:, None, :] - self.states.T[None, :, :]
-        k = np.exp(-0.5 * np.einsum("qpn,n->qp", diff**2, 1.0 / ls**2))
-        return np.einsum("qp,qpn,pn->q", k, diff, self.h_weights)
-
-    def hamiltonian(self, xq):
-        """Posterior Hamiltonian mean, pinned to H_hat(x_ref) = 0.
-
-        Conditions the latent energy directly on the drift observations; the
-        additive constant is fixed by subtracting the value at x_ref.
-        """
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        n_q = xq.shape[1]
-        h_ref = self._h_mean_raw(self.x_ref[:, None])[0]
-        out = np.empty(n_q)
-        for start in range(0, n_q, _H_CHUNK):
-            out[start : start + _H_CHUNK] = self._h_mean_raw(xq[:, start : start + _H_CHUNK]) - h_ref
-        return out
-
-    def hamiltonian_scalar(self, x):
-        """(H_hat(x), grad H_hat(x)) at a single state."""
-        x = np.asarray(x, dtype=float)
-        h = self.hamiltonian(x[:, None])[0]
-        g = self.hamiltonian_grad(x[:, None])[:, 0]
-        return float(h), g
-
-    def envelope(self, xq):
-        """Per-dimension model-error envelope eta_i = beta_i * var_i at queries."""
-        return self.beta[:, None] * self._posterior(self._columns(xq), mean=False, var=True)[1]
+        var_out = np.maximum(self.prior_var - quad, 0.0).T if var else None
+        if not mean:
+            return None, None, var_out
+        return h, (k_all @ w - corr).T, var_out
 
 
 def _conditioned(hyper, states, xdot0, jitter, max_jitter, **fields) -> GpPhsModel:
@@ -645,10 +639,6 @@ class PerfectPhsModel:
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
         h_ref = self.plant.hamiltonian(self.x_ref)
         return np.array([self.plant.hamiltonian(xq[:, i]) - h_ref for i in range(xq.shape[1])])
-
-    def hamiltonian_scalar(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(self.hamiltonian(x[:, None])[0]), self.hamiltonian_grad(x[:, None])[:, 0]
 
     def envelope(self, xq):
         xq = np.atleast_2d(np.asarray(xq, dtype=float))

@@ -264,16 +264,8 @@ def stage_desired(cfg, workdir):
     structure = model.structure
     b_hat = float(structure.family.values(structure.phi)[0])
     jd, rd = microactuator_desired_matrices(b_hat, de["r_d_inv"])
-    # models without stored training states (exact-dynamics stand-ins) get the
-    # gate domain as the energy-minimum search box
-    search_box = None if getattr(model, "states", None) is not None else de["gate_domain"]
     _, report = build_desired_dynamics(
-        model,
-        jd,
-        rd,
-        gate_domain=de["gate_domain"],
-        gate_resolution=de["gate_resolution"],
-        search_box=search_box,
+        model, jd, rd, gate_domain=de["gate_domain"], gate_resolution=de["gate_resolution"]
     )
     report["b_hat"] = b_hat
     report["r_d_inv"] = de["r_d_inv"]
@@ -479,7 +471,6 @@ def stage_metrics(cfg, workdir):
             "unbounded": verify_report["unbounded"],
         },
         "hd_gate": {
-            "mode": hd_check["mode"],
             "center": hd_check["center"],
             "passed": hd_check["final_gate"]["passed"],
         },

@@ -64,6 +64,11 @@ class HdMinimumReport:
         }
 
 
+def _domain(domain, n):
+    """The gate domain, [-2, 2] per dimension when not given."""
+    return [(-2.0, 2.0)] * n if domain is None else domain
+
+
 def validate_hd_minimum(
     desired: DesiredDynamics,
     domain: Optional[Sequence] = None,
@@ -74,10 +79,7 @@ def validate_hd_minimum(
     Passes iff the grid argmin is the grid point nearest the origin and the
     second-smallest value exceeds the minimum by a positive gap.
     """
-    n = desired.dim_state
-    if domain is None:
-        domain = [(-2.0, 2.0)] * n
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in domain]
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in _domain(domain, desired.dim_state)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh])
     vals = desired.hd_error_batch(pts)
@@ -264,39 +266,25 @@ def build_desired_dynamics(
     rd,
     gate_domain: Optional[Sequence] = None,
     gate_resolution: int = 21,
-    search_box: Optional[Sequence] = None,
 ):
-    """Construct H_d from the model and gate it on the minimum check.
+    """Centre H_d at the learned energy minimum and gate it once.
 
-    A failed verbatim gate triggers a search for the learned energy minimum
-    (over ``search_box``, defaulting to the training state bounding box) and
-    a retry with the shifted energy.  Returns the accepted dynamics plus a
-    dict describing what happened; raises if no candidate passes.
+    The centre c is a root of grad H_hat (find_hamiltonian_minimum), searched
+    over the training-state bounding box when the model stores states and
+    over the gate domain otherwise, and H_d(xbar) = H_hat(c + xbar) - H_hat(c).
+    Returns the dynamics plus the report of hd_check.json: ``center``, the
+    root's exit ``root`` and the gate result ``final_gate``.  Raises
+    SynthesisError when the gate fails.
     """
-    candidate = make_desired_dynamics(model, jd, rd)
-    rep0 = validate_hd_minimum(candidate, gate_domain, gate_resolution)
-    report = {"mode": "verbatim", "center": [0.0] * candidate.dim_state, "verbatim_gate": rep0.to_jsonable()}
-    if rep0.passed:
-        report["final_gate"] = rep0.to_jsonable()
-        return candidate, report
-    if search_box is None:
-        states = getattr(model, "states", None)
-        if states is None:
-            raise SynthesisError("recentering needs a search box when the model has no stored states")
-        search_box = [(float(lo), float(hi)) for lo, hi in zip(states.min(axis=1), states.max(axis=1))]
-    center = find_hamiltonian_minimum(model, search_box)
-    shifted = make_desired_dynamics(model, jd, rd, center=center)
-    rep1 = validate_hd_minimum(shifted, gate_domain, gate_resolution)
-    report.update(
-        {
-            "mode": "recentered",
-            "center": [float(v) for v in center],
-            "final_gate": rep1.to_jsonable(),
-        }
-    )
-    if not rep1.passed:
+    domain = _domain(gate_domain, model.dim_state)
+    states = getattr(model, "states", None)
+    box = domain if states is None else list(zip(states.min(axis=1), states.max(axis=1)))
+    center, root_exit = find_hamiltonian_minimum(model, box)
+    desired = make_desired_dynamics(model, jd, rd, center=center)
+    gate = validate_hd_minimum(desired, domain, gate_resolution)
+    if not gate.passed:
         raise SynthesisError(
-            "desired energy lacks a minimum at zero error even after recentering; "
-            f"grid argmin at {rep1.argmin_point}"
+            f"desired energy lacks a minimum at zero error; grid argmin at {gate.argmin_point}"
         )
-    return shifted, report
+    report = {"center": [float(v) for v in center], "root": root_exit, "final_gate": gate.to_jsonable()}
+    return desired, report

@@ -101,8 +101,10 @@ def test_desired_dynamics_center_and_batch(desired):
 
 def test_hamiltonian_minimum_found(perfect_model):
     box = [(-0.5, 2.0), (-1.0, 1.0), (-1.0, 1.5)]
-    xmin = find_hamiltonian_minimum(perfect_model, box)
+    xmin, root_exit = find_hamiltonian_minimum(perfect_model, box)
     np.testing.assert_allclose(xmin, [1.0, 0.0, 0.0], atol=1e-6)
+    assert root_exit["status"] == 1
+    assert root_exit["grad_inf_norm"] == np.max(np.abs(perfect_model.hamiltonian_grad(xmin[:, None])))
 
 
 def test_left_annihilator_canonical_form():

@@ -20,6 +20,7 @@ from phs_lab import (
     train,
 )
 from phs_lab import gp as gp_mod
+from phs_lab.control import find_hamiltonian_minimum
 from phs_lab.filtering import FilteredDataset, filter_derivatives
 from phs_lab.gp import (
     BETA_PERCENTILE,
@@ -407,6 +408,34 @@ def test_gradient_identity_and_dual_route_hamiltonian(small_dataset, small_model
 
 def test_hamiltonian_reference_pin(small_model):
     assert small_model.hamiltonian(np.zeros((3, 1)))[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_hamiltonian_bits_do_not_depend_on_the_batch(small_model):
+    # each H_hat value is a sum over the training states alone, so a state
+    # gets the same bits alone as in any batch, across _VAR_CHUNK blocks too
+    rng = np.random.default_rng(11)
+    for n_query in (2, 129, 2100):
+        xq = rng.uniform(-0.5, 1.5, size=(3, n_query))
+        batch = small_model.hamiltonian(xq)
+        for q in rng.choice(n_query, min(n_query, 20), replace=False):
+            assert small_model.hamiltonian(xq[:, q : q + 1])[0] == batch[q]
+
+
+@pytest.mark.parametrize("method", ["drift", "drift_mean", "envelope", "hamiltonian", "hamiltonian_grad"])
+def test_queries_take_states_as_columns_only(small_model, method):
+    # a (Q, n) array is not read as Q states, even when Q = n would allow it
+    xq = np.random.default_rng(12).uniform(-0.5, 1.5, size=(5, 3))
+    with pytest.raises(ValueError, match=r"\(3, Q\)"):
+        getattr(small_model, method)(xq)
+
+
+def test_hamiltonian_minimum_is_a_root_of_the_gradient(small_model):
+    box = list(zip(small_model.states.min(axis=1), small_model.states.max(axis=1)))
+    center, root_exit = find_hamiltonian_minimum(small_model, box)
+    grad_inf = np.max(np.abs(small_model.hamiltonian_grad(center[:, None])))
+    assert root_exit["status"] == 1
+    assert root_exit["grad_inf_norm"] == grad_inf
+    assert grad_inf <= 1e-8
 
 
 def test_envelope_scales_with_beta(small_model):

@@ -86,6 +86,20 @@ def test_plan_summary_reports_fit_and_residual(mini_run):
     assert set(summary["fit"]) == {"status", "message", "nfev", "njev", "cost", "optimality"}
 
 
+def test_hd_check_records_root_and_gate(mini_run):
+    workdir, metrics = mini_run
+    with open(workdir / "hd_check.json") as fh:
+        hd_check = json.load(fh)
+    assert set(hd_check) == {"center", "root", "final_gate", "b_hat", "r_d_inv"}
+    assert set(hd_check["root"]) == {"status", "message", "nfev", "grad_inf_norm"}
+    assert hd_check["root"]["status"] == 1 and hd_check["root"]["grad_inf_norm"] <= 1e-8
+    # H_d(0) = H_hat(c) - H_hat(c) from the same bits, on the gate grid too
+    gate = hd_check["final_gate"]
+    assert gate["passed"] and gate["argmin_point"] == [0.0, 0.0, 0.0]
+    assert gate["min_value"] == 0.0
+    assert set(metrics["hd_gate"]) == {"center", "passed"}
+
+
 def test_train_summary_records_restart_exits(mini_run):
     workdir, _ = mini_run
     with open(workdir / "train_summary.json") as fh:

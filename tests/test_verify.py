@@ -14,7 +14,7 @@ from phs_lab.control import (
     make_desired_dynamics,
     microactuator_desired_matrices,
 )
-from phs_lab.core import make_mass_spring_damper
+from phs_lab.core import PhsModel, make_mass_spring_damper
 from phs_lab.gp import PerfectPhsModel
 from phs_lab.structure import FixedStructure, StructureEstimate
 from phs_lab.verify import (
@@ -181,27 +181,19 @@ def test_margin_csv_shape(tmp_path):
 
 
 def test_build_desired_recenter_finds_learned_minimum(plant):
+    # the model stores no training states, so the root search starts from
+    # the gate domain, [-2, 2] per dimension by default
     model = PerfectPhsModel(plant, micro_structure(b=0.5, r=1.0))
     jd, rd = microactuator_desired_matrices(b_hat=0.5, r_d_inv=10.0)
-    desired, report = build_desired_dynamics(
-        model, jd, rd, search_box=[(-0.5, 2.0), (-1.0, 1.0), (-1.0, 1.5)]
-    )
-    assert report["mode"] == "recentered"
+    desired, report = build_desired_dynamics(model, jd, rd)
+    assert set(report) == {"center", "root", "final_gate"}
+    assert report["root"]["status"] == 1
     assert report["final_gate"]["passed"]
     np.testing.assert_allclose(report["center"], [1.0, 0.0, 0.0], atol=1e-5)
-    assert desired.hd_error_batch(np.zeros((3, 1)))[0] == pytest.approx(0.0, abs=1e-12)
+    assert desired.hd_error_batch(np.zeros((3, 1)))[0] == 0.0
 
 
-def test_build_desired_recenter_without_search_box_raises(plant):
-    # the verbatim gate fails (the minimum sits at (1, 0, 0)), and with no
-    # stored training states and no explicit box there is nowhere to search
-    model = PerfectPhsModel(plant, micro_structure(b=0.5, r=1.0))
-    jd, rd = microactuator_desired_matrices(b_hat=0.5, r_d_inv=10.0)
-    with pytest.raises(SynthesisError, match="search box"):
-        build_desired_dynamics(model, jd, rd)
-
-
-def test_build_desired_verbatim_pass_for_origin_minimum():
+def test_build_desired_for_origin_minimum():
     msd = make_mass_spring_damper(m=1.0, k=1.0, b=0.5)
     family = FixedStructure(
         j=[[0.0, 1.0], [-1.0, 0.0]], r=[[0.0, 0.0], [0.0, 0.5]], g=[[0.0], [1.0]]
@@ -210,6 +202,23 @@ def test_build_desired_verbatim_pass_for_origin_minimum():
     desired, report = build_desired_dynamics(
         model, np.array([[0.0, 1.0], [-1.0, 0.0]]), np.diag([0.0, 1.0])
     )
-    assert report["mode"] == "verbatim"
     assert report["final_gate"]["passed"]
-    np.testing.assert_allclose(report["center"], [0.0, 0.0], atol=0)
+    np.testing.assert_allclose(report["center"], [0.0, 0.0], atol=1e-8)
+
+
+def test_build_desired_rejects_a_saddle():
+    # H = (x2^2 - x1^2) / 2: the one root of grad H is a saddle, which the
+    # root search finds and the gate rejects
+    j, r, g = [[0.0, 1.0], [-1.0, 0.0]], [[0.0, 0.0], [0.0, 0.5]], [[0.0], [1.0]]
+    saddle = PhsModel(
+        dim_state=2,
+        dim_input=1,
+        interconnection=lambda x: np.array(j),
+        dissipation=lambda x: np.array(r),
+        io_matrix=lambda x: np.array(g),
+        hamiltonian=lambda x: 0.5 * (x[1] ** 2 - x[0] ** 2),
+        hamiltonian_gradient=lambda x: np.array([-x[0], x[1]]),
+    )
+    model = PerfectPhsModel(saddle, StructureEstimate(family=FixedStructure(j=j, r=r, g=g), phi=np.empty(0)))
+    with pytest.raises(SynthesisError, match="lacks a minimum"):
+        build_desired_dynamics(model, np.array(j), np.diag([0.0, 1.0]))

@@ -24,6 +24,10 @@ and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
 - ``envelope_q2014``: the error envelope beta * var alone at the same 2014
   states, the variance-only call that verify makes once per shell and plan
   time (``envelope_calls`` in ``verify_report.json``);
+- ``energy_q9261``: the posterior energy H_hat on the desired stage's
+  gate grid (``desired.gate_resolution`` points per axis of
+  ``desired.gate_domain``, 21^3 by default, shifted to the centre in
+  ``hd_check.json``), the one call the energy-minimum gate makes;
 - ``controller_q1``: one call of the closed-loop controller at a state off
   the reference;
 - ``dynamics_q1``: one ``model.dynamics`` call (mean plus variance at one
@@ -118,6 +122,10 @@ def layers(run_dir):
     rng = np.random.default_rng(SHELL_SEED)
     shell = lo[:, None] + (hi - lo)[:, None] * rng.uniform(size=(n, N_SHELL))
 
+    de = cfg["desired"]
+    axes = [np.linspace(lo_g, hi_g, de["gate_resolution"]) for lo_g, hi_g in de["gate_domain"]]
+    gate_grid = desired.center[:, None] + np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+
     controller = pipeline.build_controller(cfg, model, desired, plan)
     t_mid = float(plan.times[plan.times.size // 2])
     x_off = plan.x_d(t_mid) + np.asarray(cfg["closed_loop"]["x0_offset"])
@@ -135,6 +143,7 @@ def layers(run_dir):
         "mean_q261": (f"Q = {plan.times.size}", lambda: model.drift_mean(plan.xd.T)),
         "mean_var_q2014": (f"Q = {N_SHELL}", lambda: model.drift(shell)),
         "envelope_q2014": (f"Q = {N_SHELL}", lambda: model.envelope(shell)),
+        "energy_q9261": (f"Q = {gate_grid.shape[1]}", lambda: model.hamiltonian(gate_grid)),
         "controller_q1": ("Q = 1", lambda: controller(x_off, t_mid)),
         "dynamics_q1": ("Q = 1", lambda: model.dynamics(x_off, np.zeros(model.dim_input))),
         "best_fit_residual_jacobian": (
@@ -157,7 +166,7 @@ def main(argv=None):
         out["layers"][name] = dict(shape=shape, **time_calls(fn, args.repeats))
         if name in TRACED_LAYERS:
             out["layers"][name]["peak_traced_mb"] = peak_traced_mb(fn)
-    print(json.dumps(out, indent=1))
+    print(json.dumps(out))
 
 
 if __name__ == "__main__":
