@@ -82,29 +82,32 @@ def phs_blocks(sf2_k, u, m):
     return out.reshape(n_a * n, n_b * n)
 
 
-def se_values(dd, v):
+def se_values(dd, v, out=None, scratch=None):
     """SE kernel values exp(-1/2 sum_i v_i dd_i), summing over the first axis of dd.
 
     dd holds squared differences, component first; v = 1 / l^2.  The sum
     takes one multiply and one add per component, in component order, so a
     value does not depend on its position in dd (einsum's vectorized loops
-    fuse multiply and add in some positions and not in others).
+    fuse multiply and add in some positions and not in others).  ``out``
+    receives the values and ``scratch`` the products, both shaped like
+    dd[0]; each is a new array when not given.
     """
-    total = v[0] * dd[0]
+    total = np.multiply(v[0], dd[0], out=out)
     for v_i, dd_i in zip(v[1:], dd[1:]):
-        total += v_i * dd_i
-    return np.exp(-0.5 * total)
+        total += np.multiply(v_i, dd_i, out=scratch)
+    total *= -0.5
+    return np.exp(total, out=total)
 
 
-def pair_blocks(sf2_k, u, m):
+def pair_blocks(sf2_k, u, m, out=None):
     """The blocks sf2_k[p] (M - u_p u_p^T) of P pairs, block column major.
 
     sf2_k is (P,), u is (n, P) with u[:, p] = u_p and m is M (n, n).  Returns
-    the (n, P, n) array whose entry [j, p, i] is entry (i, j) of pair p's
-    block, with the arithmetic of `phs_blocks` per entry: column j of the
-    blocks of consecutive pairs is one contiguous run.
+    the (n, P, n) array (``out`` when given) whose entry [j, p, i] is entry
+    (i, j) of pair p's block, with the arithmetic of `phs_blocks` per entry:
+    column j of the blocks of consecutive pairs is one contiguous run.
     """
-    out = u[:, :, None] * u.T[None, :, :]
+    out = np.multiply(u[:, :, None], u.T[None, :, :], out=out)
     np.subtract(m.T[:, None, :], out, out=out)
     np.multiply(sf2_k[:, None], out, out=out)
     return out

@@ -9,17 +9,22 @@ S = J_hat - R_hat and G_hat are constant matrices (the structure contract of
 structure.py), and every path here uses them as such.  The likelihood,
 `condition` and `load_model` build the Gram through kernels.TrainingPairs:
 the pair geometry x_a - x_b of the strict-lower pairs a > b is computed once
-per training set (`train`'s objective holds it for the whole fit), and each
-evaluation forms k and u = S Lambda^-1 (x_a - x_b) once and writes the
-blocks into the lower triangle that LAPACK factorizes in place.  The NLML
-gradient is 1/2 tr(W dK/dtheta) with W = K^-1 - alpha alpha^T (Rasmussen &
-Williams 2006, eq. 5.9); K^-1 comes from the Cholesky factor in place
-(LAPACK potri), W's strict-lower blocks are read once as component planes
-of W_ab + W_ab^T, and each hyperparameter is a closed-form contraction with
-the SE-Hessian blocks Pi over the strict-lower pairs and the diagonal
-blocks, taken from the Gram's own k and u without forming Pi.  `train`'s
-objective keeps its last two results, as L-BFGS-B asks again for a point
-after a failed trial step.
+per training set, and each evaluation forms k and u = S Lambda^-1 (x_a - x_b)
+once and writes the blocks into the lower triangle that LAPACK factorizes
+in place.  `train`'s objective holds one TrainingPairs for the whole fit,
+and with it one likelihood workspace: the Gram, the pair terms and the
+block buffer are allocated by the first evaluation, reused by every later
+one and released before the final conditioning, which builds a Gram of its
+own because the model keeps its inverse factor.  The NLML gradient is
+1/2 tr(W dK/dtheta) with W = K^-1 - alpha alpha^T (Rasmussen & Williams
+2006, eq. 5.9); K^-1 = L^-T L^-1 comes from the Cholesky factor L in place
+(kernels.invert_lower's blocked L^-1, then LAPACK lauum), W's strict-lower
+blocks are read once as component planes of W_ab + W_ab^T, and each
+hyperparameter is a closed-form contraction with the SE-Hessian blocks Pi
+over the strict-lower pairs and the diagonal blocks, taken from the Gram's
+own k and u without forming Pi.  Once W is read, the per-pair arrays of the
+contractions live in the Gram's memory.  `train`'s objective keeps its last
+two results, as L-BFGS-B asks again for a point after a failed trial step.
 
 Posterior queries read cached weights: with alpha = K^-1 Xdot0 stacked as the
 rows of A, the rows w_b of sf^2 (A S) Lambda^-1 give the posterior Hamiltonian
@@ -34,7 +39,7 @@ Lambda^-1 (x - x_b) and k(x, x_b) once per block of _VAR_CHUNK query states
 and derives H_hat with its gradient, the variance or both from them.  H_hat
 is pinned to zero at x_ref by its raw value there, computed once when the
 model is built.  The model stores the
-inverse L^-1 of the lower Cholesky factor (LAPACK trtri, once per
+inverse L^-1 of the lower Cholesky factor (kernels.invert_lower, once per
 conditioning), so the variance's v = L^-1 k^T is a triangular multiply (BLAS
 trmm) instead of a triangular solve, one per block; its prior part
 sf^2 diag(S Lambda^-1 S^T) is a constant.
@@ -49,14 +54,14 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.blas import dsyr, dtrmm
-from scipy.linalg.lapack import dpotri, dtrtri
+from scipy.linalg.lapack import dlauum
 from scipy.optimize import minimize
 
 from . import backend
 from .core import PhsModel, eval_dynamics
 from .errors import ConditioningError, TrainingError
 from .filtering import FilteredDataset
-from .kernels import TrainingPairs, factorize_gram
+from .kernels import TrainingPairs, factorize_gram, invert_lower
 from .structure import StructureEstimate, structure_from_jsonable
 
 __all__ = [
@@ -164,7 +169,7 @@ def _solve(pairs, xdot0, hyper, jitter, max_jitter):
 
 
 def _nlml_and_grad(dataset, pairs, hyper, jitter, max_jitter):
-    """NLML and its gradient; the Cholesky factor is overwritten with K^-1.
+    """NLML and its gradient in the workspace of ``pairs``; the Gram becomes K^-1, then scratch.
 
     dNLML/dtheta = 1/2 tr(W dK/dtheta) with W = K^-1 - alpha alpha^T
     (Rasmussen & Williams 2006, eq. 5.9).  Every kernel term is a sum over
@@ -194,16 +199,16 @@ def _nlml_and_grad(dataset, pairs, hyper, jitter, max_jitter):
     s = struct.jr()
     v = 1.0 / hyper.lengthscales**2
 
-    # K^-1 by LAPACK potri in place of the lower factor, minus alpha alpha^T
-    # by a rank-one update of the same triangle
-    w, info = dpotri(cho[0], lower=1, overwrite_c=1)
+    # K^-1 = L^-T L^-1 in place of the lower factor L (blocked L^-1, then
+    # LAPACK lauum), minus alpha alpha^T by a rank-one update of the same
+    # triangle
+    w, info = dlauum(invert_lower(cho[0]), lower=1, overwrite_c=1)
     del cho
     if info != 0:
-        raise ConditioningError(f"Gram inverse failed (potri info {info})")
+        raise ConditioningError(f"Gram inverse failed (lauum info {info})")
     w = dsyr(-1.0, alpha, lower=1, a=w, overwrite_a=1)
     # sym[i, j, p] = (W_ab + W_ab^T)[i, j] over the strict-lower pairs
     sym = pairs.planes(w)
-    sym += sym.transpose(1, 0, 2)
     w_diag = pairs.diagonal_sum(w)
     del w
 
@@ -215,15 +220,22 @@ def _nlml_and_grad(dataset, pairs, hyper, jitter, max_jitter):
     ds_all = struct.family.jr_param_grad(phi)
     c_phi = (s * v) @ ds_all.transpose(0, 2, 1)
     coef = np.concatenate([[0.5 * m], 0.5 * np.einsum("iq,jq->qij", s, s), c_phi])
-    traces = coef.reshape(len(coef), n * n) @ sym.reshape(n * n, -1)
-    y = np.einsum("ijp,jp->ip", sym, u)
+    # the per-pair arrays below live in the Gram's memory, free now that W is read
+    k = len(coef)
+    scratch = pairs.scratch(k + 2 * n + 1)
+    traces, y, sf2_k_d, (w_pi,) = np.split(scratch, [k, k + n, k + 2 * n])
+    np.matmul(coef.reshape(k, n * n), sym.reshape(n * n, -1), out=traces)
+    np.einsum("ijp,jp->ip", sym, u, out=y)
     del sym
-    y_d = y @ (sf2_k * pairs.d).T
+    y_d = y @ np.multiply(sf2_k, pairs.d, out=sf2_k_d).T
     grad = np.empty(hyper.n_hyper)
 
     # log sigma_f: dK = 2 (K - noise), and sf^2 <S^T W_ab S, Pi> per pair
     # (u^T W_ab u = u^T y / 2)
-    w_pi = sf2_k * (traces[0] - 0.5 * np.einsum("ip,ip->p", u, y))
+    np.einsum("ip,ip->p", u, y, out=w_pi)
+    w_pi *= 0.5
+    np.subtract(traces[0], w_pi, out=w_pi)
+    w_pi *= sf2_k
     grad[0] = 2.0 * w_pi.sum() + sf2 * np.vdot(m, w_diag)
 
     # log lengthscales: Pi = k (diag(v) - (v d)(v d)^T) gives
@@ -263,7 +275,9 @@ def negative_log_marginal_likelihood(
     With ``with_grad`` also returns the gradient with respect to the packed
     vector [log sigma_f, log l_i, log sigma2_i, phi] (trace identities; the
     structure parameters additionally feel the prior mean through Xdot0).
-    ``pairs`` is TrainingPairs(dataset.states), built here when not given.
+    ``pairs`` is TrainingPairs(dataset.states), built here when not given;
+    a given one lends its workspace, so calls on it after the first
+    allocate only arrays of a few n N entries.
     """
     if pairs is None:
         pairs = TrainingPairs(dataset.states)
@@ -277,14 +291,13 @@ def _invert_factor(factor):
     """L^-1 in place of the lower Cholesky factor L, strict upper triangle zeroed.
 
     ``factor`` is the F-ordered factor from kernels.factorize_gram, whose
-    strict upper triangle was never written; LAPACK trtri overwrites its
-    lower triangle.  Raises ConditioningError when L is singular.
+    strict upper triangle was never written; kernels.invert_lower, the
+    likelihood's inverse, overwrites its lower triangle.  Raises
+    ConditioningError when L is singular.
     """
-    l_inv, info = dtrtri(factor, lower=1, overwrite_c=1)
-    if info != 0:
-        raise ConditioningError(f"Cholesky factor inversion failed (trtri info {info})")
-    for j in range(1, l_inv.shape[1]):
-        l_inv[:j, j] = 0.0
+    l_inv = invert_lower(factor)
+    # l_inv.T is C-ordered, and its strict lower triangle is l_inv's strict upper
+    np.copyto(l_inv.T, 0.0, where=np.tri(l_inv.shape[0], k=-1, dtype=bool))
     return l_inv
 
 
@@ -561,6 +574,7 @@ def train(
         )
         if not discarded and (best is None or res.fun < best.fun):
             best = res
+    pairs.release()
     if best is None:
         raise TrainingError(
             "all optimizer restarts ended infeasible (Gram not factorizable or parameters out of range)"

@@ -33,7 +33,7 @@ from phs_lab.gp import (
     negative_log_marginal_likelihood,
     save_model,
 )
-from phs_lab.kernels import gram_matrix
+from phs_lab.kernels import TrainingPairs, gram_matrix
 from phs_lab.structure import FixedStructure, MicroactuatorStructure, StructureEstimate, StructureFamily
 
 from conftest import micro_hypers, micro_structure, subset
@@ -530,6 +530,63 @@ def test_training_does_not_depend_on_the_state_layout(filtered_full):
     _same_fit(*fits)
 
 
+def test_reused_workspace_matches_a_fresh_one(filtered_full, monkeypatch):
+    # one training set's workspace serves every likelihood call of a fit;
+    # after a call whose Gram needed jitter (a repeated state without noise,
+    # so potrf fails part-way through the reused buffer), the next call is
+    # the same bit for bit as on a new training set
+    ds = subset(filtered_full, 12)
+    states = ds.states.copy()
+    states[:, -1] = states[:, 0]
+    repeated = FilteredDataset(states=states, derivatives=ds.derivatives, inputs=ds.inputs, times=ds.times)
+    theta1 = micro_hypers()
+    theta2 = GpHyperparams(
+        sigma_f=theta1.sigma_f, lengthscales=theta1.lengthscales, noise_var=np.zeros(3), structure=theta1.structure
+    )
+    jitters = []
+    factorize = gp_mod.factorize_gram
+
+    def recorded(*args, **kwargs):
+        out = factorize(*args, **kwargs)
+        jitters.append(out[1])
+        return out
+
+    monkeypatch.setattr(gp_mod, "factorize_gram", recorded)
+    pairs = TrainingPairs(repeated.states)
+    first = negative_log_marginal_likelihood(repeated, theta1, jitter=0.0, pairs=pairs)
+    negative_log_marginal_likelihood(repeated, theta2, jitter=0.0, pairs=pairs)
+    again = negative_log_marginal_likelihood(repeated, theta1, jitter=0.0, pairs=pairs)
+    fresh = negative_log_marginal_likelihood(repeated, theta1, jitter=0.0, pairs=TrainingPairs(repeated.states))
+    assert jitters[:2] == [0.0, 1e-12]
+    assert again[0] == fresh[0] == first[0]
+    np.testing.assert_array_equal(again[1], fresh[1])
+    np.testing.assert_array_equal(again[1], first[1])
+
+
+def test_trained_model_shares_no_memory_with_the_likelihood_workspace(filtered_full, monkeypatch):
+    # the fit's workspace is released when train returns, and the model's
+    # inverse factor and weights come from a Gram of their own
+    nlml = gp_mod.negative_log_marginal_likelihood
+    held = {}
+
+    def recorded(*args, pairs=None, **kwargs):
+        out = nlml(*args, pairs=pairs, **kwargs)
+        held[id(pairs)] = pairs
+        for buffer in vars(pairs._work).values():
+            held[id(buffer)] = buffer
+        return out
+
+    monkeypatch.setattr(gp_mod, "negative_log_marginal_likelihood", recorded)
+    model = train(subset(filtered_full, 12), micro_hypers(), optimizer_config=OptimizerConfig(restarts=2, max_iter=20))
+    workspaces = [p for p in held.values() if isinstance(p, TrainingPairs)]
+    buffers = [b for b in held.values() if isinstance(b, np.ndarray)]
+    assert len(workspaces) == 1 and workspaces[0]._work is None
+    assert len(buffers) == 4
+    for buffer in buffers:
+        assert not np.shares_memory(model.l_inv, buffer)
+        assert not np.shares_memory(model.alpha, buffer)
+
+
 def test_training_survives_extreme_restart_points(filtered_full):
     # huge perturbations make restart line searches under/overflow the exp in
     # the log-parameter unpacking; those trials must register as infeasible,
@@ -689,6 +746,18 @@ def test_loaded_model_variance_matches_conditioned(tmp_path, filtered_full):
     xq = lo[:, None] + (hi - lo)[:, None] * np.random.default_rng(5).uniform(size=(3, 200))
     diff = np.abs(back.drift(xq)[1] - model.drift(xq)[1])
     assert np.all(diff <= 1e-13 * prior[:, None])
+
+
+def test_invert_factor_zeroes_the_strict_upper_triangle():
+    # factorize_gram leaves the strict upper triangle unwritten; the model's
+    # L^-1 has it zero whatever it held, over more than one inverse leaf
+    x = np.random.default_rng(4).standard_normal((130, 135))
+    factor = np.array(np.linalg.cholesky(x @ x.T + 130 * np.eye(130)), order="F")
+    expected = np.linalg.inv(factor)
+    factor[np.triu_indices(130, 1)] = np.nan
+    l_inv = _invert_factor(factor)
+    assert np.all(np.triu(l_inv, 1) == 0.0)
+    np.testing.assert_allclose(l_inv, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
 
 def test_singular_factor_inversion_raises():

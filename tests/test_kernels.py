@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dlauum, dpotri, dtrtri
 
 from phs_lab import ConditioningError, gram_matrix, phs_kernel, se_hessian
 from phs_lab import backend
 from phs_lab.gp import GpHyperparams
-from phs_lab.kernels import TrainingPairs, factorize_gram
+from phs_lab.kernels import TrainingPairs, factorize_gram, invert_lower
 from phs_lab.structure import FixedStructure, StructureEstimate
 
 from conftest import micro_hypers, micro_structure
@@ -183,9 +184,77 @@ def test_factorization_retry_starts_from_a_fresh_build():
 
     (retried, _), jitter_used = factorize_gram(build, jitter=0.0, max_jitter=1e-6)
     assert len(builds) == 2 and jitter_used == 1e-12
-    (fresh, _), _ = factorize_gram(build, jitter=jitter_used, max_jitter=1e-6)
+    retried = np.tril(retried)
+    # again into the same training set's reused Gram buffer, and into the
+    # buffer of a new training set
+    (reused, _), _ = factorize_gram(build, jitter=jitter_used, max_jitter=1e-6)
     assert len(builds) == 3
-    np.testing.assert_array_equal(np.tril(retried), np.tril(fresh))
+    other = TrainingPairs(states)
+    (fresh, _), _ = factorize_gram(lambda: other.gram(hyper, other.terms(hyper)), jitter=jitter_used, max_jitter=1e-6)
+    assert not np.shares_memory(reused, fresh)
+    np.testing.assert_array_equal(retried, np.tril(reused))
+    np.testing.assert_array_equal(retried, np.tril(fresh))
+
+
+def _factor_with_nan_upper(order, seed):
+    # the Cholesky factor of a well-conditioned SPD matrix, F-ordered, with NaN
+    # in the strict upper triangle that the inverse must neither read nor write
+    x = np.random.default_rng(seed).standard_normal((order, order + 5))
+    factor = np.array(np.linalg.cholesky(x @ x.T + order * np.eye(order)), order="F")
+    factor[np.triu_indices(order, 1)] = np.nan
+    return factor
+
+
+def _rel_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 64, 65, 129, 300, 900])
+def test_blocked_inverse_matches_lapack(order):
+    # the recursion splits at 65 (one level), 129 (two) and 300 and 900 (three
+    # and four); L^-1 matches trtri, and lauum of it matches potri
+    factor = _factor_with_nan_upper(order, order)
+    lower = np.tril(np.nan_to_num(factor, nan=0.0))
+    expected, info = dtrtri(lower, lower=1)
+    assert info == 0
+    inverse = invert_lower(factor)
+    assert inverse is factor
+    upper = np.triu_indices(order, 1)
+    assert np.all(np.isnan(inverse[upper]))
+    inverse[upper] = 0.0
+    assert _rel_gap(inverse, np.tril(expected)) <= 1e-13
+    k_inv, info = dpotri(lower, lower=1)
+    assert info == 0
+    gram_inv, info = dlauum(inverse, lower=1)
+    assert info == 0
+    assert _rel_gap(np.tril(gram_inv), np.tril(k_inv)) <= 1e-13
+
+
+def test_blocked_inverse_singular_leaf_raises():
+    # a zero pivot in the last of the four leaves of a 130 x 130 factor
+    # (rows 97-129); trtri's info is reported in the numbering of the whole
+    # factor
+    factor = _factor_with_nan_upper(130, 7)
+    factor[100, 100] = 0.0
+    with pytest.raises(ConditioningError, match="trtri info 101"):
+        invert_lower(factor)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [np.array(np.eye(3)[:, ::-1], order="C"), _read_only(np.eye(3, order="F")), np.eye(3, dtype=np.float32, order="F")],
+    ids=["c-ordered", "read-only", "float32"],
+)
+def test_blocked_inverse_rejects_arrays_it_cannot_overwrite(factor):
+    # the inverse writes through a raw pointer with the layout of a
+    # Fortran-ordered float64 matrix, so anything else is refused
+    with pytest.raises(ValueError, match="factor must"):
+        invert_lower(factor)
 
 
 def test_jr_stack_equals_per_column_jr():

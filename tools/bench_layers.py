@@ -15,9 +15,14 @@ The process holds OpenBLAS to one thread, and each layer reports the median
 and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
 
 - ``nlml_grad_n300``: NLML plus gradient on the training set at the trained
-  hyperparameters;
+  hyperparameters, every call on one ``kernels.TrainingPairs`` of the
+  training set, as ``gp.train``'s objective makes them;
 - ``nlml_grad_n100``: the same on the first 100 training points, the
   training size of the perfbench ``study`` workload;
+- ``invert_factor_n300``: L^-1 of the lower Cholesky factor of the
+  training-set Gram (``gp._invert_factor``, the inverse ``condition`` and
+  ``load_model`` take); each call first copies the factor into a held
+  buffer, since the inverse overwrites it;
 - ``mean_q261``: the posterior drift mean on the plan grid;
 - ``mean_var_q2014``: drift mean plus variance at 2014 states drawn
   uniformly in the training-data box (seeded), the size of one verify shell;
@@ -36,9 +41,12 @@ and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
 - ``best_fit_residual_jacobian``: one residual plus one Jacobian of the
   plan fit at the plan's solved tail.
 
-The two NLML rows also report ``peak_traced_mb``, the peak of the memory
-allocated through Python (tracemalloc) during one more call, which builds
-the pair geometry of its training set as a single likelihood call does.
+The two NLML rows also report ``minor_faults_per_call``, the minor page
+faults of the process (``ru_minflt``) over ``--repeats`` more calls,
+divided by their number, and ``peak_traced_mb``, the peak of the memory
+allocated through Python (tracemalloc) during one more call.  Both follow
+the warm-up call, which allocates the training set's likelihood workspace,
+so they count what every later call of a fit allocates and touches anew.
 The last line of standard output is one JSON object.
 """
 
@@ -50,6 +58,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -63,7 +72,8 @@ import numpy as np  # noqa: E402
 from phs_lab import control, pipeline  # noqa: E402
 from phs_lab.config import validate_config  # noqa: E402
 from phs_lab.filtering import FilteredDataset  # noqa: E402
-from phs_lab.gp import negative_log_marginal_likelihood  # noqa: E402
+from phs_lab.gp import _invert_factor, negative_log_marginal_likelihood  # noqa: E402
+from phs_lab.kernels import TrainingPairs, factorize_gram  # noqa: E402
 
 NEEDED = ("config.json", "model.json", "filtered.csv", "hd_check.json", "plan.csv")
 N_STUDY = 100
@@ -90,6 +100,13 @@ def time_calls(fn, repeats):
     return {"median_s": statistics.median(times), "min_s": min(times)}
 
 
+def minor_faults_per_call(fn, repeats):
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(repeats):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / repeats
+
+
 def peak_traced_mb(fn):
     tracemalloc.start()
     try:
@@ -111,6 +128,17 @@ def layers(run_dir):
         inputs=dataset.inputs[:, :N_STUDY],
         times=dataset.times[:N_STUDY],
     )
+    pairs_all, pairs_first = TrainingPairs(dataset.states), TrainingPairs(first.states)
+    factor_pairs = TrainingPairs(dataset.states)
+    (factor, _), _ = factorize_gram(
+        lambda: factor_pairs.gram(model.hyper, factor_pairs.terms(model.hyper)), jitter=model.jitter_used
+    )
+    factor_copy = np.empty_like(factor, order="F")
+
+    def invert_factor():
+        np.copyto(factor_copy, factor)
+        return _invert_factor(factor_copy)
+
     plan = control.plan_from_csv(os.path.join(run_dir, "plan.csv"))
     with open(os.path.join(run_dir, "hd_check.json")) as fh:
         hd_check = json.load(fh)
@@ -138,8 +166,15 @@ def layers(run_dir):
     tail = plan.xd[:, 1:].ravel()
 
     return {
-        "nlml_grad_n300": (f"N = {dataset.n_points}", lambda: negative_log_marginal_likelihood(dataset, model.hyper)),
-        "nlml_grad_n100": (f"N = {first.n_points}", lambda: negative_log_marginal_likelihood(first, model.hyper)),
+        "nlml_grad_n300": (
+            f"N = {dataset.n_points}",
+            lambda: negative_log_marginal_likelihood(dataset, model.hyper, pairs=pairs_all),
+        ),
+        "nlml_grad_n100": (
+            f"N = {first.n_points}",
+            lambda: negative_log_marginal_likelihood(first, model.hyper, pairs=pairs_first),
+        ),
+        "invert_factor_n300": (f"{factor.shape[0]} x {factor.shape[1]}", invert_factor),
         "mean_q261": (f"Q = {plan.times.size}", lambda: model.drift_mean(plan.xd.T)),
         "mean_var_q2014": (f"Q = {N_SHELL}", lambda: model.drift(shell)),
         "envelope_q2014": (f"Q = {N_SHELL}", lambda: model.envelope(shell)),
@@ -165,6 +200,7 @@ def main(argv=None):
     for name, (shape, fn) in layers(args.run_dir).items():
         out["layers"][name] = dict(shape=shape, **time_calls(fn, args.repeats))
         if name in TRACED_LAYERS:
+            out["layers"][name]["minor_faults_per_call"] = minor_faults_per_call(fn, args.repeats)
             out["layers"][name]["peak_traced_mb"] = peak_traced_mb(fn)
     print(json.dumps(out))
 
