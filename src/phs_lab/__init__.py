@@ -11,7 +11,6 @@ from .config import default_config, load_config, save_config, validate_config
 from .control import (
     DesiredDynamics,
     ReferencePlan,
-    classical_ida_pbc_control,
     left_annihilator,
     make_desired_dynamics,
     matching_residual,

@@ -41,7 +41,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import null_space
 from scipy.optimize import least_squares, root
 
-from .core import PhsModel, Trajectory
+from .core import Trajectory
 from .errors import PlanError, SimulationDivergedError, SynthesisError
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "microactuator_desired_matrices",
     "find_hamiltonian_minimum",
     "left_annihilator",
-    "classical_ida_pbc_control",
     "matching_residual",
     "solve_reference_plan",
     "tracking_control",
@@ -175,48 +174,6 @@ def left_annihilator(g_mat) -> np.ndarray:
         if nz.size and row[nz[0]] < 0:
             basis[i] = -row
     return basis
-
-
-def classical_ida_pbc_control(
-    model: PhsModel,
-    desired: DesiredDynamics,
-    x_d,
-    check_states=None,
-    matching_tol: float = 1e-8,
-):
-    """Set-point controller u(x) = (G^T G)^-1 G^T ([J_d - R_d] grad H_d - (J - R) grad H).
-
-    ``x_d`` is the fixed target.  When ``check_states`` is given, the matching
-    condition Gperp ([J_d - R_d] grad H_d - (J - R) grad H) = 0 is verified on
-    those states first.
-    """
-    x_d = np.asarray(x_d, dtype=float)
-
-    def shaped(x):
-        x = np.asarray(x, dtype=float)
-        target = (desired.jd - desired.rd) @ desired.hd_grad(x, x_d)
-        plant = (model.interconnection(x) - model.dissipation(x)) @ np.asarray(
-            model.hamiltonian_gradient(x), dtype=float
-        )
-        return target - plant
-
-    g0 = model.io_matrix(x_d)
-    gtg = g0.T @ g0
-    if np.linalg.cond(gtg) > 1e12:
-        raise SynthesisError("G^T G is singular at the target state")
-
-    if check_states is not None:
-        gperp = left_annihilator(g0)
-        worst = max(float(np.linalg.norm(gperp @ shaped(np.asarray(x, dtype=float)))) for x in check_states)
-        if worst > matching_tol:
-            raise SynthesisError(f"matching residual {worst:.3e} exceeds {matching_tol:.1e}")
-
-    def control(x):
-        x = np.asarray(x, dtype=float)
-        g = model.io_matrix(x)
-        return np.linalg.solve(g.T @ g, g.T @ shaped(x))
-
-    return control
 
 
 @dataclass(frozen=True)

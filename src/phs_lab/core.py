@@ -2,10 +2,13 @@
 
 A port-Hamiltonian system (PHS) is
 
-    xdot = [J(x) - R(x)] grad H(x) + G(x) u,    y = G(x)^T grad H(x)
+    xdot = (J - R) grad H(x) + G u,    y = G^T grad H(x)
 
-with skew-symmetric interconnection J, positive semi-definite dissipation R,
-input matrix G, and stored energy H.  Times are in ms throughout; all other
+with constant skew-symmetric interconnection J, positive semi-definite
+dissipation R, input matrix G, and stored energy H.  The learned model of
+``structure.py`` has the same constant structure.  H and grad H take one
+state (n,) or a block (n, Q) with one state per column, and so do
+`eval_dynamics` and `phs_output`.  Times are in ms throughout; all other
 quantities are dimensionless.
 """
 
@@ -35,33 +38,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhsModel:
-    """Immutable PHS description; all callables are pure functions of the state.
+    """Immutable PHS description with constant structure matrices.
 
     Parameters
     ----------
-    dim_state, dim_input : int
-        State and input dimensions n, m.
-    interconnection : callable
-        x -> J(x), skew-symmetric (n, n).
-    dissipation : callable
-        x -> R(x), symmetric PSD (n, n).
-    io_matrix : callable
-        x -> G(x), shape (n, m).
+    j : array (n, n)
+        Skew-symmetric interconnection J.
+    r : array (n, n)
+        Symmetric PSD dissipation R.
+    g : array (n, m)
+        Input matrix G.
     hamiltonian : callable
-        x -> H(x), scalar.
+        x -> H(x): a scalar for one state (n,), shape (Q,) for a block (n, Q).
     hamiltonian_gradient : callable
-        x -> grad H(x), shape (n,).
+        x -> grad H(x), the same shape as x.
     """
 
-    dim_state: int
-    dim_input: int
-    interconnection: Callable[[np.ndarray], np.ndarray]
-    dissipation: Callable[[np.ndarray], np.ndarray]
-    io_matrix: Callable[[np.ndarray], np.ndarray]
-    hamiltonian: Callable[[np.ndarray], float]
+    j: np.ndarray
+    r: np.ndarray
+    g: np.ndarray
+    hamiltonian: Callable[[np.ndarray], np.ndarray]
     hamiltonian_gradient: Callable[[np.ndarray], np.ndarray]
+
+    @property
+    def dim_state(self) -> int:
+        return self.g.shape[0]
+
+    @property
+    def dim_input(self) -> int:
+        return self.g.shape[1]
 
 
 @dataclass(frozen=True)
@@ -105,10 +112,9 @@ class MicroactuatorParams:
 
         H(x) = 1/2 k (x1 - x1_star)^2 + x2^2 / (2 m) + x3^2 / C(x1)
 
-    where the electrical term enters without a 1/2 factor by convention here;
-    set ``electrical_half=True`` for the conventional x3^2 / (2 C) variant.
-    The capacitance law is injectable; the default is the parallel-plate law
-    C(x1) = c0 / x1.
+    with the parallel-plate law C(x1) = c0 / x1, where the electrical term
+    enters without a 1/2 factor by convention here; set
+    ``electrical_half=True`` for the conventional x3^2 / (2 C) variant.
     """
 
     m: float = 1.0
@@ -117,8 +123,6 @@ class MicroactuatorParams:
     r: float = 1.0
     x1_star: float = 1.0
     c0: float = 1.0
-    capacitance: Optional[Callable[[float], float]] = None
-    capacitance_deriv: Optional[Callable[[float], float]] = None
     electrical_half: bool = False
 
     def __post_init__(self):
@@ -126,30 +130,27 @@ class MicroactuatorParams:
             raise ValueError("m, k, r must be positive")
         if self.b < 0:
             raise ValueError("b must be nonnegative")
-        if (self.capacitance is None) != (self.capacitance_deriv is None):
-            raise ValueError("capacitance and capacitance_deriv must be given together")
 
 
 def eval_dynamics(model: PhsModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Evaluate xdot = [J(x) - R(x)] grad H(x) + G(x) u.
+    """Evaluate xdot = (J - R) grad H(x) + G u.
 
-    Raises ModelEvaluationError when the result is non-finite (for example at
-    a capacitance singularity).
+    ``x`` is one state (n,) or a block (n, Q); ``u`` is one input (m,), held
+    for every column, or a block (m, Q).  Scalars are accepted for m = 1.
+    Raises ModelEvaluationError when the result is non-finite.
     """
     x = np.asarray(x, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    gu = model.g @ np.asarray(u, dtype=float).reshape(model.dim_input, -1)
     grad = np.asarray(model.hamiltonian_gradient(x), dtype=float)
-    jr = model.interconnection(x) - model.dissipation(x)
-    xdot = jr @ grad + model.io_matrix(x) @ u
+    xdot = (model.j - model.r) @ grad + (gu[:, 0] if x.ndim == 1 else gu)
     if not np.all(np.isfinite(xdot)):
         raise ModelEvaluationError("non-finite dynamics evaluation", state=x.copy())
     return xdot
 
 
 def phs_output(model: PhsModel, x: np.ndarray) -> np.ndarray:
-    """Passive output y = G(x)^T grad H(x)."""
-    x = np.asarray(x, dtype=float)
-    return model.io_matrix(x).T @ np.asarray(model.hamiltonian_gradient(x), dtype=float)
+    """Passive output y = G^T grad H(x), for one state (n,) or a block (n, Q)."""
+    return model.g.T @ np.asarray(model.hamiltonian_gradient(np.asarray(x, dtype=float)), dtype=float)
 
 
 def simulate(
@@ -206,7 +207,8 @@ def simulate_feedback(
         Resample the dense solution on a uniform grid of this many points
         (endpoints included).  Mutually exclusive with ``sample_times``.
     sample_times : array, optional
-        Explicit sample grid inside t_span.
+        Explicit sample grid inside t_span; a time outside it raises
+        ValueError.
 
     Raises
     ------
@@ -222,6 +224,10 @@ def simulate_feedback(
         raise ValueError("x0 must be finite")
     if n_samples is not None and sample_times is not None:
         raise ValueError("pass either n_samples or sample_times, not both")
+    if sample_times is not None:
+        ts = np.asarray(sample_times, dtype=float)
+        if not np.all((ts >= t0) & (ts <= t1)):
+            raise ValueError(f"sample_times must lie inside t_span [{t0:.6g}, {t1:.6g}]")
 
     last_ok = [t0]
 
@@ -247,17 +253,13 @@ def simulate_feedback(
     if not sol.success:
         raise SimulationDivergedError(f"integrator stopped: {sol.message}", float(sol.t[-1]))
 
-    if sample_times is not None:
-        ts = np.asarray(sample_times, dtype=float)
-    elif n_samples is not None:
+    if n_samples is not None:
         ts = np.linspace(t0, t1, int(n_samples))
-    else:
+    elif sample_times is None:
         ts = sol.t
     xs = sol.sol(ts).T
     us = np.stack([np.atleast_1d(np.asarray(feedback(x, t), dtype=float)) for x, t in zip(xs, ts)])
-    ys = None
-    if record_outputs:
-        ys = np.stack([phs_output(model, x) for x in xs])
+    ys = phs_output(model, xs.T).T if record_outputs else None
     return Trajectory(times=ts, states=xs, inputs=us, outputs=ys)
 
 
@@ -268,12 +270,11 @@ def energy_balance_residual(model: PhsModel, traj: Trajectory) -> np.ndarray:
     trapezoidal average of the power terms; meaningful only when the sampling
     is dense enough for the O(h^2) differencing to resolve the dynamics.
     """
-    h_vals = np.array([model.hamiltonian(x) for x in traj.states])
-    power = np.empty(len(traj))
-    for i, x in enumerate(traj.states):
-        grad = np.asarray(model.hamiltonian_gradient(x), dtype=float)
-        y = model.io_matrix(x).T @ grad
-        power[i] = -grad @ model.dissipation(x) @ grad + y @ traj.inputs[i]
+    xs = traj.states.T
+    h_vals = model.hamiltonian(xs)
+    grad = np.asarray(model.hamiltonian_gradient(xs), dtype=float)
+    supplied = np.einsum("mt,mt->t", model.g.T @ grad, traj.inputs.T)
+    power = supplied - np.einsum("nt,nt->t", grad, model.r @ grad)
     dt = np.diff(traj.times)
     slope = np.diff(h_vals) / dt
     mid_power = 0.5 * (power[:-1] + power[1:])
@@ -287,60 +288,28 @@ def make_microactuator(params: MicroactuatorParams = MicroactuatorParams()) -> P
     as documented on MicroactuatorParams.
     """
     p = params
-    # the energy only sees the elastance 1/C; for the default C = c0/x1 that
-    # is x1/c0, regular everywhere (including the closed gap x1 = 0)
-    if p.capacitance is not None:
-        cap, dcap = p.capacitance, p.capacitance_deriv
-        if not np.isfinite(cap(p.x1_star)) or cap(p.x1_star) <= 0:
-            raise ValueError("capacitance must be positive at the steady-state gap")
-
-        def inv_c(x, x1):
-            c = cap(x1)
-            if not np.isfinite(c) or c <= 0:
-                raise ModelEvaluationError(
-                    f"capacitance non-positive at x1={x1:.6g}", state=np.asarray(x, dtype=float)
-                )
-            return 1.0 / c
-
-        def inv_c_deriv(x, x1):
-            c = cap(x1)
-            return -dcap(x1) / c**2
-
-    else:
-        c0 = p.c0
-
-        def inv_c(x, x1):
-            return x1 / c0
-
-        def inv_c_deriv(x, x1):
-            return 1.0 / c0
-
+    # the energy only sees the elastance 1/C = x1/c0, regular everywhere
+    # (including the closed gap x1 = 0)
     half = 0.5 if p.electrical_half else 1.0
 
     def hamiltonian(x):
         x1, x2, x3 = x
-        return 0.5 * p.k * (x1 - p.x1_star) ** 2 + x2**2 / (2 * p.m) + half * x3**2 * inv_c(x, x1)
+        return 0.5 * p.k * (x1 - p.x1_star) ** 2 + x2**2 / (2 * p.m) + half * x3**2 * (x1 / p.c0)
 
     def gradient(x):
         x1, x2, x3 = x
         return np.array(
             [
-                p.k * (x1 - p.x1_star) + half * x3**2 * inv_c_deriv(x, x1),
+                p.k * (x1 - p.x1_star) + half * x3**2 * (1.0 / p.c0),
                 x2 / p.m,
-                2.0 * half * x3 * inv_c(x, x1),
+                2.0 * half * x3 * (x1 / p.c0),
             ]
         )
 
-    j_mat = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    r_mat = np.diag([0.0, p.b, 1.0 / p.r])
-    g_mat = np.array([[0.0], [0.0], [1.0 / p.r]])
-
     return PhsModel(
-        dim_state=3,
-        dim_input=1,
-        interconnection=lambda x: j_mat,
-        dissipation=lambda x: r_mat,
-        io_matrix=lambda x: g_mat,
+        j=np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        r=np.diag([0.0, p.b, 1.0 / p.r]),
+        g=np.array([[0.0], [0.0], [1.0 / p.r]]),
         hamiltonian=hamiltonian,
         hamiltonian_gradient=gradient,
     )
@@ -350,15 +319,10 @@ def make_mass_spring_damper(m: float = 1.0, k: float = 1.0, b: float = 0.5) -> P
     """Two-state linear PHS (position, momentum); handy as a known-answer system."""
     if m <= 0 or k <= 0 or b < 0:
         raise ValueError("need m > 0, k > 0, b >= 0")
-    j_mat = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    r_mat = np.diag([0.0, b])
-    g_mat = np.array([[0.0], [1.0]])
     return PhsModel(
-        dim_state=2,
-        dim_input=1,
-        interconnection=lambda x: j_mat,
-        dissipation=lambda x: r_mat,
-        io_matrix=lambda x: g_mat,
+        j=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        r=np.diag([0.0, b]),
+        g=np.array([[0.0], [1.0]]),
         hamiltonian=lambda x: 0.5 * k * x[0] ** 2 + x[1] ** 2 / (2 * m),
         hamiltonian_gradient=lambda x: np.array([k * x[0], x[1] / m]),
     )

@@ -8,9 +8,8 @@ class PhsLabError(Exception):
 class ModelEvaluationError(PhsLabError):
     """Raised when a model evaluation produces a non-finite or undefined value.
 
-    Carries the offending state so callers can report where the model broke
-    down (for example the capacitance singularity of the microactuator at
-    x1 <= 0).
+    Carries the offending state, or block of states, so callers can report
+    where the model broke down.
     """
 
     def __init__(self, message, state=None):
@@ -43,7 +42,12 @@ class SynthesisError(PhsLabError):
 
 
 class PlanError(PhsLabError):
-    """Raised when the reference plan root-finding fails at some grid time."""
+    """Raised when a reference plan cannot be built or read.
+
+    The causes are a malformed plan problem, an invalid-input exit of the
+    trust-region fit of the matching equation, or a time outside the plan's
+    range.
+    """
 
     def __init__(self, message, time=None, residual=None):
         if time is not None:

@@ -614,6 +614,7 @@ class PerfectPhsModel:
         self.structure = structure
         self.g_hat = structure.g()
         self.x_ref = np.zeros(plant.dim_state) if x_ref is None else np.asarray(x_ref, dtype=float)
+        self.h_ref = plant.hamiltonian(self.x_ref)
         self.beta = np.zeros(plant.dim_state)
 
     @property
@@ -625,34 +626,20 @@ class PerfectPhsModel:
         return self.plant.dim_input
 
     def drift(self, xq):
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        n_q = xq.shape[1]
-        mean = np.empty((self.dim_state, n_q))
-        for i in range(n_q):
-            x = xq[:, i]
-            jr = self.plant.interconnection(x) - self.plant.dissipation(x)
-            mean[:, i] = jr @ np.asarray(self.plant.hamiltonian_gradient(x), dtype=float)
+        mean = (self.plant.j - self.plant.r) @ self.hamiltonian_grad(xq)
         return mean, np.zeros_like(mean)
 
     def drift_mean(self, xq):
         return self.drift(xq)[0]
 
     def dynamics(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.atleast_1d(np.asarray(u, dtype=float))
         return eval_dynamics(self.plant, x, u), np.zeros(self.dim_state)
 
     def hamiltonian_grad(self, xq):
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        return np.stack(
-            [np.asarray(self.plant.hamiltonian_gradient(xq[:, i]), dtype=float) for i in range(xq.shape[1])],
-            axis=1,
-        )
+        return self.plant.hamiltonian_gradient(np.atleast_2d(np.asarray(xq, dtype=float)))
 
     def hamiltonian(self, xq):
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        h_ref = self.plant.hamiltonian(self.x_ref)
-        return np.array([self.plant.hamiltonian(xq[:, i]) - h_ref for i in range(xq.shape[1])])
+        return self.plant.hamiltonian(np.atleast_2d(np.asarray(xq, dtype=float))) - self.h_ref
 
     def envelope(self, xq):
         xq = np.atleast_2d(np.asarray(xq, dtype=float))

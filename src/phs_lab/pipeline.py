@@ -187,11 +187,11 @@ def _calibration_dataset(cfg) -> FilteredDataset:
     used to scale the error-envelope multipliers."""
     cal = cfg["train"]["calibration"]
     plant, traj = rollout_plant(cfg, cal["n_samples"], x0_offset=cal["x0_offset"])
-    derivs = np.stack(
-        [eval_dynamics(plant, x, u) for x, u in zip(traj.states, traj.inputs)]
-    )
     return FilteredDataset(
-        states=traj.states.T, derivatives=derivs.T, inputs=traj.inputs.T, times=traj.times
+        states=traj.states.T,
+        derivatives=eval_dynamics(plant, traj.states.T, traj.inputs.T),
+        inputs=traj.inputs.T,
+        times=traj.times,
     )
 
 
@@ -335,12 +335,8 @@ def stage_verify(cfg, workdir):
         fh.write(report.to_text() + "\n")
 
 
-def build_controller(cfg, model, desired, plan):
-    """The closed-loop law: the reduced microactuator form of the tracking law.
-
-    ``cfg`` is unused; the signature stays as it is because perfbench/spans.py
-    wraps this function by name and forwards its arguments.
-    """
+def build_controller(model, desired, plan):
+    """The closed-loop law: the reduced microactuator form of the tracking law."""
     return microactuator_tracking_control(model, desired, plan)
 
 
@@ -350,7 +346,7 @@ def stage_closed_loop(cfg, workdir):
     plan = plan_from_csv(_require(workdir, "plan.csv"))
     plant, _ = build_plant(cfg)
     cl = cfg["closed_loop"]
-    controller = build_controller(cfg, model, desired, plan)
+    controller = build_controller(model, desired, plan)
     t0, t1 = plan.t_span
     x0 = plan.x_d(t0) + np.asarray(cl["x0_offset"])
     traj = simulate_feedback(
@@ -412,8 +408,7 @@ def _drift_envelope_ratio(plant, model, states):
 
     mu and var come from one drift call, and eta = beta * var.
     """
-    u0 = np.zeros(plant.dim_input)
-    f = np.stack([eval_dynamics(plant, x, u0) for x in states], axis=1)
+    f = eval_dynamics(plant, states.T, np.zeros(plant.dim_input))
     mean, var = model.drift(states.T)
     err = np.abs(f - mean)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -130,8 +130,7 @@ def nominal_hd_increments(model, desired, plan, traj):
 
 def drift_error_and_envelope(plant, model, states):
     """Realised drift error |f_i - mu_i| and the envelope eta_i per sample, both (n, T)."""
-    u0 = np.zeros(plant.dim_input)
-    f = np.stack([eval_dynamics(plant, x, u0) for x in states], axis=1)
+    f = eval_dynamics(plant, states.T, np.zeros(plant.dim_input))
     return np.abs(f - model.drift_mean(states.T)), model.envelope(states.T)
 
 
@@ -419,7 +418,7 @@ def test_criterion_5_energy_invariants(perfect_setup):
     for _ in range(50):
         x0 = rng.uniform([-0.5, -1.0, -1.0], [2.0, 1.0, 1.5])
         run = simulate(plant, x0, lambda t: np.zeros(1), (0.0, 5.0), n_samples=100)
-        h_vals = np.array([plant.hamiltonian(x) for x in run.states])
+        h_vals = plant.hamiltonian(run.states.T)
         rise = float(np.max(h_vals) - h_vals[0])
         worst_rise = max(worst_rise, rise)
         dissipation_ok = dissipation_ok and rise <= 1e-8
@@ -482,9 +481,11 @@ def test_criterion_6_condition_verifier():
 
 def _noiseless_dataset(plant, x0, n_samples):
     traj = simulate(plant, x0, lambda t: np.array([np.sin(t)]), (0.0, 20.0), n_samples=n_samples)
-    derivs = np.stack([eval_dynamics(plant, x, u) for x, u in zip(traj.states, traj.inputs)])
     return FilteredDataset(
-        states=traj.states.T, derivatives=derivs.T, inputs=traj.inputs.T, times=traj.times
+        states=traj.states.T,
+        derivatives=eval_dynamics(plant, traj.states.T, traj.inputs.T),
+        inputs=traj.inputs.T,
+        times=traj.times,
     )
 
 
@@ -531,7 +532,7 @@ def test_criterion_7_learning_sanity():
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh])
     h_hat = big.hamiltonian(pts)
-    h_true = np.array([plant.hamiltonian(pts[:, i]) for i in range(pts.shape[1])])
+    h_true = plant.hamiltonian(pts)
     rank_corr = float(spearmanr(h_hat, h_true).statistic)
     elapsed = time.perf_counter() - start
 

@@ -22,7 +22,6 @@ from phs_lab import (
 from phs_lab.control import (
     ReferencePlan,
     _best_fit_problem,
-    classical_ida_pbc_control,
     external_output,
     find_hamiltonian_minimum,
     left_annihilator,
@@ -125,29 +124,6 @@ def test_left_annihilator_is_orthonormal_annihilator():
 def test_left_annihilator_rank_deficient():
     with pytest.raises(SynthesisError):
         left_annihilator(np.column_stack([np.ones(3), np.ones(3)]))
-
-
-def test_classical_set_point_zero_residual_and_convergence(plant, perfect_model, desired):
-    x_d = np.array([1.0, 0.0, 0.0])
-    checks = [np.array([0.5, 0.4, 0.3]), np.array([1.5, -0.8, 1.0]), x_d]
-    ctrl = classical_ida_pbc_control(plant, desired, x_d, check_states=checks, matching_tol=1e-10)
-    traj = simulate_feedback(
-        plant, np.array([0.5, 0.0, 0.5]), lambda x, t: ctrl(x), (0.0, 40.0), n_samples=200
-    )
-    assert traj.inputs.shape == (200, 1)
-    np.testing.assert_allclose(traj.states[-1], x_d, atol=1e-3)
-    hd_vals = desired.hd_error_batch((traj.states - x_d).T)
-    assert np.all(np.diff(hd_vals) <= 1e-9)
-
-
-def test_classical_set_point_detects_mismatch(plant, perfect_model):
-    # wrong damping changes the unactuated rows, so matching fails off x2 = 0
-    jd, rd = microactuator_desired_matrices(b_hat=0.8, r_d_inv=10.0)
-    bad = make_desired_dynamics(perfect_model, jd, rd, center=np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(SynthesisError):
-        classical_ida_pbc_control(
-            plant, bad, np.array([1.0, 0.0, 0.0]), check_states=[np.array([1.0, 0.5, 0.0])]
-        )
 
 
 def test_plan_matches_at_every_grid_point(perfect_model, desired, plan):
@@ -268,11 +244,11 @@ def test_best_fit_jacobian_matches_finite_differences(kind, plant, perfect_model
     if kind == "gp":
         u_fn = lambda t: np.array([np.sin(t)])
         traj = simulate(plant, np.array([0.0, 0.0, 1.0]), u_fn, (0.0, 20.0), n_samples=30)
-        derivs = np.stack(
-            [eval_dynamics(plant, x, u) for x, u in zip(traj.states, traj.inputs)], axis=1
-        )
         ds = FilteredDataset(
-            states=traj.states.T, derivatives=derivs, inputs=traj.inputs.T, times=traj.times
+            states=traj.states.T,
+            derivatives=eval_dynamics(plant, traj.states.T, traj.inputs.T),
+            inputs=traj.inputs.T,
+            times=traj.times,
         )
         model = condition(ds, micro_hypers())
     rng = np.random.default_rng(5)
@@ -329,12 +305,10 @@ def test_closed_loop_matches_open_loop_failure_modes():
     # the gradient is non-finite once the state leaves (-1, 1); a constant
     # input of 1 drives x = t there at t = 1
     edge = PhsModel(
-        dim_state=1,
-        dim_input=1,
-        interconnection=lambda x: np.zeros((1, 1)),
-        dissipation=lambda x: np.zeros((1, 1)),
-        io_matrix=lambda x: np.ones((1, 1)),
-        hamiltonian=lambda x: 0.5 * float(x @ x),
+        j=np.zeros((1, 1)),
+        r=np.zeros((1, 1)),
+        g=np.ones((1, 1)),
+        hamiltonian=lambda x: 0.5 * np.sum(x**2, axis=0),
         hamiltonian_gradient=lambda x: np.where(np.abs(x) < 1.0, x, np.nan),
     )
     x0 = np.zeros(1)

@@ -16,19 +16,20 @@ from phs_lab import (
     phs_output,
     simulate,
 )
-from phs_lab.core import trajectory_from_csv, trajectory_to_csv
+from phs_lab.core import simulate_feedback, trajectory_from_csv, trajectory_to_csv
+from phs_lab.gp import PerfectPhsModel
+from phs_lab.structure import FixedStructure, StructureEstimate
 
 from conftest import sin_input
 
 
 def test_microactuator_structure_matrices():
     plant = make_microactuator(MicroactuatorParams())
-    x = np.array([0.3, -0.2, 0.8])
-    jr = plant.interconnection(x) - plant.dissipation(x)
     np.testing.assert_allclose(
-        jr, [[0.0, 1.0, 0.0], [-1.0, -0.5, 0.0], [0.0, 0.0, -1.0]], atol=0
+        plant.j - plant.r, [[0.0, 1.0, 0.0], [-1.0, -0.5, 0.0], [0.0, 0.0, -1.0]], atol=0
     )
-    np.testing.assert_allclose(plant.io_matrix(x), [[0.0], [0.0], [1.0]], atol=0)
+    np.testing.assert_allclose(plant.g, [[0.0], [0.0], [1.0]], atol=0)
+    assert (plant.dim_state, plant.dim_input) == (3, 1)
 
 
 def test_microactuator_energy_and_gradient_hand_values():
@@ -55,8 +56,7 @@ def test_eval_dynamics_matches_structure_times_gradient():
     x = np.array([0.7, 0.2, 0.9])
     u = np.array([0.4])
     grad = plant.hamiltonian_gradient(x)
-    jr = plant.interconnection(x) - plant.dissipation(x)
-    expected = jr @ grad + plant.io_matrix(x)[:, 0] * 0.4
+    expected = (plant.j - plant.r) @ grad + plant.g[:, 0] * 0.4
     np.testing.assert_allclose(eval_dynamics(plant, x, u), expected, atol=1e-14)
     np.testing.assert_allclose(phs_output(plant, x), [grad[2]], atol=1e-14)
 
@@ -70,26 +70,52 @@ def test_electrical_half_switch():
     assert diff == pytest.approx(0.5 * 0.8 * 0.36, abs=1e-12)
 
 
-def test_custom_capacitance_guard():
-    params = MicroactuatorParams(
-        capacitance=lambda x1: x1 - 0.5, capacitance_deriv=lambda x1: 1.0
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_microactuator(MicroactuatorParams()), lambda: make_mass_spring_damper(k=2.0)],
+    ids=["microactuator", "mass_spring_damper"],
+)
+def test_column_block_matches_per_column_calls(build):
+    # every plant query on an (n, Q) block returns, bit for bit, the per-state
+    # results stacked as columns; PerfectPhsModel answers from the same block
+    plant = build()
+    n, q = plant.dim_state, 7
+    rng = np.random.default_rng(3)
+    xq = rng.uniform(-1.5, 1.5, (n, q))
+    uq = rng.standard_normal((plant.dim_input, q))
+    cols = [xq[:, i] for i in range(q)]
+    u0 = np.zeros(plant.dim_input)
+    assert np.array_equal(plant.hamiltonian(xq), [plant.hamiltonian(x) for x in cols])
+    assert np.array_equal(
+        plant.hamiltonian_gradient(xq), np.column_stack([plant.hamiltonian_gradient(x) for x in cols])
     )
-    plant = make_microactuator(params)
-    with pytest.raises(ModelEvaluationError):
-        plant.hamiltonian(np.array([0.2, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        make_microactuator(
-            MicroactuatorParams(
-                x1_star=0.2, capacitance=lambda x1: x1 - 0.5, capacitance_deriv=lambda x1: 1.0
-            )
-        )
+    assert np.array_equal(
+        eval_dynamics(plant, xq, uq),
+        np.column_stack([eval_dynamics(plant, x, uq[:, i]) for i, x in enumerate(cols)]),
+    )
+    drift = np.column_stack([eval_dynamics(plant, x, u0) for x in cols])
+    assert np.array_equal(eval_dynamics(plant, xq, u0), drift)
+    assert np.array_equal(phs_output(plant, xq), np.column_stack([phs_output(plant, x) for x in cols]))
+
+    family = FixedStructure(j=plant.j, r=plant.r, g=plant.g)
+    x_ref = xq[:, 0]
+    model = PerfectPhsModel(plant, StructureEstimate(family=family, phi=np.empty(0)), x_ref=x_ref)
+    mean, var = model.drift(xq)
+    assert np.array_equal(mean, drift)
+    assert not np.any(var)
+    assert np.array_equal(
+        model.hamiltonian_grad(xq), np.column_stack([plant.hamiltonian_gradient(x) for x in cols])
+    )
+    assert np.array_equal(
+        model.hamiltonian(xq), [plant.hamiltonian(x) - plant.hamiltonian(x_ref) for x in cols]
+    )
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         MicroactuatorParams(m=-1.0)
     with pytest.raises(ValueError):
-        MicroactuatorParams(capacitance=lambda x1: 1.0)  # missing the derivative
+        MicroactuatorParams(b=-0.1)
 
 
 def test_trajectory_validation():
@@ -122,25 +148,23 @@ def test_lossless_conservation():
     traj = simulate(
         msd, np.array([1.0, 0.5]), lambda t: np.zeros(1), (0.0, horizon), n_samples=2001, rtol=tol, atol=tol
     )
-    h_vals = np.array([msd.hamiltonian(x) for x in traj.states])
+    h_vals = msd.hamiltonian(traj.states.T)
     assert np.max(np.abs(h_vals - h_vals[0])) <= 10 * tol * horizon
 
 
 def test_unforced_dissipation_monotone(plant):
     traj = simulate(plant, np.array([0.5, 0.4, 0.8]), lambda t: np.zeros(1), (0.0, 10.0), n_samples=500)
-    h_vals = np.array([plant.hamiltonian(x) for x in traj.states])
+    h_vals = plant.hamiltonian(traj.states.T)
     assert np.all(np.diff(h_vals) <= 1e-9)
 
 
 def test_simulation_divergence_reports_last_time():
     # gradient x with J - R = +I gives xdot = x, which blows past any bound
     unstable = PhsModel(
-        dim_state=2,
-        dim_input=1,
-        interconnection=lambda x: np.zeros((2, 2)),
-        dissipation=lambda x: -np.eye(2),
-        io_matrix=lambda x: np.zeros((2, 1)),
-        hamiltonian=lambda x: 0.5 * float(x @ x),
+        j=np.zeros((2, 2)),
+        r=-np.eye(2),
+        g=np.zeros((2, 1)),
+        hamiltonian=lambda x: 0.5 * np.sum(x**2, axis=0),
         hamiltonian_gradient=lambda x: np.asarray(x),
     )
     with pytest.raises(SimulationDivergedError) as err:
@@ -150,16 +174,26 @@ def test_simulation_divergence_reports_last_time():
 
 def test_model_evaluation_error_on_nonfinite():
     bad = PhsModel(
-        dim_state=1,
-        dim_input=1,
-        interconnection=lambda x: np.zeros((1, 1)),
-        dissipation=lambda x: np.zeros((1, 1)),
-        io_matrix=lambda x: np.ones((1, 1)),
-        hamiltonian=lambda x: float("nan"),
-        hamiltonian_gradient=lambda x: np.array([float("nan")]),
+        j=np.zeros((1, 1)),
+        r=np.zeros((1, 1)),
+        g=np.ones((1, 1)),
+        hamiltonian=lambda x: np.nan * x[0],
+        hamiltonian_gradient=lambda x: np.nan * x,
     )
     with pytest.raises(ModelEvaluationError):
         eval_dynamics(bad, np.array([1.0]), np.array([0.0]))
+    with pytest.raises(ModelEvaluationError):
+        eval_dynamics(bad, np.ones((1, 4)), np.zeros(1))
+
+
+def test_sample_times_outside_span_rejected(plant):
+    x0 = np.array([0.0, 0.0, 1.0])
+    feedback = lambda x, t: np.zeros(1)
+    for times in ([0.0, 0.5, 3.0], [-0.1, 0.5]):
+        with pytest.raises(ValueError, match="inside t_span"):
+            simulate_feedback(plant, x0, feedback, (0.0, 1.0), sample_times=times)
+    traj = simulate_feedback(plant, x0, feedback, (0.0, 1.0), sample_times=[0.0, 0.5, 1.0])
+    assert traj.times.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_trajectory_csv_round_trip(tmp_path, clean_trajectory):

@@ -209,13 +209,11 @@ def test_build_desired_for_origin_minimum():
 def test_build_desired_rejects_a_saddle():
     # H = (x2^2 - x1^2) / 2: the one root of grad H is a saddle, which the
     # root search finds and the gate rejects
-    j, r, g = [[0.0, 1.0], [-1.0, 0.0]], [[0.0, 0.0], [0.0, 0.5]], [[0.0], [1.0]]
+    j, r, g = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.diag([0.0, 0.5]), np.array([[0.0], [1.0]])
     saddle = PhsModel(
-        dim_state=2,
-        dim_input=1,
-        interconnection=lambda x: np.array(j),
-        dissipation=lambda x: np.array(r),
-        io_matrix=lambda x: np.array(g),
+        j=j,
+        r=r,
+        g=g,
         hamiltonian=lambda x: 0.5 * (x[1] ** 2 - x[0] ** 2),
         hamiltonian_gradient=lambda x: np.array([-x[0], x[1]]),
     )

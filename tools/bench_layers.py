@@ -154,7 +154,7 @@ def layers(run_dir):
     axes = [np.linspace(lo_g, hi_g, de["gate_resolution"]) for lo_g, hi_g in de["gate_domain"]]
     gate_grid = desired.center[:, None] + np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
 
-    controller = pipeline.build_controller(cfg, model, desired, plan)
+    controller = pipeline.build_controller(model, desired, plan)
     t_mid = float(plan.times[plan.times.size // 2])
     x_off = plan.x_d(t_mid) + np.asarray(cfg["closed_loop"]["x0_offset"])
 
