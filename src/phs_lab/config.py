@@ -60,8 +60,6 @@ _DEFAULTS = {
     },
     "desired": {
         "r_d_inv": 10.0,
-        "gate_domain": [[-2.0, 2.0], [-2.0, 2.0], [-2.0, 2.0]],
-        "gate_resolution": 21,
     },
     "plan": {
         "t_span": [0.0, 13.0],
@@ -212,12 +210,6 @@ def validate_config(cfg: dict) -> dict:
 
     de = c["desired"]
     de["r_d_inv"] = _check_number("desired.r_d_inv", de["r_d_inv"], lo=0.0, strict_lo=True)
-    if not isinstance(de["gate_domain"], list) or len(de["gate_domain"]) != 3:
-        _fail("desired.gate_domain", "a list of 3 [lo, hi] pairs", de["gate_domain"])
-    de["gate_domain"] = [
-        _check_span(f"desired.gate_domain[{i}]", pair) for i, pair in enumerate(de["gate_domain"])
-    ]
-    _check_int("desired.gate_resolution", de["gate_resolution"], lo=3)
 
     pl = c["plan"]
     pl["t_span"] = _check_span("plan.t_span", pl["t_span"])

@@ -1,21 +1,25 @@
 """Passivity-based tracking control synthesized from a learned PHS model.
 
-The controller shapes the closed loop into desired error dynamics
+The controller shapes the closed loop into a target error loop that is
+itself a port-Hamiltonian system (a `core.PhsModel` of the error
+xbar = x - x_d(t)):
 
-    xbar_dot = [J_d - R_d] grad H_d(xbar),   xbar = x - x_d(t)
+    xbar_dot = [J_d - R_d] grad H_d(xbar) + Ghat u_ex,   y_ex = Ghat^T grad H_d(xbar)
 
-via the matching condition on the unactuated directions
+with (J_d, R_d) constant matrices and u_ex an external port input.  It is
+reached via the matching condition on the unactuated directions
 
     Gperp mu(xdot | x, D) = Gperp ([J_d - R_d] grad H_d + xdot_d)
 
-with mu the posterior drift mean and (J_d, R_d) constant matrices.  The
-actuated component gives the control
+with mu the posterior drift mean.  The actuated component gives the control
 
     u = (Ghat^T Ghat)^-1 Ghat^T ([J_d - R_d] grad H_d + xdot_d - mu).
 
 Ghat is a constant of the learned model (its ``g_hat``, see structure.py),
-so Gperp is one matrix: a plan solve computes it once, and the laws and
-outputs read Ghat when they are built, not per state.
+so Gperp is one matrix: a plan solve computes it once, and the laws read
+Ghat when they are built, not per state.  The target loop's own simulation,
+output and power balance are those of `core` (`eval_dynamics`,
+`phs_output`, `energy_balance_residual`).
 
 The full-state reference plan enforces the matching condition along the
 reference itself (xbar = 0) only, recovering the unactuated reference
@@ -41,7 +45,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import null_space
 from scipy.optimize import least_squares, root
 
-from .core import Trajectory
+from .core import PhsModel, Trajectory, eval_dynamics
 from .errors import PlanError, SimulationDivergedError, SynthesisError
 
 __all__ = [
@@ -56,31 +60,22 @@ __all__ = [
     "tracking_control",
     "microactuator_tracking_control",
     "semi_passive_control",
-    "external_output",
     "simulate_error_dynamics",
     "plan_to_csv",
     "plan_from_csv",
 ]
 
 
-@dataclass(frozen=True)
-class DesiredDynamics:
-    """Desired interconnection/damping/energy for the closed-loop error.
+@dataclass(frozen=True, eq=False)
+class DesiredDynamics(PhsModel):
+    """The target error loop: a PHS in xbar with j = J_d, r = R_d, g = Ghat.
 
-    ``jd`` and ``rd`` are constant (n, n) matrices.  ``hd_grad`` takes
-    (x, x_d); the energy depends on the pair only through the error, which
-    ``hd_error_batch`` and ``hd_error_grad_batch`` take directly as
-    column-major (n, Q) arrays.  ``center`` records the shift applied to the
-    learned Hamiltonian so that the energy minimum sits at zero error.
+    ``hamiltonian`` and ``hamiltonian_gradient`` are H_d and grad H_d, for
+    one error (n,) or a block (n, Q).  ``center`` is the point c of the
+    learned energy that H_d places at zero error.
     """
 
-    jd: np.ndarray
-    rd: np.ndarray
-    hd_grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hd_error_batch: Callable[[np.ndarray], np.ndarray]
-    hd_error_grad_batch: Callable[[np.ndarray], np.ndarray]
     center: np.ndarray
-    dim_state: int
 
 
 def microactuator_desired_matrices(b_hat: float, r_d_inv: float = 10.0):
@@ -91,34 +86,33 @@ def microactuator_desired_matrices(b_hat: float, r_d_inv: float = 10.0):
 
 
 def make_desired_dynamics(model, jd, rd, center=None) -> DesiredDynamics:
-    """Build H_d from a model's posterior Hamiltonian.
+    """The target error loop of a model, with H_d from its posterior Hamiltonian.
 
-    H_d(x, x_d) = H_hat(center + x - x_d) - H_hat(center); with center at the
+    H_d(xbar) = H_hat(center + xbar) - H_hat(center); with center at the
     learned energy minimum the required min-at-zero-error property holds.
-    ``jd``/``rd`` are the constant desired matrices.
+    ``jd``/``rd`` are the constant desired matrices and the port is the
+    model's ``g_hat``.
     """
-    n = model.dim_state
-    center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    center = np.zeros(model.dim_state) if center is None else np.asarray(center, dtype=float)
     h_center = float(model.hamiltonian(center[:, None])[0])
 
-    def hd_error_batch(xbar):
-        xbar = np.atleast_2d(np.asarray(xbar, dtype=float))
-        return model.hamiltonian(center[:, None] + xbar) - h_center
+    def on_columns(fn):
+        # fn takes the shifted block (n, Q); one error (n,) is one column
+        def wrapped(xbar):
+            xbar = np.asarray(xbar, dtype=float)
+            if xbar.ndim == 1:
+                return fn(center[:, None] + xbar[:, None])[..., 0]
+            return fn(center[:, None] + xbar)
 
-    def hd_error_grad_batch(xbar):
-        xbar = np.atleast_2d(np.asarray(xbar, dtype=float))
-        return model.hamiltonian_grad(center[:, None] + xbar)
+        return wrapped
 
     return DesiredDynamics(
-        jd=np.asarray(jd, dtype=float),
-        rd=np.asarray(rd, dtype=float),
-        hd_grad=lambda x, x_d: hd_error_grad_batch(
-            (np.asarray(x, dtype=float) - np.asarray(x_d, dtype=float))[:, None]
-        )[:, 0],
-        hd_error_batch=hd_error_batch,
-        hd_error_grad_batch=hd_error_grad_batch,
+        j=np.asarray(jd, dtype=float),
+        r=np.asarray(rd, dtype=float),
+        g=np.asarray(model.g_hat, dtype=float),
+        hamiltonian=on_columns(lambda x: model.hamiltonian(x) - h_center),
+        hamiltonian_gradient=on_columns(model.hamiltonian_grad),
         center=center,
-        dim_state=n,
     )
 
 
@@ -182,24 +176,27 @@ class ReferencePlan:
 
     Evaluation between grid points uses a cubic spline of the sampled x_d;
     the derivative is the exact spline derivative, so the two interpolants
-    are consistent by construction.  ``fit`` records how the trust-region
-    solver of `solve_reference_plan` exited (status, message, nfev, njev,
-    cost, optimality); it is None for plans read from CSV.
+    are consistent by construction, and ``xddot`` is that derivative at the
+    grid points.  ``fit`` records how the trust-region solver of
+    `solve_reference_plan` exited (status, message, nfev, njev, cost,
+    optimality); it is None for plans read from CSV.
     """
 
     times: np.ndarray
     xd: np.ndarray
-    xddot: np.ndarray
     fit: Optional[dict] = field(default=None, compare=False)
     _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "xd", np.atleast_2d(np.asarray(self.xd, dtype=float)))
-        object.__setattr__(self, "xddot", np.atleast_2d(np.asarray(self.xddot, dtype=float)))
-        if self.xd.shape[0] != self.times.shape[0] or self.xd.shape != self.xddot.shape:
+        if self.xd.shape[0] != self.times.shape[0]:
             raise ValueError("plan arrays must share the grid length")
         object.__setattr__(self, "_spline", CubicSpline(self.times, self.xd, axis=0))
+
+    @property
+    def xddot(self):
+        return self._spline(self.times, 1)
 
     @property
     def t_span(self):
@@ -219,13 +216,15 @@ class ReferencePlan:
         return self._spline(t, 1)
 
 
-def matching_residual(model, desired: DesiredDynamics, plan: ReferencePlan, x, t) -> np.ndarray:
-    """Unactuated-direction defect Gperp (mu - [J_d - R_d] grad H_d - xdot_d)."""
-    x = np.asarray(x, dtype=float)
-    x_d = plan.x_d(t)
-    mu = model.drift_mean(x[:, None])[:, 0]
-    rhs = (desired.jd - desired.rd) @ desired.hd_grad(x, x_d) + plan.x_d_dot(t)
-    return left_annihilator(model.g_hat) @ (mu - rhs)
+def matching_residual(model, desired: DesiredDynamics, plan: ReferencePlan, idx) -> np.ndarray:
+    """Unactuated defects Gperp (mu - [J_d - R_d] grad H_d(0) - xdot_d) on the plan, (n - m, Q).
+
+    ``idx`` picks Q grid points of the plan; there the error is zero, so
+    one drift_mean call on their states gives every defect.
+    """
+    shaped0 = (desired.j - desired.r) @ desired.hamiltonian_gradient(np.zeros(desired.dim_state))
+    target = shaped0[:, None] + plan.x_d_dot(plan.times[idx]).T
+    return left_annihilator(model.g_hat) @ (model.drift_mean(plan.xd[idx].T) - target)
 
 
 def solve_reference_plan(
@@ -274,8 +273,7 @@ def solve_reference_plan(
     xd1 = np.array([p[0] for p in prim], dtype=float)
     xd1dot = np.array([p[1] for p in prim], dtype=float)
 
-    g0 = desired.hd_error_grad_batch(np.zeros((n, 1)))[:, 0]
-    shaped0 = (desired.jd - desired.rd) @ g0
+    shaped0 = (desired.j - desired.r) @ desired.hamiltonian_gradient(np.zeros(n))
     z0 = np.zeros(n_tail) if seed_tail is None else np.asarray(seed_tail, dtype=float)
 
     data = getattr(model, "states", None)
@@ -311,8 +309,6 @@ def solve_reference_plan(
             time=float(times[0]),
             residual=float(np.linalg.norm(fit.fun)),
         )
-    xd_full = np.column_stack([xd1, fit.x.reshape(n_grid, n_tail)])
-    spline_full = CubicSpline(times, xd_full, axis=0)
     report = {
         "status": int(fit.status),
         "message": str(fit.message),
@@ -321,7 +317,8 @@ def solve_reference_plan(
         "cost": float(fit.cost),
         "optimality": float(fit.optimality),
     }
-    return ReferencePlan(times=times, xd=xd_full, xddot=spline_full(times, 1), fit=report)
+    xd_full = np.column_stack([xd1, fit.x.reshape(n_grid, n_tail)])
+    return ReferencePlan(times=times, xd=xd_full, fit=report)
 
 
 def _best_fit_problem(model, times, xd1, xd1dot, shaped0):
@@ -378,9 +375,9 @@ def tracking_control(model, desired: DesiredDynamics, plan: ReferencePlan):
 
     def control(x, t):
         x = np.asarray(x, dtype=float)
-        x_d = plan.x_d(t)
         mu = model.drift_mean(x[:, None])[:, 0]
-        rhs = (desired.jd - desired.rd) @ desired.hd_grad(x, x_d) + plan.x_d_dot(t) - mu
+        shaped = (desired.j - desired.r) @ desired.hamiltonian_gradient(x - plan.x_d(t))
+        rhs = shaped + plan.x_d_dot(t) - mu
         return np.linalg.solve(gtg, g.T @ rhs)
 
     return control
@@ -394,7 +391,7 @@ def microactuator_tracking_control(model, desired: DesiredDynamics, plan: Refere
     (0, 0, -1/r_d).  The common textbook rendering drops the r_hat factors,
     which is the special case r_hat = 1.
     """
-    rd33 = float(desired.rd[2, 2])
+    rd33 = float(desired.r[2, 2])
     r_hat = 1.0 / float(model.g_hat[2, 0])
 
     def control(x, t):
@@ -416,17 +413,6 @@ def semi_passive_control(base_control, u_ex: Callable[[float], np.ndarray]):
     return control
 
 
-def external_output(model, desired: DesiredDynamics, plan: ReferencePlan):
-    """Conjugate external output y_ex(x, t) = Ghat^T grad H_d(x, x_d)."""
-    g_t = model.g_hat.T
-
-    def output(x, t):
-        x = np.asarray(x, dtype=float)
-        return g_t @ desired.hd_grad(x, plan.x_d(t))
-
-    return output
-
-
 def simulate_error_dynamics(
     desired: DesiredDynamics,
     xbar0,
@@ -435,25 +421,32 @@ def simulate_error_dynamics(
     rtol: float = 1e-10,
     atol: float = 1e-10,
 ) -> Trajectory:
-    """Integrate the target error dynamics xbar_dot = [J_d - R_d] grad H_d(xbar)."""
+    """Integrate the unforced target error loop xbar_dot = [J_d - R_d] grad H_d(xbar)."""
     xbar0 = np.asarray(xbar0, dtype=float)
-    n = xbar0.shape[0]
-
-    def rhs(t, xbar):
-        grad = desired.hd_error_grad_batch(xbar[:, None])[:, 0]
-        return (desired.jd - desired.rd) @ grad
-
+    u_zero = np.zeros(desired.dim_input)
     t0, t1 = float(t_span[0]), float(t_span[1])
-    sol = solve_ivp(rhs, (t0, t1), xbar0, method="RK45", rtol=rtol, atol=atol, dense_output=True)
+    sol = solve_ivp(
+        lambda t, xbar: eval_dynamics(desired, xbar, u_zero),
+        (t0, t1),
+        xbar0,
+        method="RK45",
+        rtol=rtol,
+        atol=atol,
+        dense_output=True,
+    )
     if not sol.success:
         raise SimulationDivergedError(f"integrator stopped: {sol.message}", float(sol.t[-1]))
     ts = np.linspace(t0, t1, int(n_samples)) if n_samples else sol.t
     xs = sol.sol(ts).T
-    return Trajectory(times=ts, states=xs, inputs=np.zeros((ts.shape[0], 1)))
+    return Trajectory(times=ts, states=xs, inputs=np.zeros((ts.shape[0], u_zero.size)))
 
 
 def plan_to_csv(plan: ReferencePlan, path) -> None:
-    """CSV header t,xd1..xdn,xddot1..xddotn at full double precision."""
+    """CSV header t,xd1..xdn,xddot1..xddotn at full double precision.
+
+    The xddot columns are the spline derivative, kept for readers of the
+    file; `plan_from_csv` rebuilds it from the xd columns.
+    """
     n = plan.xd.shape[1]
     cols = ["t"] + [f"xd{i + 1}" for i in range(n)] + [f"xddot{i + 1}" for i in range(n)]
     data = np.hstack([plan.times[:, None], plan.xd, plan.xddot])
@@ -463,4 +456,4 @@ def plan_to_csv(plan: ReferencePlan, path) -> None:
 def plan_from_csv(path) -> ReferencePlan:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     n = (data.shape[1] - 1) // 2
-    return ReferencePlan(times=data[:, 0], xd=data[:, 1 : 1 + n], xddot=data[:, 1 + n :])
+    return ReferencePlan(times=data[:, 0], xd=data[:, 1 : 1 + n])

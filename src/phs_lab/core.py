@@ -6,10 +6,13 @@ A port-Hamiltonian system (PHS) is
 
 with constant skew-symmetric interconnection J, positive semi-definite
 dissipation R, input matrix G, and stored energy H.  The learned model of
-``structure.py`` has the same constant structure.  H and grad H take one
-state (n,) or a block (n, Q) with one state per column, and so do
-`eval_dynamics` and `phs_output`.  Times are in ms throughout; all other
-quantities are dimensionless.
+``structure.py`` has the same constant structure.  `PhsModel` describes the
+plant, and also the target error loop of the tracking controller
+(``control.DesiredDynamics``: J_d, R_d, G_hat and H_d in the error
+coordinates), so both are simulated, observed and balanced by the same
+functions here.  H and grad H take one state (n,) or a block (n, Q) with one
+state per column, and so do `eval_dynamics` and `phs_output`.  Times are in
+ms throughout; all other quantities are dimensionless.
 """
 
 from __future__ import annotations

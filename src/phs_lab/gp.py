@@ -416,10 +416,8 @@ class GpPhsModel:
         L: per block, phs_blocks assembles sf^2 k (M - u u^T) with
         u = S Lambda^-1 d, and one trmm multiplies its transpose by L^-1.
         """
-        xq = np.asarray(xq, dtype=float)
+        xq = _query_states(xq, self.dim_state)
         n = self.dim_state
-        if xq.ndim != 2 or xq.shape[0] != n:
-            raise ValueError(f"query states must be an ({n}, Q) array, got shape {xq.shape}")
         n_q = xq.shape[1]
         v = 1.0 / self.hyper.lengthscales**2
         w = self.h_weights
@@ -449,6 +447,14 @@ class GpPhsModel:
         if not mean:
             return None, None, var_out
         return h, (k_all @ w - corr).T, var_out
+
+
+def _query_states(xq, n):
+    """xq as a float (n, Q) array of query states, one per column; ValueError otherwise."""
+    xq = np.asarray(xq, dtype=float)
+    if xq.ndim != 2 or xq.shape[0] != n:
+        raise ValueError(f"query states must be an ({n}, Q) array, got shape {xq.shape}")
+    return xq
 
 
 def _conditioned(hyper, states, xdot0, jitter, max_jitter, **fields) -> GpPhsModel:
@@ -605,8 +611,9 @@ class PerfectPhsModel:
 
     Posterior mean equals (J - R) grad H, variance and error envelope are
     identically zero, and the Hamiltonian is H(x) - H(x_ref).  ``g_hat`` is
-    the structure's constant G_hat, as on GpPhsModel.  Used for the eta = 0
-    baseline.
+    the structure's constant G_hat, as on GpPhsModel.  Queries take (n, Q)
+    states, one per column, and raise ValueError otherwise, as GpPhsModel's
+    do.  Used for the eta = 0 baseline.
     """
 
     def __init__(self, plant: PhsModel, structure: StructureEstimate, x_ref=None):
@@ -636,14 +643,13 @@ class PerfectPhsModel:
         return eval_dynamics(self.plant, x, u), np.zeros(self.dim_state)
 
     def hamiltonian_grad(self, xq):
-        return self.plant.hamiltonian_gradient(np.atleast_2d(np.asarray(xq, dtype=float)))
+        return self.plant.hamiltonian_gradient(_query_states(xq, self.dim_state))
 
     def hamiltonian(self, xq):
-        return self.plant.hamiltonian(np.atleast_2d(np.asarray(xq, dtype=float))) - self.h_ref
+        return self.plant.hamiltonian(_query_states(xq, self.dim_state)) - self.h_ref
 
     def envelope(self, xq):
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        return np.zeros((self.dim_state, xq.shape[1]))
+        return np.zeros((self.dim_state, _query_states(xq, self.dim_state).shape[1]))
 
 
 def save_model(model: GpPhsModel, path) -> None:

@@ -66,6 +66,7 @@ __all__ = [
     "run_stage",
     "emit_figure_data",
     "load_model_artifact",
+    "load_desired",
 ]
 
 STAGE_ORDER = [
@@ -264,16 +265,15 @@ def stage_desired(cfg, workdir):
     structure = model.structure
     b_hat = float(structure.family.values(structure.phi)[0])
     jd, rd = microactuator_desired_matrices(b_hat, de["r_d_inv"])
-    _, report = build_desired_dynamics(
-        model, jd, rd, gate_domain=de["gate_domain"], gate_resolution=de["gate_resolution"]
-    )
+    _, report = build_desired_dynamics(model, jd, rd)
     report["b_hat"] = b_hat
     report["r_d_inv"] = de["r_d_inv"]
     with open(_path(workdir, "hd_check.json"), "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
 
 
-def _load_desired(cfg, workdir, model):
+def load_desired(workdir, model):
+    """The target error loop of ``model`` from the desired stage's hd_check.json."""
     with open(_require(workdir, "hd_check.json")) as fh:
         report = json.load(fh)
     jd, rd = microactuator_desired_matrices(report["b_hat"], report["r_d_inv"])
@@ -282,7 +282,7 @@ def _load_desired(cfg, workdir, model):
 
 def stage_plan(cfg, workdir):
     model = load_model_artifact(cfg, workdir)
-    desired = _load_desired(cfg, workdir, model)
+    desired = load_desired(workdir, model)
     pl = cfg["plan"]
 
     plan = solve_reference_plan(
@@ -295,14 +295,11 @@ def stage_plan(cfg, workdir):
     )
     plan_to_csv(plan, _path(workdir, "plan.csv"))
     check_idx = np.unique(np.linspace(0, plan.times.size - 1, 25).round().astype(int))
-    residuals = [
-        float(np.linalg.norm(matching_residual(model, desired, plan, plan.xd[i], plan.times[i])))
-        for i in check_idx
-    ]
+    residuals = np.linalg.norm(matching_residual(model, desired, plan, check_idx), axis=0)
     with open(_path(workdir, "plan_summary.json"), "w") as fh:
         json.dump(
             {
-                "max_matching_residual": max(residuals),
+                "max_matching_residual": float(np.max(residuals)),
                 "checked_times": [float(plan.times[i]) for i in check_idx],
                 "grid_step": pl["grid_step"],
                 "fit": plan.fit,
@@ -316,7 +313,7 @@ def stage_plan(cfg, workdir):
 
 def stage_verify(cfg, workdir):
     model = load_model_artifact(cfg, workdir)
-    desired = _load_desired(cfg, workdir, model)
+    desired = load_desired(workdir, model)
     plan = plan_from_csv(_require(workdir, "plan.csv"))
     v = cfg["verify"]
     spec = VerifySpec(
@@ -342,7 +339,7 @@ def build_controller(model, desired, plan):
 
 def stage_closed_loop(cfg, workdir):
     model = load_model_artifact(cfg, workdir)
-    desired = _load_desired(cfg, workdir, model)
+    desired = load_desired(workdir, model)
     plan = plan_from_csv(_require(workdir, "plan.csv"))
     plant, _ = build_plant(cfg)
     cl = cfg["closed_loop"]
@@ -368,7 +365,7 @@ def emit_figure_data(workdir, traj, plan, desired):
     os.makedirs(figdir, exist_ok=True)
     ts = traj.times
     xd = plan.x_d(ts)
-    hd = desired.hd_error_batch((traj.states - xd).T)
+    hd = desired.hamiltonian((traj.states - xd).T)
 
     def emit(name, header, cols):
         np.savetxt(
@@ -397,7 +394,7 @@ def _model_hd_increments(model, desired, plan, traj):
     mismatch but not the model error, which criterion 1b bounds separately.
     """
     xs, ts = traj.states, traj.times
-    grad = desired.hd_error_grad_batch((xs - plan.x_d(ts)).T)
+    grad = desired.hamiltonian_gradient((xs - plan.x_d(ts)).T)
     velocity = model.drift_mean(xs.T) + model.g_hat @ traj.inputs.T - plan.x_d_dot(ts).T
     slope = np.einsum("nk,nk->k", grad, velocity)
     return 0.5 * np.diff(ts) * (slope[:-1] + slope[1:])
@@ -421,7 +418,7 @@ def stage_metrics(cfg, workdir):
     plan = plan_from_csv(_require(workdir, "plan.csv"))
     plant, _ = build_plant(cfg)
     model = load_model_artifact(cfg, workdir)
-    desired = _load_desired(cfg, workdir, model)
+    desired = load_desired(workdir, model)
     with open(_require(workdir, "train_summary.json")) as fh:
         train_summary = json.load(fh)
     with open(_require(workdir, "hd_check.json")) as fh:

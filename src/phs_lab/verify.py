@@ -17,11 +17,12 @@ Two checks gate a controller before it is trusted:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .control import DesiredDynamics, ReferencePlan, find_hamiltonian_minimum, make_desired_dynamics
+from .control import ReferencePlan, find_hamiltonian_minimum, make_desired_dynamics
+from .core import PhsModel
 from .errors import SynthesisError
 
 __all__ = [
@@ -31,7 +32,14 @@ __all__ = [
     "validate_hd_minimum",
     "verify_dissipation_condition",
     "build_desired_dynamics",
+    "GATE_BOUND",
+    "GATE_RESOLUTION",
 ]
+
+# the energy-minimum gate's grid: GATE_RESOLUTION points per axis on
+# [-GATE_BOUND, GATE_BOUND] in every error coordinate
+GATE_BOUND = 2.0
+GATE_RESOLUTION = 21
 
 
 @dataclass(frozen=True)
@@ -64,25 +72,21 @@ class HdMinimumReport:
         }
 
 
-def _domain(domain, n):
-    """The gate domain, [-2, 2] per dimension when not given."""
-    return [(-2.0, 2.0)] * n if domain is None else domain
-
-
 def validate_hd_minimum(
-    desired: DesiredDynamics,
-    domain: Optional[Sequence] = None,
-    resolution: int = 21,
+    desired: PhsModel,
+    bound: float = GATE_BOUND,
+    resolution: int = GATE_RESOLUTION,
 ) -> HdMinimumReport:
-    """Grid check that H_d attains its strict minimum at zero error.
+    """Grid check that H_d (``desired.hamiltonian``) attains its strict minimum at zero error.
 
-    Passes iff the grid argmin is the grid point nearest the origin and the
+    The grid has ``resolution`` points per axis on [-bound, bound].  Passes
+    iff the grid argmin is the grid point nearest the origin and the
     second-smallest value exceeds the minimum by a positive gap.
     """
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in _domain(domain, desired.dim_state)]
+    axes = [np.linspace(-bound, bound, resolution)] * desired.dim_state
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh])
-    vals = desired.hd_error_batch(pts)
+    vals = desired.hamiltonian(pts)
 
     order = np.argsort(vals, kind="stable")
     imin = int(order[0])
@@ -175,11 +179,11 @@ class ConditionReport:
 
 def verify_dissipation_condition(
     model,
-    desired: DesiredDynamics,
+    desired: PhsModel,
     plan: ReferencePlan,
     spec: Optional[VerifySpec] = None,
 ) -> ConditionReport:
-    """Sample the robust dissipation margin around the reference.
+    """Sample the robust dissipation margin of the target loop ``desired`` around the reference.
 
     Directions mix deterministic axis/corner probes with Monte-Carlo sphere
     samples; the certificate radius is refined by bisection between the last
@@ -208,8 +212,8 @@ def verify_dissipation_condition(
         """
         nonlocal envelope_calls
         xbar = radius * dirs
-        grads = desired.hd_error_grad_batch(xbar)
-        quad = np.einsum("iq,ij,jq->q", grads, desired.rd, grads)
+        grads = desired.hamiltonian_gradient(xbar)
+        quad = np.einsum("iq,ij,jq->q", grads, desired.r, grads)
         out = []
         for center in centers.T:
             m = quad - np.sum(np.abs(grads) * model.envelope(center[:, None] + xbar), axis=0)
@@ -260,28 +264,24 @@ def verify_dissipation_condition(
     )
 
 
-def build_desired_dynamics(
-    model,
-    jd,
-    rd,
-    gate_domain: Optional[Sequence] = None,
-    gate_resolution: int = 21,
-):
+def build_desired_dynamics(model, jd, rd):
     """Centre H_d at the learned energy minimum and gate it once.
 
     The centre c is a root of grad H_hat (find_hamiltonian_minimum), searched
     over the training-state bounding box when the model stores states and
-    over the gate domain otherwise, and H_d(xbar) = H_hat(c + xbar) - H_hat(c).
+    over the gate grid's box otherwise, and H_d(xbar) = H_hat(c + xbar) - H_hat(c).
     Returns the dynamics plus the report of hd_check.json: ``center``, the
     root's exit ``root`` and the gate result ``final_gate``.  Raises
     SynthesisError when the gate fails.
     """
-    domain = _domain(gate_domain, model.dim_state)
     states = getattr(model, "states", None)
-    box = domain if states is None else list(zip(states.min(axis=1), states.max(axis=1)))
+    if states is None:
+        box = [(-GATE_BOUND, GATE_BOUND)] * model.dim_state
+    else:
+        box = list(zip(states.min(axis=1), states.max(axis=1)))
     center, root_exit = find_hamiltonian_minimum(model, box)
     desired = make_desired_dynamics(model, jd, rd, center=center)
-    gate = validate_hd_minimum(desired, domain, gate_resolution)
+    gate = validate_hd_minimum(desired)
     if not gate.passed:
         raise SynthesisError(
             f"desired energy lacks a minimum at zero error; grid argmin at {gate.argmin_point}"

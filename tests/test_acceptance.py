@@ -25,7 +25,6 @@ from phs_lab import (
 )
 from phs_lab.config import default_config, validate_config
 from phs_lab.control import (
-    external_output,
     make_desired_dynamics,
     microactuator_desired_matrices,
     microactuator_tracking_control,
@@ -34,7 +33,13 @@ from phs_lab.control import (
     simulate_error_dynamics,
     solve_reference_plan,
 )
-from phs_lab.core import eval_dynamics, make_mass_spring_damper, simulate_feedback, trajectory_from_csv
+from phs_lab.core import (
+    eval_dynamics,
+    make_mass_spring_damper,
+    phs_output,
+    simulate_feedback,
+    trajectory_from_csv,
+)
 from phs_lab.filtering import FilteredDataset
 from phs_lab.gp import (
     GpHyperparams,
@@ -44,7 +49,7 @@ from phs_lab.gp import (
     negative_log_marginal_likelihood,
     train,
 )
-from phs_lab.pipeline import build_plant, run_pipeline
+from phs_lab.pipeline import build_plant, load_desired, run_pipeline
 from phs_lab.structure import MicroactuatorStructure, StructureEstimate
 from phs_lab.verify import VerifySpec, verify_dissipation_condition
 
@@ -122,7 +127,7 @@ def nominal_hd_increments(model, desired, plan, traj):
     true-plant slope.  Each sample step is integrated by the trapezoid rule.
     """
     xs, ts = traj.states, traj.times
-    grad = desired.hd_error_grad_batch((xs - plan.x_d(ts)).T)
+    grad = desired.hamiltonian_gradient((xs - plan.x_d(ts)).T)
     velocity = model.drift_mean(xs.T) + model.g_hat @ traj.inputs.T - plan.x_d_dot(ts).T
     slope = np.einsum("nk,nk->k", grad, velocity)
     return 0.5 * np.diff(ts) * (slope[:-1] + slope[1:])
@@ -140,10 +145,7 @@ def production_loop(production_run):
     workdir, _, _ = production_run
     plant, _ = build_plant(default_config())
     model = load_model(workdir / "model.json")
-    with open(workdir / "hd_check.json") as fh:
-        hd_check = json.load(fh)
-    jd, rd = microactuator_desired_matrices(hd_check["b_hat"], hd_check["r_d_inv"])
-    desired = make_desired_dynamics(model, jd, rd, center=np.asarray(hd_check["center"]))
+    desired = load_desired(workdir, model)
     plan = plan_from_csv(workdir / "plan.csv")
     traj = trajectory_from_csv(workdir / "closedloop.csv")
     return plant, model, desired, plan, traj
@@ -239,7 +241,7 @@ def test_criterion_1b_perfect_model_oracle(perfect_setup):
         ts = np.linspace(0.0, 13.0, n_samples)
         traj = simulate_feedback(plant, x0, law, (0.0, 13.0), sample_times=ts)
         nominal = nominal_hd_increments(model, desired, plan, traj)
-        actual = np.diff(desired.hd_error_batch((traj.states - plan.x_d(ts)).T))
+        actual = np.diff(desired.hamiltonian((traj.states - plan.x_d(ts)).T))
         gaps.append(float(np.max(np.abs(nominal - actual))))
         err, eta = drift_error_and_envelope(plant, model, traj.states)
         exact = exact and not np.any(err) and not np.any(eta)
@@ -302,7 +304,7 @@ def test_criterion_2_perfect_model_equivalence(perfect_setup, tmp_path):
 
     # strict decrease of H_d until the error ball is reached
     long_err = simulate_error_dynamics(desired, xbar0, (0.0, 30.0), n_samples=6001)
-    hd = desired.hd_error_batch(long_err.states.T)
+    hd = desired.hamiltonian(long_err.states.T)
     norms = np.linalg.norm(long_err.states, axis=1)
     inside = np.nonzero(norms <= 1e-3)[0]
     reached = inside.size > 0
@@ -427,7 +429,6 @@ def test_criterion_5_energy_invariants(perfect_setup):
     # power inflow (perfect model, so the certificate ball has radius zero)
     _, model, desired, plan = perfect_setup
     base = microactuator_tracking_control(model, desired, plan)
-    y_ex = external_output(model, desired, plan)
     ts = np.linspace(0.0, 13.0, 1301)
     semi_ok = True
     worst_defect = -np.inf
@@ -439,10 +440,10 @@ def test_criterion_5_energy_invariants(perfect_setup):
         run = simulate_feedback(
             plant, plan.x_d(0.0), controller, (0.0, 13.0), sample_times=ts
         )
-        hd = desired.hd_error_batch((run.states - plan.x_d(ts)).T)
-        power = np.array(
-            [float(y_ex(x, t) @ u_ex(t)) for x, t in zip(run.states, ts)]
-        )
+        xbar = (run.states - plan.x_d(ts)).T
+        hd = desired.hamiltonian(xbar)
+        # y_ex = Ghat^T grad H_d(xbar), the target loop's port output
+        power = np.array([float(y @ u_ex(t)) for y, t in zip(phs_output(desired, xbar).T, ts)])
         supplied = np.concatenate([[0.0], np.cumsum(np.diff(ts) * 0.5 * (power[:-1] + power[1:]))])
         defect = float(np.max((hd - hd[0]) - supplied))
         worst_defect = max(worst_defect, defect)

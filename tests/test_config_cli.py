@@ -48,7 +48,7 @@ def test_unknown_key_rejected_with_path():
         ({"dataset": {"input": {"kind": "chirp"}}}, "dataset.input.kind"),
         ({"plan": {"grid_step": 0.0}}, "plan.grid_step"),
         ({"plan": {"reference": {"kind": "ramp"}}}, "plan.reference.kind"),
-        ({"desired": {"gate_resolution": 2}}, "desired.gate_resolution"),
+        ({"verify": {"n_radii": 1}}, "verify.n_radii"),
         ({"closed_loop": {"x0_offset": [0.05, 0.0]}}, "closed_loop.x0_offset"),
         ({"plant": {"kind": "pendulum"}}, "plant.kind"),
     ],
@@ -68,6 +68,8 @@ def test_validation_errors_name_the_leaf(bad, path):
         ("train.beta_percentile", 99.0),
         ("desired.b_hat", None),
         ("desired.recenter", "auto"),
+        ("desired.gate_domain", [[-2.0, 2.0], [-2.0, 2.0], [-2.0, 2.0]]),
+        ("desired.gate_resolution", 21),
         ("plan.mode", "auto"),
         ("verify.chunk", 2048),
         ("closed_loop.reduced_law", True),

@@ -22,7 +22,6 @@ from phs_lab import (
 from phs_lab.control import (
     ReferencePlan,
     _best_fit_problem,
-    external_output,
     find_hamiltonian_minimum,
     left_annihilator,
     make_desired_dynamics,
@@ -36,7 +35,7 @@ from phs_lab.control import (
     solve_reference_plan,
     tracking_control,
 )
-from phs_lab.core import eval_dynamics, simulate_feedback
+from phs_lab.core import energy_balance_residual, eval_dynamics, phs_output, simulate_feedback
 from phs_lab.filtering import FilteredDataset
 from phs_lab.gp import PerfectPhsModel
 
@@ -56,6 +55,20 @@ def plant():
 def perfect_model(plant):
     # structure matches the true parameters, so mu == (J - R) grad H exactly
     return PerfectPhsModel(plant, micro_structure(b=0.5, r=1.0), x_ref=np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.fixture(scope="module")
+def gp_model(plant):
+    # a GP conditioned on 30 exact-derivative samples of one rollout
+    u_fn = lambda t: np.array([np.sin(t)])
+    traj = simulate(plant, np.array([0.0, 0.0, 1.0]), u_fn, (0.0, 20.0), n_samples=30)
+    ds = FilteredDataset(
+        states=traj.states.T,
+        derivatives=eval_dynamics(plant, traj.states.T, traj.inputs.T),
+        inputs=traj.inputs.T,
+        times=traj.times,
+    )
+    return condition(ds, micro_hypers())
 
 
 @pytest.fixture(scope="module")
@@ -83,19 +96,23 @@ def test_desired_matrices_properties():
     assert np.all(np.linalg.eigvalsh(rd) >= 0.0)
 
 
-def test_desired_dynamics_center_and_batch(desired):
-    assert desired.hd_error_batch(np.zeros((3, 1)))[0] == pytest.approx(0.0, abs=1e-12)
-    x = np.array([1.2, 0.3, 0.4])
-    x_d = np.array([1.1, 0.1, 0.2])
+def test_desired_dynamics_center_and_batch(perfect_model, desired):
+    # the target loop is a PhsModel of the error: J_d, R_d, Ghat and H_d
+    assert isinstance(desired, PhsModel)
+    assert (desired.dim_state, desired.dim_input) == (3, 1)
+    np.testing.assert_array_equal(desired.g, perfect_model.g_hat)
+    assert desired.hamiltonian(np.zeros(3)) == pytest.approx(0.0, abs=1e-12)
     xbar = np.array([[0.1, -0.2], [0.05, 0.0], [0.2, 0.3]])
-    batch = desired.hd_error_batch(xbar)
-    singles = [desired.hd_error_batch(xbar[:, i : i + 1])[0] for i in range(2)]
-    np.testing.assert_allclose(batch, singles, atol=1e-12)
-    grad_batch = desired.hd_error_grad_batch(xbar)
-    np.testing.assert_allclose(
-        desired.hd_grad(x, x_d), desired.hd_error_grad_batch((x - x_d)[:, None])[:, 0], atol=0
-    )
+    batch = desired.hamiltonian(xbar)
+    singles = [desired.hamiltonian(xbar[:, i]) for i in range(2)]
+    np.testing.assert_array_equal(batch, singles)
+    grad_batch = desired.hamiltonian_gradient(xbar)
     assert grad_batch.shape == (3, 2)
+    for i in range(2):
+        np.testing.assert_array_equal(desired.hamiltonian_gradient(xbar[:, i]), grad_batch[:, i])
+    # H_d(xbar) = H_hat(c + xbar) - H_hat(c)
+    shifted = desired.center[:, None] + xbar
+    np.testing.assert_array_equal(grad_batch, perfect_model.hamiltonian_grad(shifted))
 
 
 def test_hamiltonian_minimum_found(perfect_model):
@@ -127,15 +144,34 @@ def test_left_annihilator_rank_deficient():
 
 
 def test_plan_matches_at_every_grid_point(perfect_model, desired, plan):
-    res = [
-        np.linalg.norm(matching_residual(perfect_model, desired, plan, plan.xd[k], plan.times[k]))
-        for k in range(plan.times.size)
-    ]
-    assert max(res) <= 1e-6
+    res = np.linalg.norm(matching_residual(perfect_model, desired, plan, np.arange(plan.times.size)), axis=0)
+    assert res.shape == (plan.times.size,)
+    assert np.max(res) <= 1e-6
     # x_d2(0) must equal xdot_d1(0); x_d3(0)^2 balances the spring term
     assert plan.xd[0, 0] == pytest.approx(1.0, abs=0)
     assert plan.xd[0, 1] == pytest.approx(-0.018, abs=1e-9)
     assert plan.xd[0, 2] ** 2 == pytest.approx(0.009, abs=1e-5)
+
+
+@pytest.mark.parametrize("kind", ["gp", "perfect"])
+def test_matching_residual_batch_matches_per_point_loop(kind, perfect_model, gp_model, plan):
+    # the batched defects against the per-state matching condition at each
+    # grid point, Gperp (mu(x) - [J_d - R_d] grad H_d(x - x_d(t)) - xdot_d(t));
+    # the GP model is far from the plant, so its defects are far from zero
+    model = gp_model if kind == "gp" else perfect_model
+    jd, rd = microactuator_desired_matrices(b_hat=0.5, r_d_inv=10.0)
+    desired = make_desired_dynamics(model, jd, rd, center=np.array([1.0, 0.0, 0.0]))
+    idx = np.unique(np.linspace(0, plan.times.size - 1, 25).round().astype(int))
+    batch = matching_residual(model, desired, plan, idx)
+    gperp = left_annihilator(model.g_hat)
+    loop = []
+    for k in idx:
+        x, t = plan.xd[k], plan.times[k]
+        mu = model.drift_mean(x[:, None])[:, 0]
+        grad = model.hamiltonian_grad((desired.center + x - plan.x_d(t))[:, None])[:, 0]
+        loop.append(gperp @ (mu - (desired.j - desired.r) @ grad - plan.x_d_dot(t)))
+    assert batch.shape == (2, idx.size)
+    np.testing.assert_allclose(batch, np.array(loop).T, rtol=0, atol=1e-12)
 
 
 def test_plan_grid_refinement_converged(perfect_model, desired):
@@ -178,6 +214,10 @@ def test_plan_csv_round_trip(plan, tmp_path):
     np.testing.assert_array_equal(back.times, plan.times)
     np.testing.assert_array_equal(back.xd, plan.xd)
     np.testing.assert_array_equal(back.xddot, plan.xddot)
+    # xddot is the plan spline's own derivative at the grid points
+    np.testing.assert_array_equal(plan.xddot, plan.x_d_dot(plan.times))
+    stored = np.loadtxt(path, delimiter=",", skiprows=1)[:, 4:]
+    np.testing.assert_array_equal(stored, plan.xddot)
 
 
 def test_plan_time_coverage(plan):
@@ -225,32 +265,17 @@ def test_plan_best_fit_reaches_residual_floor(perfect_model, desired):
         plan = solve_reference_plan(
             biased, desired, lambda t: (1.0, 0.0), (0.0, 1.0), step, seed_tail=np.array([0.0, 0.1])
         )
-        res = np.array(
-            [
-                matching_residual(biased, desired, plan, plan.xd[k], plan.times[k])
-                for k in range(plan.times.size)
-            ]
-        )
+        res = matching_residual(biased, desired, plan, np.arange(plan.times.size))
         assert np.sum(res**2) == pytest.approx(2.0 * plan.fit["cost"], rel=1e-8)
-        assert 0.004 <= np.max(np.linalg.norm(res, axis=1)) <= 0.02
+        assert 0.004 <= np.max(np.linalg.norm(res, axis=0)) <= 0.02
         np.testing.assert_allclose(plan.xd[:, 2], 0.0, atol=1e-2)
 
 
 @pytest.mark.parametrize("kind", ["gp", "perfect"])
-def test_best_fit_jacobian_matches_finite_differences(kind, plant, perfect_model):
+def test_best_fit_jacobian_matches_finite_differences(kind, perfect_model, gp_model):
     # the closed-form Jacobian against scipy's own differencing of the
     # residual, at random tails on a 9-point grid
-    model = perfect_model
-    if kind == "gp":
-        u_fn = lambda t: np.array([np.sin(t)])
-        traj = simulate(plant, np.array([0.0, 0.0, 1.0]), u_fn, (0.0, 20.0), n_samples=30)
-        ds = FilteredDataset(
-            states=traj.states.T,
-            derivatives=eval_dynamics(plant, traj.states.T, traj.inputs.T),
-            inputs=traj.inputs.T,
-            times=traj.times,
-        )
-        model = condition(ds, micro_hypers())
+    model = gp_model if kind == "gp" else perfect_model
     rng = np.random.default_rng(5)
     n_grid = 9
     times = np.linspace(0.0, 0.8, n_grid)
@@ -274,14 +299,11 @@ def test_semi_passive_adds_external_input():
     np.testing.assert_allclose(combined(np.zeros(3), 2.0), [2.0], atol=1e-15)
 
 
-def test_external_output_hand_value(perfect_model, desired):
-    # y_ex = G^T grad H_d with grad H evaluated at center + x - x_d
+def test_external_port_output_hand_value(desired):
+    # y_ex = Ghat^T grad H_d(x - x_d), with grad H evaluated at center + x - x_d
     xd_row = np.array([1.1, 0.1, 0.2])
-    plan = ReferencePlan(
-        times=np.array([0.0, 1.0]), xd=np.tile(xd_row, (2, 1)), xddot=np.zeros((2, 3))
-    )
-    y_ex = external_output(perfect_model, desired, plan)
-    val = y_ex(np.array([1.2, 0.3, 0.4]), 0.5)
+    plan = ReferencePlan(times=np.array([0.0, 1.0]), xd=np.tile(xd_row, (2, 1)))
+    val = phs_output(desired, np.array([1.2, 0.3, 0.4]) - plan.x_d(0.5))
     assert val == pytest.approx(2 * 1.1 * 0.2, abs=1e-12)
 
 
@@ -328,7 +350,25 @@ def test_closed_loop_matches_open_loop_failure_modes():
 def test_error_dynamics_dissipate(desired):
     xbar0 = np.array([0.3, -0.2, 0.3])
     traj = simulate_error_dynamics(desired, xbar0, (0.0, 10.0), n_samples=200)
-    hd_vals = desired.hd_error_batch(traj.states.T)
+    hd_vals = desired.hamiltonian(traj.states.T)
     assert hd_vals[0] > 0.0
     assert np.all(np.diff(hd_vals) <= 1e-10)
     assert hd_vals[-1] < 0.05 * hd_vals[0]
+
+
+def test_target_loop_energy_balance_through_core(desired):
+    # the target loop with an external port input u_ex is a PHS, so core's
+    # balance dH_d/dt = -grad H_d^T R_d grad H_d + y_ex^T u_ex holds along it
+    # up to the O(h^2) error of the balance check's differencing: the defect
+    # stays under one C h^2 and falls about 4x per halving of the sample step,
+    # where leaving out the supplied power y_ex^T u_ex stalls it at 0.015
+    xbar0 = np.array([0.3, -0.2, 0.3])
+    u_ex = lambda t: np.array([0.4 * np.sin(2.0 * t)])
+    defects = []
+    for n_samples in (401, 801, 1601):
+        traj = simulate(desired, xbar0, u_ex, (0.0, 2.0), n_samples=n_samples, rtol=1e-12, atol=1e-12)
+        assert np.ptp(phs_output(desired, traj.states.T)) > 0.0
+        defect = float(np.max(energy_balance_residual(desired, traj)))
+        assert defect <= 1.5e3 * (2.0 / (n_samples - 1)) ** 2
+        defects.append(defect)
+    assert defects[0] >= 3.5 * defects[1] and defects[1] >= 3.5 * defects[2]

@@ -422,11 +422,14 @@ def test_hamiltonian_bits_do_not_depend_on_the_batch(small_model):
 
 
 @pytest.mark.parametrize("method", ["drift", "drift_mean", "envelope", "hamiltonian", "hamiltonian_grad"])
-def test_queries_take_states_as_columns_only(small_model, method):
-    # a (Q, n) array is not read as Q states, even when Q = n would allow it
+def test_queries_take_states_as_columns_only(small_model, plant, method):
+    # a (Q, n) array is not read as Q states, and one state (n,) is not read
+    # as n states, on the learned and on the exact model alike
     xq = np.random.default_rng(12).uniform(-0.5, 1.5, size=(5, 3))
-    with pytest.raises(ValueError, match=r"\(3, Q\)"):
-        getattr(small_model, method)(xq)
+    for model in (small_model, PerfectPhsModel(plant, micro_structure(b=0.5, r=1.0))):
+        for bad in (xq, xq[0]):
+            with pytest.raises(ValueError, match=r"\(3, Q\)"):
+                getattr(model, method)(bad)
 
 
 def test_hamiltonian_minimum_is_a_root_of_the_gradient(small_model):

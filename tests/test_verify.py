@@ -23,7 +23,6 @@ from phs_lab.verify import (
     validate_hd_minimum,
     verify_dissipation_condition,
 )
-from phs_lab.control import DesiredDynamics
 
 from conftest import micro_structure
 
@@ -46,15 +45,11 @@ def centered_desired(centered_model):
 
 def constant_plan(xd_row, t1=1.0):
     xd_row = np.asarray(xd_row, dtype=float)
-    return ReferencePlan(
-        times=np.array([0.0, t1]),
-        xd=np.tile(xd_row, (2, 1)),
-        xddot=np.zeros((2, xd_row.size)),
-    )
+    return ReferencePlan(times=np.array([0.0, t1]), xd=np.tile(xd_row, (2, 1)))
 
 
 def test_hd_minimum_gate_passes_when_centered(centered_desired):
-    rep = validate_hd_minimum(centered_desired, domain=[(-1.0, 1.0)] * 3, resolution=11)
+    rep = validate_hd_minimum(centered_desired, bound=1.0, resolution=11)
     assert rep.passed
     assert rep.gap > 0.0
     np.testing.assert_allclose(rep.argmin_point, 0.0, atol=1e-12)
@@ -64,7 +59,7 @@ def test_hd_minimum_gate_fails_off_center(centered_model):
     # without the shift the learned minimum sits at (1, 0, 0) in error space
     jd, rd = microactuator_desired_matrices(b_hat=0.5, r_d_inv=10.0)
     off = make_desired_dynamics(centered_model, jd, rd)
-    rep = validate_hd_minimum(off, domain=[(-2.0, 2.0)] * 3, resolution=21)
+    rep = validate_hd_minimum(off)
     assert not rep.passed
     np.testing.assert_allclose(rep.argmin_point, [1.0, 0.0, 0.0], atol=0.21)
 
@@ -97,14 +92,12 @@ def quadratic_desired(n, rho):
     # H_d = |xbar|^2 / 2, R_d = rho I: margin on the sphere of radius s is
     # rho s^2 - eta0 s |d|_1, worst over unit d at |d|_1 = sqrt(n), so the
     # certificate radius is eta0 sqrt(n) / rho
-    return DesiredDynamics(
-        jd=np.zeros((n, n)),
-        rd=rho * np.eye(n),
-        hd_grad=lambda x, x_d: np.asarray(x, dtype=float) - np.asarray(x_d, dtype=float),
-        hd_error_batch=lambda xbar: 0.5 * np.sum(np.atleast_2d(xbar) ** 2, axis=0),
-        hd_error_grad_batch=lambda xbar: np.atleast_2d(np.asarray(xbar, dtype=float)),
-        center=np.zeros(n),
-        dim_state=n,
+    return PhsModel(
+        j=np.zeros((n, n)),
+        r=rho * np.eye(n),
+        g=np.zeros((n, 1)),
+        hamiltonian=lambda xbar: 0.5 * np.sum(xbar**2, axis=0),
+        hamiltonian_gradient=lambda xbar: np.asarray(xbar, dtype=float),
     )
 
 
@@ -142,7 +135,7 @@ class _CountingEnvelopeModel(_ConstantEnvelopeModel):
 def test_verify_work_counts(eta0, rho):
     spec = VerifySpec(max_radius=0.5, n_radii=10, n_dirs=40, n_times=3, bisect_iters=5)
     model = _CountingEnvelopeModel(3, eta0)
-    plan = ReferencePlan(times=np.linspace(0.0, 1.0, 5), xd=np.zeros((5, 3)), xddot=np.zeros((5, 3)))
+    plan = ReferencePlan(times=np.linspace(0.0, 1.0, 5), xd=np.zeros((5, 3)))
     report = verify_dissipation_condition(model, quadratic_desired(3, rho), plan, spec)
     out = report.to_jsonable()
     n_times = report.times.size
@@ -182,7 +175,7 @@ def test_margin_csv_shape(tmp_path):
 
 def test_build_desired_recenter_finds_learned_minimum(plant):
     # the model stores no training states, so the root search starts from
-    # the gate domain, [-2, 2] per dimension by default
+    # the gate grid's box, [-GATE_BOUND, GATE_BOUND] per dimension
     model = PerfectPhsModel(plant, micro_structure(b=0.5, r=1.0))
     jd, rd = microactuator_desired_matrices(b_hat=0.5, r_d_inv=10.0)
     desired, report = build_desired_dynamics(model, jd, rd)
@@ -190,7 +183,7 @@ def test_build_desired_recenter_finds_learned_minimum(plant):
     assert report["root"]["status"] == 1
     assert report["final_gate"]["passed"]
     np.testing.assert_allclose(report["center"], [1.0, 0.0, 0.0], atol=1e-5)
-    assert desired.hd_error_batch(np.zeros((3, 1)))[0] == 0.0
+    assert desired.hamiltonian(np.zeros(3)) == 0.0
 
 
 def test_build_desired_for_origin_minimum():

@@ -30,9 +30,9 @@ and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
   states, the variance-only call that verify makes once per shell and plan
   time (``envelope_calls`` in ``verify_report.json``);
 - ``energy_q9261``: the posterior energy H_hat on the desired stage's
-  gate grid (``desired.gate_resolution`` points per axis of
-  ``desired.gate_domain``, 21^3 by default, shifted to the centre in
-  ``hd_check.json``), the one call the energy-minimum gate makes;
+  gate grid (``verify.GATE_RESOLUTION`` points per axis of
+  [-``verify.GATE_BOUND``, ``verify.GATE_BOUND``], 21^3, shifted to the
+  centre in ``hd_check.json``), the one call the energy-minimum gate makes;
 - ``controller_q1``: one call of the closed-loop controller at a state off
   the reference;
 - ``dynamics_q1``: one ``model.dynamics`` call (mean plus variance at one
@@ -69,7 +69,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from phs_lab import control, pipeline  # noqa: E402
+from phs_lab import control, pipeline, verify  # noqa: E402
 from phs_lab.config import validate_config  # noqa: E402
 from phs_lab.filtering import FilteredDataset  # noqa: E402
 from phs_lab.gp import _invert_factor, negative_log_marginal_likelihood  # noqa: E402
@@ -140,18 +140,14 @@ def layers(run_dir):
         return _invert_factor(factor_copy)
 
     plan = control.plan_from_csv(os.path.join(run_dir, "plan.csv"))
-    with open(os.path.join(run_dir, "hd_check.json")) as fh:
-        hd_check = json.load(fh)
-    jd, rd = control.microactuator_desired_matrices(hd_check["b_hat"], hd_check["r_d_inv"])
-    desired = control.make_desired_dynamics(model, jd, rd, center=np.asarray(hd_check["center"]))
+    desired = pipeline.load_desired(run_dir, model)
 
     n = model.dim_state
     lo, hi = dataset.states.min(axis=1), dataset.states.max(axis=1)
     rng = np.random.default_rng(SHELL_SEED)
     shell = lo[:, None] + (hi - lo)[:, None] * rng.uniform(size=(n, N_SHELL))
 
-    de = cfg["desired"]
-    axes = [np.linspace(lo_g, hi_g, de["gate_resolution"]) for lo_g, hi_g in de["gate_domain"]]
+    axes = [np.linspace(-verify.GATE_BOUND, verify.GATE_BOUND, verify.GATE_RESOLUTION)] * n
     gate_grid = desired.center[:, None] + np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
 
     controller = pipeline.build_controller(model, desired, plan)
@@ -160,8 +156,7 @@ def layers(run_dir):
 
     reference = pipeline.build_reference(cfg["plan"]["reference"])
     prim = np.array([reference(t) for t in plan.times], dtype=float)
-    g0 = desired.hd_error_grad_batch(np.zeros((n, 1)))[:, 0]
-    shaped0 = (desired.jd - desired.rd) @ g0
+    shaped0 = (desired.j - desired.r) @ desired.hamiltonian_gradient(np.zeros(n))
     residual, jacobian = control._best_fit_problem(model, plan.times, prim[:, 0], prim[:, 1], shaped0)
     tail = plan.xd[:, 1:].ravel()
 
