@@ -86,7 +86,6 @@ def _effective_config(args) -> dict:
 
 def _cmd_simulate(cfg, workdir) -> int:
     plant, traj = rollout_plant(cfg, cfg["dataset"]["n_samples"], record_outputs=True)
-    os.makedirs(workdir, exist_ok=True)
     path = os.path.join(workdir, "open_loop.csv")
     trajectory_to_csv(traj, path)
     residual = float(np.max(energy_balance_residual(plant, traj)))

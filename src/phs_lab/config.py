@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .errors import ConfigError
 
 __all__ = [
@@ -241,19 +242,15 @@ def validate_config(cfg: dict) -> dict:
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        return validate_config(read_json(path))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    return validate_config(raw)
 
 
 def save_config(cfg: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, cfg)
 
 
 def apply_overrides(cfg: dict, items) -> dict:

@@ -45,6 +45,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import null_space
 from scipy.optimize import least_squares, root
 
+from .artifacts import read_table, write_table
 from .core import PhsModel, Trajectory, eval_dynamics
 from .errors import PlanError, SimulationDivergedError, SynthesisError
 
@@ -447,13 +448,9 @@ def plan_to_csv(plan: ReferencePlan, path) -> None:
     The xddot columns are the spline derivative, kept for readers of the
     file; `plan_from_csv` rebuilds it from the xd columns.
     """
-    n = plan.xd.shape[1]
-    cols = ["t"] + [f"xd{i + 1}" for i in range(n)] + [f"xddot{i + 1}" for i in range(n)]
-    data = np.hstack([plan.times[:, None], plan.xd, plan.xddot])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
+    write_table(path, t=plan.times, xd=plan.xd, xddot=plan.xddot)
 
 
 def plan_from_csv(path) -> ReferencePlan:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n = (data.shape[1] - 1) // 2
-    return ReferencePlan(times=data[:, 0], xd=data[:, 1 : 1 + n])
+    table = read_table(path)
+    return ReferencePlan(times=table["t"], xd=table.group("xd"))

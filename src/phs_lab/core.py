@@ -23,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .artifacts import read_table, write_table
 from .errors import ModelEvaluationError, SimulationDivergedError
 
 __all__ = [
@@ -333,27 +334,13 @@ def make_mass_spring_damper(m: float = 1.0, k: float = 1.0, b: float = 0.5) -> P
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV: header t,x1..xn,u1..um[,y1..ym], 17 significant digits."""
-    n = traj.states.shape[1]
-    m = traj.inputs.shape[1]
-    cols = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(m)]
-    blocks = [traj.times[:, None], traj.states, traj.inputs]
-    if traj.outputs is not None:
-        cols += [f"y{i + 1}" for i in range(traj.outputs.shape[1])]
-        blocks.append(traj.outputs)
-    data = np.hstack(blocks)
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
+    outputs = {} if traj.outputs is None else {"y": traj.outputs}
+    write_table(path, t=traj.times, x=traj.states, u=traj.inputs, **outputs)
 
 
 def trajectory_from_csv(path) -> Trajectory:
     """Inverse of trajectory_to_csv; column roles are recovered from the header."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n = sum(1 for c in header if c.startswith("x"))
-    m = sum(1 for c in header if c.startswith("u"))
-    n_y = sum(1 for c in header if c.startswith("y"))
-    times = data[:, 0]
-    states = data[:, 1 : 1 + n]
-    inputs = data[:, 1 + n : 1 + n + m]
-    outputs = data[:, 1 + n + m : 1 + n + m + n_y] if n_y else None
-    return Trajectory(times=times, states=states, inputs=inputs, outputs=outputs)
+    table = read_table(path)
+    return Trajectory(
+        times=table["t"], states=table.group("x"), inputs=table.group("u"), outputs=table.group("y")
+    )

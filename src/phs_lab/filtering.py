@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import savgol_filter
 
+from .artifacts import read_table, write_table
 from .core import Trajectory
 
 __all__ = ["FilteredDataset", "filter_derivatives", "filtered_to_csv", "filtered_from_csv"]
@@ -67,29 +68,14 @@ def filter_derivatives(traj: Trajectory, window: int = 9, poly_order: int = 3) -
 
 def filtered_to_csv(dataset: FilteredDataset, path) -> None:
     """CSV with header t,x1..xn,xdot1..xdotn,u1..um at full double precision."""
-    n = dataset.states.shape[0]
-    m = dataset.inputs.shape[0]
-    cols = (
-        ["t"]
-        + [f"x{i + 1}" for i in range(n)]
-        + [f"xdot{i + 1}" for i in range(n)]
-        + [f"u{i + 1}" for i in range(m)]
-    )
-    data = np.hstack(
-        [dataset.times[:, None], dataset.states.T, dataset.derivatives.T, dataset.inputs.T]
-    )
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
+    write_table(path, t=dataset.times, x=dataset.states.T, xdot=dataset.derivatives.T, u=dataset.inputs.T)
 
 
 def filtered_from_csv(path) -> FilteredDataset:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n = sum(1 for c in header if c.startswith("x") and not c.startswith("xdot"))
-    m = sum(1 for c in header if c.startswith("u"))
+    table = read_table(path)
     return FilteredDataset(
-        states=data[:, 1 : 1 + n].T,
-        derivatives=data[:, 1 + n : 1 + 2 * n].T,
-        inputs=data[:, 1 + 2 * n : 1 + 2 * n + m].T,
-        times=data[:, 0],
+        states=table.group("x").T,
+        derivatives=table.group("xdot").T,
+        inputs=table.group("u").T,
+        times=table["t"],
     )

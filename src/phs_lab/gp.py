@@ -47,7 +47,6 @@ sf^2 diag(S Lambda^-1 S^T) is a constant.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,6 +57,7 @@ from scipy.linalg.lapack import dlauum
 from scipy.optimize import minimize
 
 from . import backend
+from .artifacts import read_json, write_json
 from .core import PhsModel, eval_dynamics
 from .errors import ConditioningError, TrainingError
 from .filtering import FilteredDataset
@@ -670,8 +670,7 @@ def save_model(model: GpPhsModel, path) -> None:
         "beta": model.beta.tolist(),
         "x_ref": model.x_ref.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+    write_json(path, payload)
 
 
 def load_model(path) -> GpPhsModel:
@@ -681,8 +680,7 @@ def load_model(path) -> GpPhsModel:
     factorization at the saved jitter; the NLML is recomputed from the same
     factor, so it equals the saved value.
     """
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if payload.get("format") != "phs-lab-gp-model":
         raise ValueError(f"not a model file: {path}")
     hyper = GpHyperparams(

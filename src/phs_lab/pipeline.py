@@ -17,18 +17,20 @@ Stage artifacts:
     metrics      metrics.json, figures/{tracking,states,input,lyapunov}.csv
 
 Wall-clock timings go to timings.json, kept out of metrics.json so that the
-metrics artifact is bit-identical across machines.
+metrics artifact is bit-identical across machines.  Every file is read and
+written through ``artifacts``: a write replaces its target atomically, and a
+stage that reads a missing, ragged or non-finite upstream file fails naming it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
 import numpy as np
 
 from . import gp as gp_mod
+from .artifacts import read_json, write_json, write_table, write_text
 from .config import save_config, validate_config
 from .control import (
     make_desired_dynamics,
@@ -157,25 +159,14 @@ def generate_dataset(cfg) -> Trajectory:
     return Trajectory(times=traj.times, states=noisy, inputs=traj.inputs)
 
 
-def _path(workdir, name):
-    return os.path.join(workdir, name)
-
-
-def _require(workdir, name):
-    path = _path(workdir, name)
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing upstream artifact: {path}")
-    return path
-
-
 def stage_generate(cfg, workdir):
-    trajectory_to_csv(generate_dataset(cfg), _path(workdir, "dataset.csv"))
+    trajectory_to_csv(generate_dataset(cfg), os.path.join(workdir, "dataset.csv"))
 
 
 def stage_filter(cfg, workdir):
-    traj = trajectory_from_csv(_require(workdir, "dataset.csv"))
+    traj = trajectory_from_csv(os.path.join(workdir, "dataset.csv"))
     ds = filter_derivatives(traj, window=cfg["filter"]["window"], poly_order=cfg["filter"]["poly_order"])
-    filtered_to_csv(ds, _path(workdir, "filtered.csv"))
+    filtered_to_csv(ds, os.path.join(workdir, "filtered.csv"))
 
 
 def _true_structure(params: MicroactuatorParams) -> StructureEstimate:
@@ -201,16 +192,11 @@ def stage_train(cfg, workdir):
     plant, params = build_plant(cfg)
     if t["perfect_model"]:
         model = gp_mod.PerfectPhsModel(plant, _true_structure(params))
-        with open(_path(workdir, "model.json"), "w") as fh:
-            json.dump(
-                {"format": "phs-lab-perfect-model", "version": 1, "plant": cfg["plant"]},
-                fh,
-                indent=1,
-                sort_keys=True,
-            )
+        head = {"format": "phs-lab-perfect-model", "version": 1, "plant": cfg["plant"]}
+        write_json(os.path.join(workdir, "model.json"), head)
         summary = {"kind": "perfect", "nlml": None, "n_points": 0, "beta": [0.0] * model.dim_state}
     else:
-        ds = filtered_from_csv(_require(workdir, "filtered.csv"))
+        ds = filtered_from_csv(os.path.join(workdir, "filtered.csv"))
         n = ds.states.shape[0]
         family = MicroactuatorStructure()
         init = gp_mod.GpHyperparams(
@@ -229,7 +215,7 @@ def stage_train(cfg, workdir):
         )
         model = gp_mod.train(ds, init, optimizer_config=opt, rng=_stage_rng(cfg, "train"))
         gp_mod.calibrate_beta(model, _calibration_dataset(cfg))
-        gp_mod.save_model(model, _path(workdir, "model.json"))
+        gp_mod.save_model(model, os.path.join(workdir, "model.json"))
         b_hat, r_hat = model.hyper.structure.family.values(model.hyper.structure.phi)
         summary = {
             "kind": "gp",
@@ -244,15 +230,12 @@ def stage_train(cfg, workdir):
             "jitter_used": float(model.jitter_used),
             "restarts": model.restarts,
         }
-    with open(_path(workdir, "train_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
+    write_json(os.path.join(workdir, "train_summary.json"), summary)
 
 
 def load_model_artifact(cfg, workdir):
-    path = _require(workdir, "model.json")
-    with open(path) as fh:
-        head = json.load(fh)
-    if head.get("format") == "phs-lab-perfect-model":
+    path = os.path.join(workdir, "model.json")
+    if read_json(path).get("format") == "phs-lab-perfect-model":
         plant, params = build_plant(cfg)
         return gp_mod.PerfectPhsModel(plant, _true_structure(params))
     return gp_mod.load_model(path)
@@ -268,14 +251,12 @@ def stage_desired(cfg, workdir):
     _, report = build_desired_dynamics(model, jd, rd)
     report["b_hat"] = b_hat
     report["r_d_inv"] = de["r_d_inv"]
-    with open(_path(workdir, "hd_check.json"), "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
+    write_json(os.path.join(workdir, "hd_check.json"), report)
 
 
 def load_desired(workdir, model):
     """The target error loop of ``model`` from the desired stage's hd_check.json."""
-    with open(_require(workdir, "hd_check.json")) as fh:
-        report = json.load(fh)
+    report = read_json(os.path.join(workdir, "hd_check.json"))
     jd, rd = microactuator_desired_matrices(report["b_hat"], report["r_d_inv"])
     return make_desired_dynamics(model, jd, rd, center=np.asarray(report["center"]))
 
@@ -293,43 +274,31 @@ def stage_plan(cfg, workdir):
         pl["grid_step"],
         seed_tail=np.asarray(pl["seed_tail"]),
     )
-    plan_to_csv(plan, _path(workdir, "plan.csv"))
+    plan_to_csv(plan, os.path.join(workdir, "plan.csv"))
     check_idx = np.unique(np.linspace(0, plan.times.size - 1, 25).round().astype(int))
     residuals = np.linalg.norm(matching_residual(model, desired, plan, check_idx), axis=0)
-    with open(_path(workdir, "plan_summary.json"), "w") as fh:
-        json.dump(
-            {
-                "max_matching_residual": float(np.max(residuals)),
-                "checked_times": [float(plan.times[i]) for i in check_idx],
-                "grid_step": pl["grid_step"],
-                "fit": plan.fit,
-                "n_grid": int(plan.times.size),
-            },
-            fh,
-            indent=1,
-            sort_keys=True,
-        )
+    write_json(
+        os.path.join(workdir, "plan_summary.json"),
+        {
+            "max_matching_residual": float(np.max(residuals)),
+            "checked_times": [float(plan.times[i]) for i in check_idx],
+            "grid_step": pl["grid_step"],
+            "fit": plan.fit,
+            "n_grid": int(plan.times.size),
+        },
+    )
 
 
 def stage_verify(cfg, workdir):
     model = load_model_artifact(cfg, workdir)
     desired = load_desired(workdir, model)
-    plan = plan_from_csv(_require(workdir, "plan.csv"))
-    v = cfg["verify"]
-    spec = VerifySpec(
-        max_radius=v["max_radius"],
-        n_radii=v["n_radii"],
-        n_dirs=v["n_dirs"],
-        n_times=v["n_times"],
-        bisect_iters=v["bisect_iters"],
-        seed=_stage_seed(cfg, "verify"),
-    )
+    plan = plan_from_csv(os.path.join(workdir, "plan.csv"))
+    # the verify section holds exactly the sampling leaves of VerifySpec
+    spec = VerifySpec(**cfg["verify"], seed=_stage_seed(cfg, "verify"))
     report = verify_dissipation_condition(model, desired, plan, spec)
-    with open(_path(workdir, "verify_report.json"), "w") as fh:
-        json.dump(report.to_jsonable(), fh, indent=1, sort_keys=True)
-    report.margins_to_csv(_path(workdir, "margins.csv"))
-    with open(_path(workdir, "verify_summary.txt"), "w") as fh:
-        fh.write(report.to_text() + "\n")
+    write_json(os.path.join(workdir, "verify_report.json"), report.to_jsonable())
+    report.margins_to_csv(os.path.join(workdir, "margins.csv"))
+    write_text(os.path.join(workdir, "verify_summary.txt"), report.to_text() + "\n")
 
 
 def build_controller(model, desired, plan):
@@ -340,7 +309,7 @@ def build_controller(model, desired, plan):
 def stage_closed_loop(cfg, workdir):
     model = load_model_artifact(cfg, workdir)
     desired = load_desired(workdir, model)
-    plan = plan_from_csv(_require(workdir, "plan.csv"))
+    plan = plan_from_csv(os.path.join(workdir, "plan.csv"))
     plant, _ = build_plant(cfg)
     cl = cfg["closed_loop"]
     controller = build_controller(model, desired, plan)
@@ -355,32 +324,20 @@ def stage_closed_loop(cfg, workdir):
         rtol=cl["rtol"],
         atol=cl["atol"],
     )
-    trajectory_to_csv(traj, _path(workdir, "closedloop.csv"))
+    trajectory_to_csv(traj, os.path.join(workdir, "closedloop.csv"))
 
 
 def emit_figure_data(workdir, traj, plan, desired):
     """Four figure CSVs derived from the persisted closed-loop run: air-gap
     tracking, remaining states, control input, and the desired-energy series."""
-    figdir = _path(workdir, "figures")
-    os.makedirs(figdir, exist_ok=True)
-    ts = traj.times
+    figdir = os.path.join(workdir, "figures")
+    ts, xs = traj.times, traj.states
     xd = plan.x_d(ts)
-    hd = desired.hamiltonian((traj.states - xd).T)
-
-    def emit(name, header, cols):
-        np.savetxt(
-            os.path.join(figdir, name),
-            np.column_stack(cols),
-            fmt="%.17g",
-            delimiter=",",
-            header=header,
-            comments="",
-        )
-
-    emit("tracking.csv", "t,x1,xd1", [ts, traj.states[:, 0], xd[:, 0]])
-    emit("states.csv", "t,x2,x3", [ts, traj.states[:, 1], traj.states[:, 2]])
-    emit("input.csv", "t,u", [ts, traj.inputs[:, 0]])
-    emit("lyapunov.csv", "t,Hd", [ts, hd])
+    hd = desired.hamiltonian((xs - xd).T)
+    write_table(os.path.join(figdir, "tracking.csv"), t=ts, x1=xs[:, 0], xd1=xd[:, 0])
+    write_table(os.path.join(figdir, "states.csv"), t=ts, x2=xs[:, 1], x3=xs[:, 2])
+    write_table(os.path.join(figdir, "input.csv"), t=ts, u=traj.inputs[:, 0])
+    write_table(os.path.join(figdir, "lyapunov.csv"), t=ts, Hd=hd)
     return hd
 
 
@@ -414,19 +371,15 @@ def _drift_envelope_ratio(plant, model, states):
 
 
 def stage_metrics(cfg, workdir):
-    traj = trajectory_from_csv(_require(workdir, "closedloop.csv"))
-    plan = plan_from_csv(_require(workdir, "plan.csv"))
+    traj = trajectory_from_csv(os.path.join(workdir, "closedloop.csv"))
+    plan = plan_from_csv(os.path.join(workdir, "plan.csv"))
     plant, _ = build_plant(cfg)
     model = load_model_artifact(cfg, workdir)
     desired = load_desired(workdir, model)
-    with open(_require(workdir, "train_summary.json")) as fh:
-        train_summary = json.load(fh)
-    with open(_require(workdir, "hd_check.json")) as fh:
-        hd_check = json.load(fh)
-    with open(_require(workdir, "verify_report.json")) as fh:
-        verify_report = json.load(fh)
-    with open(_require(workdir, "plan_summary.json")) as fh:
-        plan_summary = json.load(fh)
+    train_summary = read_json(os.path.join(workdir, "train_summary.json"))
+    hd_check = read_json(os.path.join(workdir, "hd_check.json"))
+    verify_report = read_json(os.path.join(workdir, "verify_report.json"))
+    plan_summary = read_json(os.path.join(workdir, "plan_summary.json"))
 
     hd = emit_figure_data(workdir, traj, plan, desired)
 
@@ -473,8 +426,7 @@ def stage_metrics(cfg, workdir):
             "beta": train_summary["beta"],
         },
     }
-    with open(_path(workdir, "metrics.json"), "w") as fh:
-        json.dump(metrics, fh, indent=1, sort_keys=True)
+    write_json(os.path.join(workdir, "metrics.json"), metrics)
     return metrics
 
 
@@ -490,9 +442,14 @@ _STAGES = {
 }
 
 
+def _check_stages(stages):
+    unknown = [s for s in stages if s not in _STAGES]
+    if unknown:
+        raise ConfigError(f"unknown stages: {unknown} (expected names from {STAGE_ORDER})")
+
+
 def run_stage(cfg, workdir, stage):
-    if stage not in _STAGES:
-        raise ConfigError(f"unknown stage: {stage!r} (expected one of {STAGE_ORDER})")
+    _check_stages([stage])
     try:
         return _STAGES[stage](cfg, workdir)
     except Exception as exc:
@@ -500,25 +457,21 @@ def run_stage(cfg, workdir, stage):
 
 
 def run_pipeline(cfg, workdir, stages=None) -> dict:
-    """Run the requested stages (default all) in order, timing each.  Any
-    stage failure aborts with the stage name; artifacts written so far stay on
-    disk."""
+    """Run the requested stages (default all) in order, timing each.  Unknown
+    stage names are rejected before anything is written.  Any stage failure
+    aborts with the stage name; artifacts written so far stay on disk."""
     cfg = validate_config(cfg)
-    os.makedirs(workdir, exist_ok=True)
-    save_config(cfg, _path(workdir, "config.json"))
+    _check_stages(stages or [])
     selected = STAGE_ORDER if stages is None else [s for s in STAGE_ORDER if s in set(stages)]
+    save_config(cfg, os.path.join(workdir, "config.json"))
 
-    timings_path = _path(workdir, "timings.json")
-    timings = {}
-    if os.path.exists(timings_path):
-        with open(timings_path) as fh:
-            timings = json.load(fh)
+    timings_path = os.path.join(workdir, "timings.json")
+    timings = read_json(timings_path) if os.path.exists(timings_path) else {}
 
     result = None
     for stage in selected:
         start = time.perf_counter()
         result = run_stage(cfg, workdir, stage)
         timings[stage] = time.perf_counter() - start
-        with open(timings_path, "w") as fh:
-            json.dump(timings, fh, indent=1, sort_keys=True)
+        write_json(timings_path, timings)
     return result if result is not None else {}

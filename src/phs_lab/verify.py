@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .artifacts import write_table
 from .control import ReferencePlan, find_hamiltonian_minimum, make_desired_dynamics
 from .core import PhsModel
 from .errors import SynthesisError
@@ -152,14 +153,8 @@ class ConditionReport:
         return "\n".join(lines)
 
     def margins_to_csv(self, path) -> None:
-        np.savetxt(
-            path,
-            self.margin_rows,
-            fmt="%.17g",
-            delimiter=",",
-            header="radius,t,min_margin,mean_margin",
-            comments="",
-        )
+        rows = self.margin_rows
+        write_table(path, radius=rows[:, 0], t=rows[:, 1], min_margin=rows[:, 2], mean_margin=rows[:, 3])
 
     def to_jsonable(self):
         return {

@@ -33,6 +33,9 @@ def _runs(tmp_path):
         _write(root, "figures/input.csv", f"t,u\n0,0\n{column}\n")
         _write(root, "model.json", json.dumps({"beta": beta, "hyper": {"sf": 1.5, "kind": label}}))
         _write(root, "timings.json", json.dumps({"train": timing}))
+    # the same values, laid out differently
+    _write(parent, "config.json", json.dumps({"seed": 42, "plan": {"grid_step": 0.05}}, indent=2))
+    _write(change, "config.json", json.dumps({"plan": {"grid_step": 0.05}, "seed": 42}, indent=1))
     _write(parent, "verify_summary.txt", "ok\n")
     _write(change, "verify_summary.txt", "not ok\n")
     _write(change, "extra.json", "{}")
@@ -43,6 +46,8 @@ def test_compare_runs_reports_identical_and_largest_differences(compare_runs, tm
     parent, change = _runs(tmp_path)
     out = compare_runs.compare(parent, change)
     assert out["byte_identical"] == ["plan.csv"]
+    # bytes differ, parsed values do not: listed by name, not as an empty difference
+    assert out["value_identical"] == ["config.json"]
     assert out["only_in_parent"] == []
     assert out["only_in_change"] == ["extra.json"]
     diff = out["largest_difference"]

@@ -514,7 +514,7 @@ def test_memoized_training_matches_unmemoized(clean_trajectory, monkeypatch):
 
 
 def test_training_does_not_depend_on_the_state_layout(filtered_full):
-    # filtered_from_csv returns strided views of one table; every Gram of
+    # filtered_from_csv returns transposed, non-C-ordered blocks; every Gram of
     # training and conditioning is built from a C-ordered copy of the states
     ds = subset(filtered_full, 12)  # 25 points
     table = np.column_stack([ds.times, ds.states.T, ds.derivatives.T, ds.inputs.T])

@@ -7,11 +7,12 @@ cost about a second.
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from phs_lab import StageError
+from phs_lab import ConfigError, StageError
 from phs_lab.config import validate_config
 from phs_lab.core import simulate, trajectory_from_csv
 from phs_lab.pipeline import build_input, build_plant, run_pipeline, run_stage
@@ -42,6 +43,7 @@ ARTIFACTS = [
     "metrics.json",
     "timings.json",
 ]
+FIGURES = ["tracking.csv", "states.csv", "input.csv", "lyapunov.csv"]
 
 
 def mini_config(**extra):
@@ -62,11 +64,22 @@ def test_all_artifacts_written(mini_run):
     workdir, metrics = mini_run
     for name in ARTIFACTS:
         assert (workdir / name).exists(), name
-    for fig in ("tracking.csv", "states.csv", "input.csv", "lyapunov.csv"):
+    for fig in FIGURES:
         assert (workdir / "figures" / fig).exists()
     assert metrics["schema"] == "phs-lab-metrics-v1"
     for key in ("tracking", "lyapunov", "energy_balance", "plan", "verify", "hd_gate", "train"):
         assert key in metrics
+
+
+def test_run_directory_holds_only_documented_artifacts(mini_run):
+    # atomic writes leave no temporary file behind
+    workdir, _ = mini_run
+    written = {
+        os.path.relpath(os.path.join(base, name), workdir)
+        for base, _, names in os.walk(workdir)
+        for name in names
+    }
+    assert written == set(ARTIFACTS) | {os.path.join("figures", f) for f in FIGURES}
 
 
 def test_metrics_match_persisted_file(mini_run):
@@ -197,3 +210,23 @@ def test_stage_without_inputs_fails_with_stage_name(tmp_path):
         run_stage(mini_config(), str(tmp_path / "void"), "train")
     assert err.value.stage == "train"
     assert "filtered.csv" in str(err.value)
+
+
+def test_unknown_stage_is_rejected_before_anything_is_written(tmp_path):
+    workdir = tmp_path / "typo"
+    with pytest.raises(ConfigError, match="plna"):
+        run_pipeline(mini_config(), str(workdir), stages=["plna"])
+    assert not workdir.exists()
+
+
+def test_non_finite_upstream_table_fails_the_reading_stage(mini_run, tmp_path):
+    workdir = tmp_path / "nan"
+    shutil.copytree(mini_run[0], workdir)
+    plan = workdir / "plan.csv"
+    lines = plan.read_text().splitlines()
+    lines[3] = "nan," + lines[3].split(",", 1)[1]
+    plan.write_text("\n".join(lines) + "\n")
+    with pytest.raises(StageError) as err:
+        run_stage(mini_config(), str(workdir), "closed_loop")
+    assert err.value.stage == "closed_loop"
+    assert "plan.csv" in str(err.value)

@@ -9,6 +9,8 @@ subset of its stages).  ``timings.json`` holds wall-clock times and is
 skipped.  Standard output is one JSON object:
 
 - ``byte_identical``: the files whose bytes are the same in both directories;
+- ``value_identical``: the JSON and CSV files whose bytes differ but whose
+  parsed values are all equal, such as a change of key order or indentation;
 - ``largest_difference``: for every other file present in both, the largest
   |change - parent| over the largest |parent|, per JSON key and per CSV
   column.  A JSON key is its dotted path, and every entry of a list (nested
@@ -139,20 +141,23 @@ def compare_file(parent_path, change_path):
 def compare(parent, change):
     """The comparison of two run directories as one JSON-ready dict."""
     a, b = _files(parent), _files(change)
-    identical, differing = [], {}
+    identical, equal_values, differing = [], [], {}
     for name in sorted(a & b):
         pa, pb = os.path.join(parent, name), os.path.join(change, name)
         with open(pa, "rb") as fa, open(pb, "rb") as fb:
             same = fa.read() == fb.read()
         if same:
             identical.append(name)
+        elif (gap := compare_file(pa, pb)) == {}:
+            equal_values.append(name)
         else:
-            differing[name] = compare_file(pa, pb)
+            differing[name] = gap
     return {
         "parent": parent,
         "change": change,
         "skipped": list(SKIPPED),
         "byte_identical": identical,
+        "value_identical": equal_values,
         "largest_difference": differing,
         "only_in_parent": sorted(a - b),
         "only_in_change": sorted(b - a),
