@@ -178,14 +178,16 @@ class ReferencePlan:
     Evaluation between grid points uses a cubic spline of the sampled x_d;
     the derivative is the exact spline derivative, so the two interpolants
     are consistent by construction, and ``xddot`` is that derivative at the
-    grid points.  ``fit`` records how the trust-region solver of
-    `solve_reference_plan` exited (status, message, nfev, njev, cost,
-    optimality); it is None for plans read from CSV.
+    grid points.  ``solves`` records how the trust-region solves of
+    `solve_reference_plan` exited, as {"free": exit, "box": exit or None}
+    (each exit: status, message, nfev, njev, cost, optimality), and ``fit``
+    is the exit of the solve that produced the plan; both are None for
+    plans read from CSV.
     """
 
     times: np.ndarray
     xd: np.ndarray
-    fit: Optional[dict] = field(default=None, compare=False)
+    solves: Optional[dict] = field(default=None, compare=False)
     _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -194,6 +196,12 @@ class ReferencePlan:
         if self.xd.shape[0] != self.times.shape[0]:
             raise ValueError("plan arrays must share the grid length")
         object.__setattr__(self, "_spline", CubicSpline(self.times, self.xd, axis=0))
+
+    @property
+    def fit(self):
+        if self.solves is None:
+            return None
+        return self.solves["box"] or self.solves["free"]
 
     @property
     def xddot(self):
@@ -205,7 +213,11 @@ class ReferencePlan:
 
     def _check(self, t):
         t0, t1 = self.t_span
-        if np.any(np.asarray(t) < t0 - 1e-9) or np.any(np.asarray(t) > t1 + 1e-9):
+        lo, hi = t0 - 1e-9, t1 + 1e-9
+        # one scalar comparison for the integrator's float times
+        if isinstance(t, float) and lo <= t <= hi:
+            return
+        if np.any(np.asarray(t) < lo) or np.any(np.asarray(t) > hi):
             raise PlanError(f"time {t} outside plan range [{t0:.6g}, {t1:.6g}]")
 
     def x_d(self, t):
@@ -215,6 +227,11 @@ class ReferencePlan:
     def x_d_dot(self, t):
         self._check(t)
         return self._spline(t, 1)
+
+    def reference(self, t):
+        """(x_d(t), xdot_d(t)) behind one range check."""
+        self._check(t)
+        return self._spline(t), self._spline(t, 1)
 
 
 def matching_residual(model, desired: DesiredDynamics, plan: ReferencePlan, idx) -> np.ndarray:
@@ -243,22 +260,30 @@ def solve_reference_plan(
         Gperp ([J_d - R_d] grad H_d(0) + xdot_d - mu(x_d)) = 0,
 
     constrains the n-1 unknown components of x_d.  They are fitted over the
-    whole grid at once by bounded trust-region least squares on the total
-    squared defect, with xdot_d of the unknowns taken from the plan's own
-    cubic-spline derivative at the grid points.  The fit's objective is
+    whole grid at once by trust-region least squares (scipy's ``trf``) on the
+    total squared defect, with xdot_d of the unknowns taken from the plan's
+    own cubic-spline derivative at the grid points.  The fit's objective is
     therefore the defect that `matching_residual` reports at the grid points,
     up to the spline's error in xdot_d1, which the objective takes from
     ``primary_reference``; where a root exists at every grid time the
     zero-residual fit is the exact plan.  A learned drift can put the
     condition out of exact reach (posterior-mean error shifts the residual
     surface, and the root may cease to exist over some time window); the fit
-    then spreads the defect smoothly across that window.  ``primary_reference`` maps t to
-    (x_d1, xdot_d1), and ``seed_tail`` starts every grid point's unknowns.
-    The solver's exit is recorded in `ReferencePlan.fit`.
+    then spreads the defect smoothly across that window.  ``primary_reference``
+    maps t to (x_d1, xdot_d1), and ``seed_tail`` starts every grid point's
+    unknowns.
 
-    The fit is confined to the training-data bounding box, widened by 15 % of
-    its span, when the model carries its data: off the data the posterior mean decays to the prior and
-    grows spurious roots on branches the data never visited.
+    When the model carries its training data, the plan must stay inside the
+    data's bounding box, widened by 15 % of its span: off the data the
+    posterior mean decays to the prior and grows spurious roots on branches
+    the data never visited.  The fit is first solved free, from ``seed_tail``
+    clipped into that box.  A free solution inside the box is the plan; only
+    one that leaves it is solved again with the box as bounds, started from
+    the free solution clipped into the box.  (Bounded ``trf`` keeps its
+    iterates strictly interior with small steps, whether or not a bound is
+    near, so it takes several times the evaluations of the free solve to
+    reach the same interior root.)  Both exits are recorded in
+    `ReferencePlan.solves`; a model without data is solved free once.
     """
     n = model.dim_state
     n_tail = n - 1
@@ -282,44 +307,48 @@ def solve_reference_plan(
         span = data.max(axis=1) - data.min(axis=1)
         z_lo = np.tile((data.min(axis=1) - 0.15 * span)[1:], n_grid)
         z_hi = np.tile((data.max(axis=1) + 0.15 * span)[1:], n_grid)
-    else:
-        z_lo = np.full(n_grid * n_tail, -np.inf)
-        z_hi = np.full(n_grid * n_tail, np.inf)
+        z0 = np.clip(z0, z_lo[:n_tail], z_hi[:n_tail])
 
     residual, jacobian = _best_fit_problem(model, times, xd1, xd1dot, shaped0)
-    start = np.tile(np.clip(z0, z_lo[:n_tail], z_hi[:n_tail]), n_grid)
-    fit = least_squares(
-        residual,
-        start,
-        jac=jacobian,
-        method="trf",
-        bounds=(z_lo, z_hi),
-        xtol=1e-8,
-        ftol=1e-8,
-        gtol=1e-10,
-        max_nfev=600,
-    )
-    # With the exact Jacobian trf solves each step exactly and ends on one of
-    # its convergence tests; max_nfev only caps a fit that stalls, and the
-    # exit is recorded either way.  Only an invalid-input status is a hard
-    # failure; fit quality is reported through the matching-residual
-    # diagnostics.
-    if fit.status < 0:
-        raise PlanError(
-            f"global least-squares fit failed: {fit.message}",
-            time=float(times[0]),
-            residual=float(np.linalg.norm(fit.fun)),
+
+    def solve(start, bounds=(-np.inf, np.inf)):
+        fit = least_squares(
+            residual,
+            start,
+            jac=jacobian,
+            method="trf",
+            bounds=bounds,
+            xtol=1e-8,
+            ftol=1e-8,
+            gtol=1e-10,
+            max_nfev=600,
         )
-    report = {
-        "status": int(fit.status),
-        "message": str(fit.message),
-        "nfev": int(fit.nfev),
-        "njev": int(fit.njev),
-        "cost": float(fit.cost),
-        "optimality": float(fit.optimality),
-    }
+        # With the exact Jacobian trf solves each step exactly and ends on one
+        # of its convergence tests; max_nfev only caps a fit that stalls, and
+        # the exit is recorded either way.  Only an invalid-input status is a
+        # hard failure; fit quality is reported through the matching-residual
+        # diagnostics.
+        if fit.status < 0:
+            raise PlanError(
+                f"global least-squares fit failed: {fit.message}",
+                time=float(times[0]),
+                residual=float(np.linalg.norm(fit.fun)),
+            )
+        return fit, {
+            "status": int(fit.status),
+            "message": str(fit.message),
+            "nfev": int(fit.nfev),
+            "njev": int(fit.njev),
+            "cost": float(fit.cost),
+            "optimality": float(fit.optimality),
+        }
+
+    fit, free = solve(np.tile(z0, n_grid))
+    solves = {"free": free, "box": None}
+    if data is not None and np.any((fit.x < z_lo) | (fit.x > z_hi)):
+        fit, solves["box"] = solve(np.clip(fit.x, z_lo, z_hi), (z_lo, z_hi))
     xd_full = np.column_stack([xd1, fit.x.reshape(n_grid, n_tail)])
-    return ReferencePlan(times=times, xd=xd_full, fit=report)
+    return ReferencePlan(times=times, xd=xd_full, solves=solves)
 
 
 def _best_fit_problem(model, times, xd1, xd1dot, shaped0):
@@ -397,10 +426,12 @@ def microactuator_tracking_control(model, desired: DesiredDynamics, plan: Refere
 
     def control(x, t):
         # grad H_hat at x and grad H_d = grad H_hat(c + x - x_d) in one call
-        x = np.asarray(x, dtype=float)
-        cols = np.stack([x, desired.center + (x - plan.x_d(t))], axis=1)
+        x_d, x_d_dot = plan.reference(t)
+        cols = np.empty((x_d.size, 2))
+        cols[:, 0] = x
+        cols[:, 1] = desired.center + (x - x_d)
         d3_h, d3_hd = model.hamiltonian_grad(cols)[2]
-        return np.array([-r_hat * rd33 * d3_hd + r_hat * plan.x_d_dot(t)[2] + d3_h])
+        return np.array([-r_hat * rd33 * d3_hd + r_hat * x_d_dot[2] + d3_h])
 
     return control
 

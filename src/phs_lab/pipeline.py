@@ -284,6 +284,7 @@ def stage_plan(cfg, workdir):
             "checked_times": [float(plan.times[i]) for i in check_idx],
             "grid_step": pl["grid_step"],
             "fit": plan.fit,
+            "solves": plan.solves,
             "n_grid": int(plan.times.size),
         },
     )

@@ -227,6 +227,13 @@ def test_plan_time_coverage(plan):
         plan.x_d(13.1)
     with pytest.raises(PlanError):
         plan.x_d_dot(-0.5)
+    # the controller's one-check read is x_d and its derivative, bit for bit
+    for t in (0.0, 6.37, 13.0, np.float64(2.5)):
+        x_d, x_d_dot = plan.reference(t)
+        np.testing.assert_array_equal(x_d, plan.x_d(t))
+        np.testing.assert_array_equal(x_d_dot, plan.x_d_dot(t))
+    with pytest.raises(PlanError):
+        plan.reference(13.1)
 
 
 def test_reduced_law_equals_general(perfect_model, desired, plan):
@@ -269,6 +276,40 @@ def test_plan_best_fit_reaches_residual_floor(perfect_model, desired):
         assert np.sum(res**2) == pytest.approx(2.0 * plan.fit["cost"], rel=1e-8)
         assert 0.004 <= np.max(np.linalg.norm(res, axis=0)) <= 0.02
         np.testing.assert_allclose(plan.xd[:, 2], 0.0, atol=1e-2)
+
+
+class _WithData(_OffsetDrift):
+    """Exact model that carries a training-data box, as a learned one does."""
+
+    def __init__(self, inner, states):
+        super().__init__(inner, np.zeros(inner.dim_state))
+        self.states = np.asarray(states, dtype=float)
+
+
+def test_plan_resolves_in_data_box_when_free_fit_leaves_it(perfect_model, desired, plan):
+    # the exact plan runs at x_d3 near 0.095 (x_d3^2 = 0.009 at t = 0); data
+    # with x3 in [0.2, 0.3] gives the box [0.185, 0.315] in x3, so the free
+    # solution leaves the box and the bounded re-solve must bring it back
+    states = np.array([[0.9, 1.1], [-0.1, 0.1], [0.2, 0.3]])
+    span = np.ptp(states, axis=1)
+    lo, hi = states.min(axis=1) - 0.15 * span, states.max(axis=1) + 0.15 * span
+    boxed = solve_reference_plan(
+        _WithData(perfect_model, states),
+        desired,
+        primary_reference,
+        (0.0, 1.0),
+        0.1,
+        seed_tail=np.array([0.0, 0.3]),
+    )
+    free, box = boxed.solves["free"], boxed.solves["box"]
+    assert box is not None and box["status"] >= 1
+    assert boxed.fit == box
+    assert np.all((boxed.xd[:, 1:] >= lo[1:]) & (boxed.xd[:, 1:] <= hi[1:]))
+    # the free fit found the exact plan outside the box; inside it no root exists
+    assert free["cost"] < 1e-12 < box["cost"]
+    # a model without data is solved free once
+    assert set(plan.solves) == {"free", "box"} and plan.solves["box"] is None
+    assert plan.fit == plan.solves["free"]
 
 
 @pytest.mark.parametrize("kind", ["gp", "perfect"])

@@ -148,6 +148,10 @@ def test_best_fit_plan_converges_on_reduced_study(tmp_path):
     assert 1 <= fit["status"] <= 4, fit["message"]
     assert fit["nfev"] < 600 and fit["njev"] <= fit["nfev"]
     assert fit["cost"] >= 0.0 and np.isfinite(fit["optimality"])
+    # the free solve lands inside the data box, so it alone makes the plan,
+    # in a few steps
+    assert fit["njev"] <= 10
+    assert summary["solves"] == {"free": fit, "box": None}
 
 
 def test_rerun_is_byte_identical(mini_run, tmp_path):
