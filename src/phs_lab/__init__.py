@@ -47,7 +47,6 @@ from .gp import (
     GpHyperparams,
     GpPhsModel,
     OptimizerConfig,
-    PerfectPhsModel,
     calibrate_beta,
     condition,
     load_model,

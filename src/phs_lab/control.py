@@ -15,9 +15,11 @@ with mu the posterior drift mean.  The actuated component gives the control
 
     u = (Ghat^T Ghat)^-1 Ghat^T ([J_d - R_d] grad H_d + xdot_d - mu).
 
-Ghat is a constant of the learned model (its ``g_hat``, see structure.py),
-so Gperp is one matrix: a plan solve computes it once, and the laws read
-Ghat when they are built, not per state.  The target loop's own simulation,
+The model is a `core.PhsModel` ``mean``: the learned mean
+(``gp.GpPhsModel.mean``), or the plant itself for the perfect-model baseline.
+mu is core.eval_dynamics(mean, x, 0) and Ghat the constant ``mean.g``, so
+Gperp is one matrix: a plan solve computes it once, and the laws read Ghat
+when they are built, not per state.  The target loop's own simulation,
 output and power balance are those of `core` (`eval_dynamics`,
 `phs_output`, `energy_balance_residual`).
 
@@ -46,7 +48,7 @@ from scipy.linalg import null_space
 from scipy.optimize import least_squares, root
 
 from .artifacts import read_table, write_table
-from .core import PhsModel, Trajectory, eval_dynamics
+from .core import PhsModel, Trajectory, eval_dynamics, on_columns
 from .errors import PlanError, SimulationDivergedError, SynthesisError
 
 __all__ = [
@@ -86,38 +88,32 @@ def microactuator_desired_matrices(b_hat: float, r_d_inv: float = 10.0):
     return jd, rd
 
 
-def make_desired_dynamics(model, jd, rd, center=None) -> DesiredDynamics:
-    """The target error loop of a model, with H_d from its posterior Hamiltonian.
+def _mu(mean: PhsModel, x):
+    """The model's drift mu = (J - R) grad H at one state (n,) or a block (n, Q)."""
+    return eval_dynamics(mean, x, np.zeros(mean.dim_input))
+
+
+def make_desired_dynamics(mean: PhsModel, jd, rd, center=None) -> DesiredDynamics:
+    """The target error loop of a model, with H_d from its Hamiltonian.
 
     H_d(xbar) = H_hat(center + xbar) - H_hat(center); with center at the
     learned energy minimum the required min-at-zero-error property holds.
     ``jd``/``rd`` are the constant desired matrices and the port is the
-    model's ``g_hat``.
+    model's ``g``.
     """
-    center = np.zeros(model.dim_state) if center is None else np.asarray(center, dtype=float)
-    h_center = float(model.hamiltonian(center[:, None])[0])
-
-    def on_columns(fn):
-        # fn takes the shifted block (n, Q); one error (n,) is one column
-        def wrapped(xbar):
-            xbar = np.asarray(xbar, dtype=float)
-            if xbar.ndim == 1:
-                return fn(center[:, None] + xbar[:, None])[..., 0]
-            return fn(center[:, None] + xbar)
-
-        return wrapped
-
+    center = np.zeros(mean.dim_state) if center is None else np.asarray(center, dtype=float)
+    h_center = float(mean.hamiltonian(center))
     return DesiredDynamics(
         j=np.asarray(jd, dtype=float),
         r=np.asarray(rd, dtype=float),
-        g=np.asarray(model.g_hat, dtype=float),
-        hamiltonian=on_columns(lambda x: model.hamiltonian(x) - h_center),
-        hamiltonian_gradient=on_columns(model.hamiltonian_grad),
+        g=np.asarray(mean.g, dtype=float),
+        hamiltonian=on_columns(lambda x: mean.hamiltonian(x) - h_center, center),
+        hamiltonian_gradient=on_columns(mean.hamiltonian_gradient, center),
         center=center,
     )
 
 
-def find_hamiltonian_minimum(model, box, coarse: int = 9):
+def find_hamiltonian_minimum(mean: PhsModel, box, coarse: int = 9):
     """Locate the learned energy minimum inside a box as a root of grad H_hat.
 
     A coarse grid scan of H_hat (``coarse`` points per axis of ``box``, a
@@ -131,10 +127,10 @@ def find_hamiltonian_minimum(model, box, coarse: int = 9):
     axes = [np.linspace(lo, hi, coarse) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh])
-    vals = model.hamiltonian(pts)
+    vals = mean.hamiltonian(pts)
     x0 = pts[:, int(np.argmin(vals))]
 
-    res = root(lambda x: model.hamiltonian_grad(x[:, None])[:, 0], x0, method="hybr")
+    res = root(mean.hamiltonian_gradient, x0, method="hybr")
     exit_record = {
         "status": int(res.status),
         "message": str(res.message),
@@ -234,24 +230,25 @@ class ReferencePlan:
         return self._spline(t), self._spline(t, 1)
 
 
-def matching_residual(model, desired: DesiredDynamics, plan: ReferencePlan, idx) -> np.ndarray:
+def matching_residual(mean: PhsModel, desired: DesiredDynamics, plan: ReferencePlan, idx) -> np.ndarray:
     """Unactuated defects Gperp (mu - [J_d - R_d] grad H_d(0) - xdot_d) on the plan, (n - m, Q).
 
     ``idx`` picks Q grid points of the plan; there the error is zero, so
-    one drift_mean call on their states gives every defect.
+    one mu call on their states gives every defect.
     """
     shaped0 = (desired.j - desired.r) @ desired.hamiltonian_gradient(np.zeros(desired.dim_state))
     target = shaped0[:, None] + plan.x_d_dot(plan.times[idx]).T
-    return left_annihilator(model.g_hat) @ (model.drift_mean(plan.xd[idx].T) - target)
+    return left_annihilator(mean.g) @ (_mu(mean, plan.xd[idx].T) - target)
 
 
 def solve_reference_plan(
-    model,
+    mean: PhsModel,
     desired: DesiredDynamics,
     primary_reference: Callable[[float], tuple],
     t_span,
     grid_step: float,
     seed_tail: Optional[np.ndarray] = None,
+    box=None,
 ) -> ReferencePlan:
     """Recover the unactuated reference components along the primary reference.
 
@@ -273,21 +270,22 @@ def solve_reference_plan(
     maps t to (x_d1, xdot_d1), and ``seed_tail`` starts every grid point's
     unknowns.
 
-    When the model carries its training data, the plan must stay inside the
-    data's bounding box, widened by 15 % of its span: off the data the
-    posterior mean decays to the prior and grows spurious roots on branches
-    the data never visited.  The fit is first solved free, from ``seed_tail``
-    clipped into that box.  A free solution inside the box is the plan; only
+    ``box`` is the bounding box of a learned model's training states, one
+    (low, high) per dimension.  When it is given, the plan must stay inside
+    it, widened by 15 % of its span: off the data the posterior mean decays
+    to the prior and grows spurious roots on branches the data never
+    visited.  The fit is first solved free, from ``seed_tail`` clipped into
+    that box.  A free solution inside the box is the plan; only
     one that leaves it is solved again with the box as bounds, started from
     the free solution clipped into the box.  (Bounded ``trf`` keeps its
     iterates strictly interior with small steps, whether or not a bound is
     near, so it takes several times the evaluations of the free solve to
     reach the same interior root.)  Both exits are recorded in
-    `ReferencePlan.solves`; a model without data is solved free once.
+    `ReferencePlan.solves`; without a box the fit is solved free once.
     """
-    n = model.dim_state
+    n = mean.dim_state
     n_tail = n - 1
-    if model.dim_input != 1:
+    if mean.dim_input != 1:
         raise PlanError("reference-plan solving is implemented for single-input systems")
     t0, t1 = float(t_span[0]), float(t_span[1])
     n_grid = int(round((t1 - t0) / grid_step)) + 1
@@ -302,14 +300,14 @@ def solve_reference_plan(
     shaped0 = (desired.j - desired.r) @ desired.hamiltonian_gradient(np.zeros(n))
     z0 = np.zeros(n_tail) if seed_tail is None else np.asarray(seed_tail, dtype=float)
 
-    data = getattr(model, "states", None)
-    if data is not None:
-        span = data.max(axis=1) - data.min(axis=1)
-        z_lo = np.tile((data.min(axis=1) - 0.15 * span)[1:], n_grid)
-        z_hi = np.tile((data.max(axis=1) + 0.15 * span)[1:], n_grid)
+    if box is not None:
+        lo, hi = np.asarray(box, dtype=float).T
+        span = hi - lo
+        z_lo = np.tile((lo - 0.15 * span)[1:], n_grid)
+        z_hi = np.tile((hi + 0.15 * span)[1:], n_grid)
         z0 = np.clip(z0, z_lo[:n_tail], z_hi[:n_tail])
 
-    residual, jacobian = _best_fit_problem(model, times, xd1, xd1dot, shaped0)
+    residual, jacobian = _best_fit_problem(mean, times, xd1, xd1dot, shaped0)
 
     def solve(start, bounds=(-np.inf, np.inf)):
         fit = least_squares(
@@ -345,13 +343,13 @@ def solve_reference_plan(
 
     fit, free = solve(np.tile(z0, n_grid))
     solves = {"free": free, "box": None}
-    if data is not None and np.any((fit.x < z_lo) | (fit.x > z_hi)):
+    if box is not None and np.any((fit.x < z_lo) | (fit.x > z_hi)):
         fit, solves["box"] = solve(np.clip(fit.x, z_lo, z_hi), (z_lo, z_hi))
     xd_full = np.column_stack([xd1, fit.x.reshape(n_grid, n_tail)])
     return ReferencePlan(times=times, xd=xd_full, solves=solves)
 
 
-def _best_fit_problem(model, times, xd1, xd1dot, shaped0):
+def _best_fit_problem(mean: PhsModel, times, xd1, xd1dot, shaped0):
     """Residual and Jacobian of the plan fit in the flat tail z = (z_0, ..., z_K).
 
     Row block k is Gperp (shaped0 + xdot_d(t_k) - mu(x_d(t_k))), where the
@@ -360,10 +358,10 @@ def _best_fit_problem(model, times, xd1, xd1dot, shaped0):
     spline derivative of the identity, and the Jacobian is D kron'd with
     Gperp[:, 1:], minus Gperp dmu/dz_k on the diagonal blocks.
     """
-    n = model.dim_state
+    n = mean.dim_state
     n_grid = times.size
     n_tail = n - 1
-    gperp = left_annihilator(model.g_hat)
+    gperp = left_annihilator(mean.g)
     deriv = CubicSpline(times, np.eye(n_grid), axis=0)(times, 1)
     neighbours = np.kron(deriv, gperp[:, 1:])
     diag = np.arange(n_grid)
@@ -374,7 +372,7 @@ def _best_fit_problem(model, times, xd1, xd1dot, shaped0):
 
     def residual(zflat):
         zz, x_all = states(zflat)
-        target = shaped0[:, None] + np.vstack([xd1dot, (deriv @ zz).T]) - model.drift_mean(x_all)
+        target = shaped0[:, None] + np.vstack([xd1dot, (deriv @ zz).T]) - _mu(mean, x_all)
         return (gperp @ target).T.ravel()
 
     def jacobian(zflat):
@@ -385,7 +383,7 @@ def _best_fit_problem(model, times, xd1, xd1dot, shaped0):
         for c in range(n_tail):
             shift = np.zeros_like(x_all)
             shift[c + 1] = 1e-6 * np.maximum(1.0, np.abs(zz[:, c]))
-            diff = model.drift_mean(x_all + shift) - model.drift_mean(x_all - shift)
+            diff = _mu(mean, x_all + shift) - _mu(mean, x_all - shift)
             dmu[:, :, c] = (diff / (2 * shift[c + 1])).T
         jac = neighbours.copy()
         jac.reshape(n_grid, n_tail, n_grid, n_tail)[diag, :, diag, :] -= np.einsum(
@@ -396,24 +394,23 @@ def _best_fit_problem(model, times, xd1, xd1dot, shaped0):
     return residual, jacobian
 
 
-def tracking_control(model, desired: DesiredDynamics, plan: ReferencePlan):
+def tracking_control(mean: PhsModel, desired: DesiredDynamics, plan: ReferencePlan):
     """General tracking law u = (Ghat^T Ghat)^-1 Ghat^T ([J_d - R_d] grad H_d + xdot_d - mu)."""
-    g = model.g_hat
+    g = mean.g
     gtg = g.T @ g
     if np.linalg.cond(gtg) > 1e12:
         raise SynthesisError("Ghat^T Ghat is singular")
 
     def control(x, t):
         x = np.asarray(x, dtype=float)
-        mu = model.drift_mean(x[:, None])[:, 0]
         shaped = (desired.j - desired.r) @ desired.hamiltonian_gradient(x - plan.x_d(t))
-        rhs = shaped + plan.x_d_dot(t) - mu
+        rhs = shaped + plan.x_d_dot(t) - _mu(mean, x)
         return np.linalg.solve(gtg, g.T @ rhs)
 
     return control
 
 
-def microactuator_tracking_control(model, desired: DesiredDynamics, plan: ReferencePlan):
+def microactuator_tracking_control(mean: PhsModel, desired: DesiredDynamics, plan: ReferencePlan):
     """Reduced single-input law for the microactuator structure.
 
     u = -(r_hat / r_d) d3 H_d + r_hat xdot_d3 + d3 H_hat(x); equal to the
@@ -422,7 +419,7 @@ def microactuator_tracking_control(model, desired: DesiredDynamics, plan: Refere
     which is the special case r_hat = 1.
     """
     rd33 = float(desired.r[2, 2])
-    r_hat = 1.0 / float(model.g_hat[2, 0])
+    r_hat = 1.0 / float(mean.g[2, 0])
 
     def control(x, t):
         # grad H_hat at x and grad H_d = grad H_hat(c + x - x_d) in one call
@@ -430,7 +427,7 @@ def microactuator_tracking_control(model, desired: DesiredDynamics, plan: Refere
         cols = np.empty((x_d.size, 2))
         cols[:, 0] = x
         cols[:, 1] = desired.center + (x - x_d)
-        d3_h, d3_hd = model.hamiltonian_grad(cols)[2]
+        d3_h, d3_hd = mean.hamiltonian_gradient(cols)[2]
         return np.array([-r_hat * rd33 * d3_hd + r_hat * x_d_dot[2] + d3_h])
 
     return control

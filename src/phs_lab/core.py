@@ -9,10 +9,11 @@ dissipation R, input matrix G, and stored energy H.  The learned model of
 ``structure.py`` has the same constant structure.  `PhsModel` describes the
 plant, and also the target error loop of the tracking controller
 (``control.DesiredDynamics``: J_d, R_d, G_hat and H_d in the error
-coordinates), so both are simulated, observed and balanced by the same
-functions here.  H and grad H take one state (n,) or a block (n, Q) with one
-state per column, and so do `eval_dynamics` and `phs_output`.  Times are in
-ms throughout; all other quantities are dimensionless.
+coordinates) and the learned mean (``gp.GpPhsModel.mean``), so all three are
+simulated, observed and balanced by the same functions here.  H and grad H
+take one state (n,) or a block (n, Q) with one state per column, and so do
+`eval_dynamics` and `phs_output`.  Times are in ms throughout; all other
+quantities are dimensionless.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "Trajectory",
     "MicroactuatorParams",
     "eval_dynamics",
+    "on_columns",
     "phs_output",
     "simulate",
     "simulate_feedback",
@@ -134,6 +136,21 @@ class MicroactuatorParams:
             raise ValueError("m, k, r must be positive")
         if self.b < 0:
             raise ValueError("b must be nonnegative")
+
+
+def on_columns(fn, offset=None):
+    """A PhsModel callable from ``fn`` on (n, Q) blocks; one state (n,) is one column.
+
+    With ``offset`` (n,), ``fn`` sees offset + x.
+    """
+
+    def wrapped(x):
+        x = np.asarray(x, dtype=float)
+        block = x[:, None] if x.ndim == 1 else x
+        out = fn(block if offset is None else offset[:, None] + block)
+        return out[..., 0] if x.ndim == 1 else out
+
+    return wrapped
 
 
 def eval_dynamics(model: PhsModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ hyperparameter is a closed-form contraction with the SE-Hessian blocks Pi
 over the strict-lower pairs and the diagonal blocks, taken from the Gram's
 own k and u without forming Pi.  Once W is read, the per-pair arrays of the
 contractions live in the Gram's memory.  `train`'s objective keeps its last
-two results, as L-BFGS-B asks again for a point after a failed trial step.
+two results and its lowest, as L-BFGS-B asks again for earlier points.
 
 Posterior queries read cached weights: with alpha = K^-1 Xdot0 stacked as the
 rows of A, the rows w_b of sf^2 (A S) Lambda^-1 give the posterior Hamiltonian
@@ -43,6 +43,11 @@ inverse L^-1 of the lower Cholesky factor (kernels.invert_lower, once per
 conditioning), so the variance's v = L^-1 k^T is a triangular multiply (BLAS
 trmm) instead of a triangular solve, one per block; its prior part
 sf^2 diag(S Lambda^-1 S^T) is a constant.
+
+The mean is itself a PHS (Beckers, Seidman, Perdikaris & Pappas, CDC 2022),
+and control, H_d and the plan read it only as one: `GpPhsModel.mean`, whose
+mu is core.eval_dynamics(mean, x, 0).  Only verify and the metrics stage's
+envelope ratio read the variance, through `GpPhsModel.envelope`.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from scipy.optimize import minimize
 
 from . import backend
 from .artifacts import read_json, write_json
-from .core import PhsModel, eval_dynamics
+from .core import PhsModel, on_columns
 from .errors import ConditioningError, TrainingError
 from .filtering import FilteredDataset
 from .kernels import TrainingPairs, factorize_gram, invert_lower
@@ -68,7 +73,6 @@ __all__ = [
     "GpHyperparams",
     "OptimizerConfig",
     "GpPhsModel",
-    "PerfectPhsModel",
     "mean_adjust",
     "negative_log_marginal_likelihood",
     "train",
@@ -365,6 +369,22 @@ class GpPhsModel:
     def structure(self):
         return self.hyper.structure
 
+    @property
+    def mean(self) -> PhsModel:
+        """mu + G_hat u as a core.PhsModel: j - r = S, g = G_hat, H_hat and grad H_hat.
+
+        Built on each access: a kept one would tie the model in a reference
+        cycle, holding L^-1 until the cyclic garbage collector runs.
+        """
+        s = self.s_hat
+        return PhsModel(
+            j=0.5 * (s - s.T),
+            r=-0.5 * (s + s.T),
+            g=self.g_hat,
+            hamiltonian=on_columns(self.hamiltonian),
+            hamiltonian_gradient=on_columns(self.hamiltonian_grad),
+        )
+
     def drift(self, xq):
         """Posterior drift mean and per-dimension variance at query states (n, Q)."""
         _, grad, var = self._posterior(xq, mean=True, var=True)
@@ -495,21 +515,28 @@ def condition(
     return _conditioned(hyper, dataset.states, xdot0, jitter, max_jitter, beta=np.ones(hyper.dim_state))
 
 
-def _memo_last_two(objective):
-    """``objective(theta) -> (value, grad)``, keeping its last two results.
+def _memo_recent_and_best(objective):
+    """``objective(theta) -> (value, grad)``, keeping its last two results and its lowest.
 
     After a failed trial step L-BFGS-B asks again for the point it evaluated
-    two calls before.  The results are keyed by the bytes of theta and
-    returned as copies, so the optimizer cannot alter a kept gradient.
+    two calls before, and after a rejected and an infeasible trial it returns
+    to its iterate three calls back, the lowest value so far.  The results
+    are keyed by the bytes of theta and returned as copies, so the optimizer
+    cannot alter a kept gradient.
     """
     kept = {}
+    best = None
 
     def memoized(theta):
+        nonlocal best
         key = np.asarray(theta, dtype=float).tobytes()
         if key not in kept:
             kept[key] = objective(theta)
-            if len(kept) > 2:
-                del kept[next(iter(kept))]
+            if best is None or kept[key][0] < kept[best][0]:
+                best = key
+            for old in list(kept)[:-2]:
+                if old != best:
+                    del kept[old]
         value, grad = kept[key]
         return value, grad.copy()
 
@@ -537,7 +564,7 @@ def train(
     theta0 = init.to_vector()
     pairs = TrainingPairs(dataset.states)
 
-    @_memo_last_two
+    @_memo_recent_and_best
     def objective(theta):
         # line-search trial points can push a parameter past float range (exp
         # underflow makes a lengthscale zero, softplus underflow a structure
@@ -604,52 +631,6 @@ def calibrate_beta(model: GpPhsModel, validation: FilteredDataset):
     beta = np.percentile(err / np.maximum(var, 1e-12), BETA_PERCENTILE, axis=1)
     model.beta = beta
     return beta
-
-
-class PerfectPhsModel:
-    """Drop-in replacement for GpPhsModel using the exact vector field.
-
-    Posterior mean equals (J - R) grad H, variance and error envelope are
-    identically zero, and the Hamiltonian is H(x) - H(x_ref).  ``g_hat`` is
-    the structure's constant G_hat, as on GpPhsModel.  Queries take (n, Q)
-    states, one per column, and raise ValueError otherwise, as GpPhsModel's
-    do.  Used for the eta = 0 baseline.
-    """
-
-    def __init__(self, plant: PhsModel, structure: StructureEstimate, x_ref=None):
-        self.plant = plant
-        self.structure = structure
-        self.g_hat = structure.g()
-        self.x_ref = np.zeros(plant.dim_state) if x_ref is None else np.asarray(x_ref, dtype=float)
-        self.h_ref = plant.hamiltonian(self.x_ref)
-        self.beta = np.zeros(plant.dim_state)
-
-    @property
-    def dim_state(self):
-        return self.plant.dim_state
-
-    @property
-    def dim_input(self):
-        return self.plant.dim_input
-
-    def drift(self, xq):
-        mean = (self.plant.j - self.plant.r) @ self.hamiltonian_grad(xq)
-        return mean, np.zeros_like(mean)
-
-    def drift_mean(self, xq):
-        return self.drift(xq)[0]
-
-    def dynamics(self, x, u):
-        return eval_dynamics(self.plant, x, u), np.zeros(self.dim_state)
-
-    def hamiltonian_grad(self, xq):
-        return self.plant.hamiltonian_gradient(_query_states(xq, self.dim_state))
-
-    def hamiltonian(self, xq):
-        return self.plant.hamiltonian(_query_states(xq, self.dim_state)) - self.h_ref
-
-    def envelope(self, xq):
-        return np.zeros((self.dim_state, _query_states(xq, self.dim_state).shape[1]))
 
 
 def save_model(model: GpPhsModel, path) -> None:

@@ -169,11 +169,6 @@ def stage_filter(cfg, workdir):
     filtered_to_csv(ds, os.path.join(workdir, "filtered.csv"))
 
 
-def _true_structure(params: MicroactuatorParams) -> StructureEstimate:
-    family = MicroactuatorStructure()
-    return StructureEstimate(family=family, phi=family.phi_from_values(params.b, params.r))
-
-
 def _calibration_dataset(cfg) -> FilteredDataset:
     """Noiseless plant rollout from a displaced start with exact derivatives,
     used to scale the error-envelope multipliers."""
@@ -189,12 +184,11 @@ def _calibration_dataset(cfg) -> FilteredDataset:
 
 def stage_train(cfg, workdir):
     t = cfg["train"]
-    plant, params = build_plant(cfg)
+    plant, _ = build_plant(cfg)
     if t["perfect_model"]:
-        model = gp_mod.PerfectPhsModel(plant, _true_structure(params))
         head = {"format": "phs-lab-perfect-model", "version": 1, "plant": cfg["plant"]}
         write_json(os.path.join(workdir, "model.json"), head)
-        summary = {"kind": "perfect", "nlml": None, "n_points": 0, "beta": [0.0] * model.dim_state}
+        summary = {"kind": "perfect", "nlml": None, "n_points": 0, "beta": [0.0] * plant.dim_state}
     else:
         ds = filtered_from_csv(os.path.join(workdir, "filtered.csv"))
         n = ds.states.shape[0]
@@ -233,50 +227,62 @@ def stage_train(cfg, workdir):
     write_json(os.path.join(workdir, "train_summary.json"), summary)
 
 
+def _zero_envelope(xq):
+    return np.zeros(np.shape(xq))
+
+
 def load_model_artifact(cfg, workdir):
+    """The train stage's model as (mean, envelope, box).
+
+    ``mean`` is the posterior mean as a core.PhsModel, ``envelope`` maps
+    states (n, Q) to eta = beta * var, and ``box`` is the bounding box of
+    the training states, one (low, high) per dimension.  A perfect-model run
+    gives the plant itself, a zero envelope and no box.
+    """
     path = os.path.join(workdir, "model.json")
     if read_json(path).get("format") == "phs-lab-perfect-model":
-        plant, params = build_plant(cfg)
-        return gp_mod.PerfectPhsModel(plant, _true_structure(params))
-    return gp_mod.load_model(path)
+        return build_plant(cfg)[0], _zero_envelope, None
+    model = gp_mod.load_model(path)
+    return model.mean, model.envelope, list(zip(model.states.min(axis=1), model.states.max(axis=1)))
 
 
 def stage_desired(cfg, workdir):
-    model = load_model_artifact(cfg, workdir)
+    mean, _, box = load_model_artifact(cfg, workdir)
     de = cfg["desired"]
-    # the pipeline trains and loads microactuator-family models only
-    structure = model.structure
-    b_hat = float(structure.family.values(structure.phi)[0])
+    # the pipeline trains and loads microactuator-family models only, whose
+    # damping b_hat is R_hat[1, 1]
+    b_hat = float(mean.r[1, 1])
     jd, rd = microactuator_desired_matrices(b_hat, de["r_d_inv"])
-    _, report = build_desired_dynamics(model, jd, rd)
+    _, report = build_desired_dynamics(mean, jd, rd, box)
     report["b_hat"] = b_hat
     report["r_d_inv"] = de["r_d_inv"]
     write_json(os.path.join(workdir, "hd_check.json"), report)
 
 
-def load_desired(workdir, model):
-    """The target error loop of ``model`` from the desired stage's hd_check.json."""
+def load_desired(workdir, mean):
+    """The target error loop of the model ``mean`` from the desired stage's hd_check.json."""
     report = read_json(os.path.join(workdir, "hd_check.json"))
     jd, rd = microactuator_desired_matrices(report["b_hat"], report["r_d_inv"])
-    return make_desired_dynamics(model, jd, rd, center=np.asarray(report["center"]))
+    return make_desired_dynamics(mean, jd, rd, center=np.asarray(report["center"]))
 
 
 def stage_plan(cfg, workdir):
-    model = load_model_artifact(cfg, workdir)
-    desired = load_desired(workdir, model)
+    mean, _, box = load_model_artifact(cfg, workdir)
+    desired = load_desired(workdir, mean)
     pl = cfg["plan"]
 
     plan = solve_reference_plan(
-        model,
+        mean,
         desired,
         build_reference(pl["reference"]),
         pl["t_span"],
         pl["grid_step"],
         seed_tail=np.asarray(pl["seed_tail"]),
+        box=box,
     )
     plan_to_csv(plan, os.path.join(workdir, "plan.csv"))
     check_idx = np.unique(np.linspace(0, plan.times.size - 1, 25).round().astype(int))
-    residuals = np.linalg.norm(matching_residual(model, desired, plan, check_idx), axis=0)
+    residuals = np.linalg.norm(matching_residual(mean, desired, plan, check_idx), axis=0)
     write_json(
         os.path.join(workdir, "plan_summary.json"),
         {
@@ -291,29 +297,29 @@ def stage_plan(cfg, workdir):
 
 
 def stage_verify(cfg, workdir):
-    model = load_model_artifact(cfg, workdir)
-    desired = load_desired(workdir, model)
+    mean, envelope, _ = load_model_artifact(cfg, workdir)
+    desired = load_desired(workdir, mean)
     plan = plan_from_csv(os.path.join(workdir, "plan.csv"))
     # the verify section holds exactly the sampling leaves of VerifySpec
     spec = VerifySpec(**cfg["verify"], seed=_stage_seed(cfg, "verify"))
-    report = verify_dissipation_condition(model, desired, plan, spec)
+    report = verify_dissipation_condition(envelope, desired, plan, spec)
     write_json(os.path.join(workdir, "verify_report.json"), report.to_jsonable())
     report.margins_to_csv(os.path.join(workdir, "margins.csv"))
     write_text(os.path.join(workdir, "verify_summary.txt"), report.to_text() + "\n")
 
 
-def build_controller(model, desired, plan):
+def build_controller(mean, desired, plan):
     """The closed-loop law: the reduced microactuator form of the tracking law."""
-    return microactuator_tracking_control(model, desired, plan)
+    return microactuator_tracking_control(mean, desired, plan)
 
 
 def stage_closed_loop(cfg, workdir):
-    model = load_model_artifact(cfg, workdir)
-    desired = load_desired(workdir, model)
+    mean, _, _ = load_model_artifact(cfg, workdir)
+    desired = load_desired(workdir, mean)
     plan = plan_from_csv(os.path.join(workdir, "plan.csv"))
     plant, _ = build_plant(cfg)
     cl = cfg["closed_loop"]
-    controller = build_controller(model, desired, plan)
+    controller = build_controller(mean, desired, plan)
     t0, t1 = plan.t_span
     x0 = plan.x_d(t0) + np.asarray(cl["x0_offset"])
     traj = simulate_feedback(
@@ -342,32 +348,28 @@ def emit_figure_data(workdir, traj, plan, desired):
     return hd
 
 
-def _model_hd_increments(model, desired, plan, traj):
+def _model_hd_increments(mean, desired, plan, traj):
     """Per-step H_d increments the model predicts along a closed-loop run.
 
     The slope grad H_d^T (mu + Ghat u - xdot_d) at each sample, with u the
-    recorded input and Ghat the model's constant, integrated over each sample
-    step by the trapezoid rule.
+    recorded input and mu + Ghat u the model's dynamics, integrated over each
+    sample step by the trapezoid rule.
     It carries the assigned dissipation and the off-reference matching
     mismatch but not the model error, which criterion 1b bounds separately.
     """
     xs, ts = traj.states, traj.times
     grad = desired.hamiltonian_gradient((xs - plan.x_d(ts)).T)
-    velocity = model.drift_mean(xs.T) + model.g_hat @ traj.inputs.T - plan.x_d_dot(ts).T
+    velocity = eval_dynamics(mean, xs.T, traj.inputs.T) - plan.x_d_dot(ts).T
     slope = np.einsum("nk,nk->k", grad, velocity)
     return 0.5 * np.diff(ts) * (slope[:-1] + slope[1:])
 
 
-def _drift_envelope_ratio(plant, model, states):
-    """max_i,k |f_i - mu_i| / eta_i over the rows of states (T, n); 0 where both vanish.
-
-    mu and var come from one drift call, and eta = beta * var.
-    """
-    f = eval_dynamics(plant, states.T, np.zeros(plant.dim_input))
-    mean, var = model.drift(states.T)
-    err = np.abs(f - mean)
+def _drift_envelope_ratio(plant, mean, envelope, states):
+    """max_i,k |f_i - mu_i| / eta_i over the rows of states (T, n); 0 where both vanish."""
+    u0 = np.zeros(plant.dim_input)
+    err = np.abs(eval_dynamics(plant, states.T, u0) - eval_dynamics(mean, states.T, u0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(err == 0.0, 0.0, err / (model.beta[:, None] * var))
+        ratio = np.where(err == 0.0, 0.0, err / envelope(states.T))
     return float(np.max(ratio))
 
 
@@ -375,8 +377,8 @@ def stage_metrics(cfg, workdir):
     traj = trajectory_from_csv(os.path.join(workdir, "closedloop.csv"))
     plan = plan_from_csv(os.path.join(workdir, "plan.csv"))
     plant, _ = build_plant(cfg)
-    model = load_model_artifact(cfg, workdir)
-    desired = load_desired(workdir, model)
+    mean, envelope, _ = load_model_artifact(cfg, workdir)
+    desired = load_desired(workdir, mean)
     train_summary = read_json(os.path.join(workdir, "train_summary.json"))
     hd_check = read_json(os.path.join(workdir, "hd_check.json"))
     verify_report = read_json(os.path.join(workdir, "verify_report.json"))
@@ -387,7 +389,7 @@ def stage_metrics(cfg, workdir):
     xd = plan.x_d(traj.times)
     err = traj.states - xd
     diffs = np.diff(hd)
-    nominal = _model_hd_increments(model, desired, plan, traj)
+    nominal = _model_hd_increments(mean, desired, plan, traj)
     tol = cfg["closed_loop"]["hd_increase_tol"]
     metrics = {
         "schema": "phs-lab-metrics-v1",
@@ -406,7 +408,7 @@ def stage_metrics(cfg, workdir):
             "model_max_increase": float(max(float(np.max(nominal)), 0.0)) if nominal.size else 0.0,
             "tol": tol,
         },
-        "drift_envelope": {"max_ratio": _drift_envelope_ratio(plant, model, traj.states)},
+        "drift_envelope": {"max_ratio": _drift_envelope_ratio(plant, mean, envelope, traj.states)},
         "energy_balance": {
             "closed_loop_max_residual": float(np.max(energy_balance_residual(plant, traj)))
         },

@@ -8,7 +8,9 @@ Two checks gate a controller before it is trusted:
 
       m(xbar, t) = grad H_d^T R_d grad H_d - sum_i |d H_d / d xbar_i| eta_i(x)
 
-  must be nonnegative, where eta is the model's pointwise error envelope.
+  must be nonnegative, where eta is the model's pointwise error envelope,
+  a callable of the plant states (`GpPhsModel.envelope`, or zero for the
+  exact model).
   The condition is probed on spheres of increasing radius around the
   reference; the certificate radius eps is the smallest radius beyond which
   every sampled margin is nonnegative.
@@ -17,7 +19,7 @@ Two checks gate a controller before it is trusted:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -124,7 +126,7 @@ class ConditionReport:
     times: np.ndarray
     n_dirs: int
     max_radius: float
-    # work counts: model.envelope calls, the states they evaluated, and the
+    # work counts: envelope calls, the states they evaluated, and the
     # bisection steps that refined eps
     envelope_calls: int
     states_evaluated: int
@@ -173,7 +175,7 @@ class ConditionReport:
 
 
 def verify_dissipation_condition(
-    model,
+    envelope: Callable[[np.ndarray], np.ndarray],
     desired: PhsModel,
     plan: ReferencePlan,
     spec: Optional[VerifySpec] = None,
@@ -183,8 +185,9 @@ def verify_dissipation_condition(
     Directions mix deterministic axis/corner probes with Monte-Carlo sphere
     samples; the certificate radius is refined by bisection between the last
     violating radius and the first radius past which all margins stay
-    nonnegative.  Every shell, on the radius grid or in the bisection, calls
-    ``model.envelope`` once per plan time, so the report's work counts are
+    nonnegative.  ``envelope`` maps plant states (n, Q) to eta (n, Q).
+    Every shell, on the radius grid or in the bisection, calls it once per
+    plan time, so the report's work counts are
     envelope_calls = (n_radii + bisection_steps) * len(times) and
     states_evaluated = envelope_calls * n_dirs.
     """
@@ -211,7 +214,7 @@ def verify_dissipation_condition(
         quad = np.einsum("iq,ij,jq->q", grads, desired.r, grads)
         out = []
         for center in centers.T:
-            m = quad - np.sum(np.abs(grads) * model.envelope(center[:, None] + xbar), axis=0)
+            m = quad - np.sum(np.abs(grads) * envelope(center[:, None] + xbar), axis=0)
             envelope_calls += 1
             out.append((float(np.min(m)), float(np.mean(m))))
         return out
@@ -259,23 +262,21 @@ def verify_dissipation_condition(
     )
 
 
-def build_desired_dynamics(model, jd, rd):
+def build_desired_dynamics(mean: PhsModel, jd, rd, box=None):
     """Centre H_d at the learned energy minimum and gate it once.
 
     The centre c is a root of grad H_hat (find_hamiltonian_minimum), searched
-    over the training-state bounding box when the model stores states and
-    over the gate grid's box otherwise, and H_d(xbar) = H_hat(c + xbar) - H_hat(c).
+    over ``box`` (the training-state bounding box, one (low, high) per
+    dimension) when it is given and over the gate grid's box otherwise, and
+    H_d(xbar) = H_hat(c + xbar) - H_hat(c).
     Returns the dynamics plus the report of hd_check.json: ``center``, the
     root's exit ``root`` and the gate result ``final_gate``.  Raises
     SynthesisError when the gate fails.
     """
-    states = getattr(model, "states", None)
-    if states is None:
-        box = [(-GATE_BOUND, GATE_BOUND)] * model.dim_state
-    else:
-        box = list(zip(states.min(axis=1), states.max(axis=1)))
-    center, root_exit = find_hamiltonian_minimum(model, box)
-    desired = make_desired_dynamics(model, jd, rd, center=center)
+    if box is None:
+        box = [(-GATE_BOUND, GATE_BOUND)] * mean.dim_state
+    center, root_exit = find_hamiltonian_minimum(mean, box)
+    desired = make_desired_dynamics(mean, jd, rd, center=center)
     gate = validate_hd_minimum(desired)
     if not gate.passed:
         raise SynthesisError(

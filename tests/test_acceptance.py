@@ -44,7 +44,6 @@ from phs_lab.filtering import FilteredDataset
 from phs_lab.gp import (
     GpHyperparams,
     OptimizerConfig,
-    PerfectPhsModel,
     load_model,
     negative_log_marginal_likelihood,
     train,
@@ -77,9 +76,7 @@ def production_run(tmp_path_factory):
 @pytest.fixture(scope="session")
 def perfect_setup():
     plant = make_microactuator(MicroactuatorParams())
-    model = PerfectPhsModel(
-        plant, micro_structure(b=0.5, r=1.0), x_ref=np.array([1.0, 0.0, 0.0])
-    )
+    model = plant  # the exact model: mu = f, with a zero envelope
     jd, rd = microactuator_desired_matrices(b_hat=0.5, r_d_inv=10.0)
     desired = make_desired_dynamics(model, jd, rd, center=np.array([1.0, 0.0, 0.0]))
     plan = solve_reference_plan(
@@ -117,7 +114,7 @@ def test_criterion_1a_unperturbed_start(production_run, tmp_path):
     report("1a-unperturbed", max_err <= 0.05, f"max |x1 - xd1| = {max_err:.4g} from x(0) = x_d(0)")
 
 
-def nominal_hd_increments(model, desired, plan, traj):
+def nominal_hd_increments(mean, desired, plan, traj):
     """Per-step H_d increments that the model predicts along a closed-loop run.
 
     The slope grad H_d^T (mu + Ghat u - xdot_d) at each sample, with u the
@@ -128,15 +125,15 @@ def nominal_hd_increments(model, desired, plan, traj):
     """
     xs, ts = traj.states, traj.times
     grad = desired.hamiltonian_gradient((xs - plan.x_d(ts)).T)
-    velocity = model.drift_mean(xs.T) + model.g_hat @ traj.inputs.T - plan.x_d_dot(ts).T
+    velocity = eval_dynamics(mean, xs.T, np.zeros(1)) + mean.g @ traj.inputs.T - plan.x_d_dot(ts).T
     slope = np.einsum("nk,nk->k", grad, velocity)
     return 0.5 * np.diff(ts) * (slope[:-1] + slope[1:])
 
 
-def drift_error_and_envelope(plant, model, states):
+def drift_error_and_envelope(plant, mean, envelope, states):
     """Realised drift error |f_i - mu_i| and the envelope eta_i per sample, both (n, T)."""
-    f = eval_dynamics(plant, states.T, np.zeros(plant.dim_input))
-    return np.abs(f - model.drift_mean(states.T)), model.envelope(states.T)
+    u0 = np.zeros(plant.dim_input)
+    return np.abs(eval_dynamics(plant, states.T, u0) - eval_dynamics(mean, states.T, u0)), envelope(states.T)
 
 
 @pytest.fixture(scope="session")
@@ -145,7 +142,7 @@ def production_loop(production_run):
     workdir, _, _ = production_run
     plant, _ = build_plant(default_config())
     model = load_model(workdir / "model.json")
-    desired = load_desired(workdir, model)
+    desired = load_desired(workdir, model.mean)
     plan = plan_from_csv(workdir / "plan.csv")
     traj = trajectory_from_csv(workdir / "closedloop.csv")
     return plant, model, desired, plan, traj
@@ -164,9 +161,9 @@ def test_criterion_1b_hd_monotone(production_run, production_loop):
     _, metrics, _ = production_run
     plant, model, desired, plan, traj = production_loop
     tol = metrics["lyapunov"]["tol"]
-    nominal = nominal_hd_increments(model, desired, plan, traj)
+    nominal = nominal_hd_increments(model.mean, desired, plan, traj)
     nominal_events = int(np.sum(nominal > tol))
-    err, eta = drift_error_and_envelope(plant, model, traj.states)
+    err, eta = drift_error_and_envelope(plant, model.mean, model.envelope, traj.states)
     covered = bool(np.all(err <= eta))
     ratio = float(np.max(err / eta))
     # metrics.json carries the same two quantities, computed by the pipeline
@@ -194,7 +191,7 @@ def test_criterion_1b_flags_dropped_feedforward(production_loop):
     # H_d growth
     plant, model, desired, plan, traj = production_loop
     cl = default_config()["closed_loop"]
-    law = microactuator_tracking_control(model, desired, plan)
+    law = microactuator_tracking_control(model.mean, desired, plan)
     r_hat = 1.0 / float(model.g_hat[2, 0])
 
     def dropped(x, t):
@@ -211,8 +208,8 @@ def test_criterion_1b_flags_dropped_feedforward(production_loop):
     production = run(law)
     faulty = run(dropped)
     tol = cl["hd_increase_tol"]
-    nominal_ok = nominal_hd_increments(model, desired, plan, production)
-    nominal_bad = nominal_hd_increments(model, desired, plan, faulty)
+    nominal_ok = nominal_hd_increments(model.mean, desired, plan, production)
+    nominal_bad = nominal_hd_increments(model.mean, desired, plan, faulty)
     events_ok = int(np.sum(nominal_ok > tol))
     events_bad = int(np.sum(nominal_bad > tol))
     reproduced = np.array_equal(production.states, traj.states)
@@ -243,7 +240,7 @@ def test_criterion_1b_perfect_model_oracle(perfect_setup):
         nominal = nominal_hd_increments(model, desired, plan, traj)
         actual = np.diff(desired.hamiltonian((traj.states - plan.x_d(ts)).T))
         gaps.append(float(np.max(np.abs(nominal - actual))))
-        err, eta = drift_error_and_envelope(plant, model, traj.states)
+        err, eta = drift_error_and_envelope(plant, model, np.zeros_like, traj.states)
         exact = exact and not np.any(err) and not np.any(eta)
     ok = gaps[0] <= 1e-7 and gaps[0] >= 6.0 * gaps[1] and exact
     report(
@@ -467,7 +464,10 @@ def test_criterion_6_condition_verifier():
     spec = VerifySpec(max_radius=0.5, n_radii=50, n_dirs=500, n_times=2)
     grid_step = spec.max_radius / spec.n_radii
     rep = verify_dissipation_condition(
-        _ConstantEnvelopeModel(n, eta0), quadratic_desired(n, rho), constant_plan(np.zeros(n)), spec
+        _ConstantEnvelopeModel(n, eta0).envelope,
+        quadratic_desired(n, rho),
+        constant_plan(np.zeros(n)),
+        spec,
     )
     elapsed = time.perf_counter() - start
     gap = abs(rep.epsilon - eps_true)

@@ -1,9 +1,11 @@
 """Controller synthesis, reference planning, and closed-loop simulation.
 
-These tests run everything on the exact vector field (PerfectPhsModel) so
-controller defects are not masked by learning error; learned-model behaviour
-is covered by the pipeline and acceptance suites.
+These tests run everything on the exact vector field (the plant itself as
+the model) so controller defects are not masked by learning error;
+learned-model behaviour is covered by the pipeline and acceptance suites.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,9 +39,8 @@ from phs_lab.control import (
 )
 from phs_lab.core import energy_balance_residual, eval_dynamics, phs_output, simulate_feedback
 from phs_lab.filtering import FilteredDataset
-from phs_lab.gp import PerfectPhsModel
 
-from conftest import micro_hypers, micro_structure
+from conftest import micro_hypers
 
 
 def primary_reference(t):
@@ -53,8 +54,8 @@ def plant():
 
 @pytest.fixture(scope="module")
 def perfect_model(plant):
-    # structure matches the true parameters, so mu == (J - R) grad H exactly
-    return PerfectPhsModel(plant, micro_structure(b=0.5, r=1.0), x_ref=np.array([1.0, 0.0, 0.0]))
+    # the plant is its own exact model: mu == (J - R) grad H
+    return plant
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,7 @@ def test_desired_dynamics_center_and_batch(perfect_model, desired):
     # the target loop is a PhsModel of the error: J_d, R_d, Ghat and H_d
     assert isinstance(desired, PhsModel)
     assert (desired.dim_state, desired.dim_input) == (3, 1)
-    np.testing.assert_array_equal(desired.g, perfect_model.g_hat)
+    np.testing.assert_array_equal(desired.g, perfect_model.g)
     assert desired.hamiltonian(np.zeros(3)) == pytest.approx(0.0, abs=1e-12)
     xbar = np.array([[0.1, -0.2], [0.05, 0.0], [0.2, 0.3]])
     batch = desired.hamiltonian(xbar)
@@ -112,7 +113,7 @@ def test_desired_dynamics_center_and_batch(perfect_model, desired):
         np.testing.assert_array_equal(desired.hamiltonian_gradient(xbar[:, i]), grad_batch[:, i])
     # H_d(xbar) = H_hat(c + xbar) - H_hat(c)
     shifted = desired.center[:, None] + xbar
-    np.testing.assert_array_equal(grad_batch, perfect_model.hamiltonian_grad(shifted))
+    np.testing.assert_array_equal(grad_batch, perfect_model.hamiltonian_gradient(shifted))
 
 
 def test_hamiltonian_minimum_found(perfect_model):
@@ -120,7 +121,7 @@ def test_hamiltonian_minimum_found(perfect_model):
     xmin, root_exit = find_hamiltonian_minimum(perfect_model, box)
     np.testing.assert_allclose(xmin, [1.0, 0.0, 0.0], atol=1e-6)
     assert root_exit["status"] == 1
-    assert root_exit["grad_inf_norm"] == np.max(np.abs(perfect_model.hamiltonian_grad(xmin[:, None])))
+    assert root_exit["grad_inf_norm"] == np.max(np.abs(perfect_model.hamiltonian_gradient(xmin[:, None])))
 
 
 def test_left_annihilator_canonical_form():
@@ -158,17 +159,17 @@ def test_matching_residual_batch_matches_per_point_loop(kind, perfect_model, gp_
     # the batched defects against the per-state matching condition at each
     # grid point, Gperp (mu(x) - [J_d - R_d] grad H_d(x - x_d(t)) - xdot_d(t));
     # the GP model is far from the plant, so its defects are far from zero
-    model = gp_model if kind == "gp" else perfect_model
+    model = gp_model.mean if kind == "gp" else perfect_model
     jd, rd = microactuator_desired_matrices(b_hat=0.5, r_d_inv=10.0)
     desired = make_desired_dynamics(model, jd, rd, center=np.array([1.0, 0.0, 0.0]))
     idx = np.unique(np.linspace(0, plan.times.size - 1, 25).round().astype(int))
     batch = matching_residual(model, desired, plan, idx)
-    gperp = left_annihilator(model.g_hat)
+    gperp = left_annihilator(model.g)
     loop = []
     for k in idx:
         x, t = plan.xd[k], plan.times[k]
-        mu = model.drift_mean(x[:, None])[:, 0]
-        grad = model.hamiltonian_grad((desired.center + x - plan.x_d(t))[:, None])[:, 0]
+        mu = eval_dynamics(model, x, np.zeros(1))
+        grad = model.hamiltonian_gradient(desired.center + x - plan.x_d(t))
         loop.append(gperp @ (mu - (desired.j - desired.r) @ grad - plan.x_d_dot(t)))
     assert batch.shape == (2, idx.size)
     np.testing.assert_allclose(batch, np.array(loop).T, rtol=0, atol=1e-12)
@@ -246,28 +247,29 @@ def test_reduced_law_equals_general(perfect_model, desired, plan):
         np.testing.assert_allclose(reduced(x, t), general(x, t), atol=1e-10)
 
 
-class _OffsetDrift:
-    """Exact model with a constant bias added to the posterior mean."""
+def _tilted_gradient(plant):
+    # grad (H + 0.02 x1): (J - R) (0.02, 0, 0) adds (0, -0.02, 0) to the drift
+    def gradient(x):
+        grad = plant.hamiltonian_gradient(x)
+        grad[0] += 0.02
+        return grad
 
-    def __init__(self, inner, offset):
-        self._inner = inner
-        self._offset = np.asarray(offset, dtype=float)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def drift_mean(self, xq):
-        return self._inner.drift_mean(xq) + self._offset[:, None]
+    return gradient
 
 
 def test_plan_best_fit_reaches_residual_floor(perfect_model, desired):
-    # the bias makes x_d3^2 = -0.02 the exact-matching requirement, so no
+    # the plant with energy H + 0.02 x1 has the drift bias (0, -0.02, 0),
+    # which makes x_d3^2 = -0.02 the exact-matching requirement, so no
     # root exists anywhere.  The minimizer keeps x_d3 at zero and trades the
     # bias between the two unactuated rows by bending x_d2, which caps the
     # pointwise defect well below 0.02 while keeping it bounded away from
     # zero.  The fit's objective is the reported defect itself, also on a
     # step that does not divide the span (0.15 on [0, 1] gives 8 points).
-    biased = _OffsetDrift(perfect_model, np.array([0.0, -0.02, 0.0]))
+    biased = replace(
+        perfect_model,
+        hamiltonian=lambda x: perfect_model.hamiltonian(x) + 0.02 * x[0],
+        hamiltonian_gradient=_tilted_gradient(perfect_model),
+    )
     for step in (0.1, 0.15):
         plan = solve_reference_plan(
             biased, desired, lambda t: (1.0, 0.0), (0.0, 1.0), step, seed_tail=np.array([0.0, 0.1])
@@ -278,14 +280,6 @@ def test_plan_best_fit_reaches_residual_floor(perfect_model, desired):
         np.testing.assert_allclose(plan.xd[:, 2], 0.0, atol=1e-2)
 
 
-class _WithData(_OffsetDrift):
-    """Exact model that carries a training-data box, as a learned one does."""
-
-    def __init__(self, inner, states):
-        super().__init__(inner, np.zeros(inner.dim_state))
-        self.states = np.asarray(states, dtype=float)
-
-
 def test_plan_resolves_in_data_box_when_free_fit_leaves_it(perfect_model, desired, plan):
     # the exact plan runs at x_d3 near 0.095 (x_d3^2 = 0.009 at t = 0); data
     # with x3 in [0.2, 0.3] gives the box [0.185, 0.315] in x3, so the free
@@ -294,12 +288,13 @@ def test_plan_resolves_in_data_box_when_free_fit_leaves_it(perfect_model, desire
     span = np.ptp(states, axis=1)
     lo, hi = states.min(axis=1) - 0.15 * span, states.max(axis=1) + 0.15 * span
     boxed = solve_reference_plan(
-        _WithData(perfect_model, states),
+        perfect_model,
         desired,
         primary_reference,
         (0.0, 1.0),
         0.1,
         seed_tail=np.array([0.0, 0.3]),
+        box=list(zip(states.min(axis=1), states.max(axis=1))),
     )
     free, box = boxed.solves["free"], boxed.solves["box"]
     assert box is not None and box["status"] >= 1
@@ -307,7 +302,7 @@ def test_plan_resolves_in_data_box_when_free_fit_leaves_it(perfect_model, desire
     assert np.all((boxed.xd[:, 1:] >= lo[1:]) & (boxed.xd[:, 1:] <= hi[1:]))
     # the free fit found the exact plan outside the box; inside it no root exists
     assert free["cost"] < 1e-12 < box["cost"]
-    # a model without data is solved free once
+    # without a box the fit is solved free once
     assert set(plan.solves) == {"free", "box"} and plan.solves["box"] is None
     assert plan.fit == plan.solves["free"]
 
@@ -316,7 +311,7 @@ def test_plan_resolves_in_data_box_when_free_fit_leaves_it(perfect_model, desire
 def test_best_fit_jacobian_matches_finite_differences(kind, perfect_model, gp_model):
     # the closed-form Jacobian against scipy's own differencing of the
     # residual, at random tails on a 9-point grid
-    model = gp_model if kind == "gp" else perfect_model
+    model = gp_model.mean if kind == "gp" else perfect_model
     rng = np.random.default_rng(5)
     n_grid = 9
     times = np.linspace(0.0, 0.8, n_grid)
@@ -350,7 +345,7 @@ def test_external_port_output_hand_value(desired):
 
 def test_tracking_control_rejects_singular_g(perfect_model, desired, plan):
     class _NoInput:
-        g_hat = np.zeros((3, 1))
+        g = np.zeros((3, 1))
 
     with pytest.raises(SynthesisError):
         tracking_control(_NoInput(), desired, plan)

@@ -16,9 +16,7 @@ from phs_lab import (
     phs_output,
     simulate,
 )
-from phs_lab.core import simulate_feedback, trajectory_from_csv, trajectory_to_csv
-from phs_lab.gp import PerfectPhsModel
-from phs_lab.structure import FixedStructure, StructureEstimate
+from phs_lab.core import on_columns, simulate_feedback, trajectory_from_csv, trajectory_to_csv
 
 from conftest import sin_input
 
@@ -77,7 +75,8 @@ def test_electrical_half_switch():
 )
 def test_column_block_matches_per_column_calls(build):
     # every plant query on an (n, Q) block returns, bit for bit, the per-state
-    # results stacked as columns; PerfectPhsModel answers from the same block
+    # results stacked as columns, and so does the column adapter of the
+    # learned mean and the target loop
     plant = build()
     n, q = plant.dim_state, 7
     rng = np.random.default_rng(3)
@@ -97,18 +96,15 @@ def test_column_block_matches_per_column_calls(build):
     assert np.array_equal(eval_dynamics(plant, xq, u0), drift)
     assert np.array_equal(phs_output(plant, xq), np.column_stack([phs_output(plant, x) for x in cols]))
 
-    family = FixedStructure(j=plant.j, r=plant.r, g=plant.g)
+    # on_columns hands a block on as it is, one state as a one-column block,
+    # and adds its offset to every column
+    grad = on_columns(plant.hamiltonian_gradient)
+    assert np.array_equal(grad(xq), plant.hamiltonian_gradient(xq))
+    assert np.array_equal(np.column_stack([grad(x) for x in cols]), grad(xq))
     x_ref = xq[:, 0]
-    model = PerfectPhsModel(plant, StructureEstimate(family=family, phi=np.empty(0)), x_ref=x_ref)
-    mean, var = model.drift(xq)
-    assert np.array_equal(mean, drift)
-    assert not np.any(var)
-    assert np.array_equal(
-        model.hamiltonian_grad(xq), np.column_stack([plant.hamiltonian_gradient(x) for x in cols])
-    )
-    assert np.array_equal(
-        model.hamiltonian(xq), [plant.hamiltonian(x) - plant.hamiltonian(x_ref) for x in cols]
-    )
+    shifted = on_columns(plant.hamiltonian, x_ref)
+    assert shifted(np.zeros(n)) == plant.hamiltonian(x_ref)
+    assert np.array_equal(shifted(xq), [shifted(x) for x in cols])
 
 
 def test_params_validation():

@@ -13,7 +13,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from phs_lab import (
     ConditioningError,
-    PerfectPhsModel,
     TrainingError,
     backend,
     condition,
@@ -21,6 +20,7 @@ from phs_lab import (
 )
 from phs_lab import gp as gp_mod
 from phs_lab.control import find_hamiltonian_minimum
+from phs_lab.core import eval_dynamics
 from phs_lab.filtering import FilteredDataset, filter_derivatives
 from phs_lab.gp import (
     BETA_PERCENTILE,
@@ -422,19 +422,39 @@ def test_hamiltonian_bits_do_not_depend_on_the_batch(small_model):
 
 
 @pytest.mark.parametrize("method", ["drift", "drift_mean", "envelope", "hamiltonian", "hamiltonian_grad"])
-def test_queries_take_states_as_columns_only(small_model, plant, method):
+def test_queries_take_states_as_columns_only(small_model, method):
     # a (Q, n) array is not read as Q states, and one state (n,) is not read
-    # as n states, on the learned and on the exact model alike
+    # as n states
     xq = np.random.default_rng(12).uniform(-0.5, 1.5, size=(5, 3))
-    for model in (small_model, PerfectPhsModel(plant, micro_structure(b=0.5, r=1.0))):
-        for bad in (xq, xq[0]):
-            with pytest.raises(ValueError, match=r"\(3, Q\)"):
-                getattr(model, method)(bad)
+    for bad in (xq, xq[0]):
+        with pytest.raises(ValueError, match=r"\(3, Q\)"):
+            getattr(small_model, method)(bad)
+
+
+def test_mean_is_a_phs_model_of_the_posterior_mean(small_model):
+    # the control layer reads mu as eval_dynamics(mean, x, 0): the same bits
+    # as drift_mean, from j - r = S exactly, and one state (n,) is column 0
+    # of a one-column block
+    mean = small_model.mean
+    np.testing.assert_array_equal(mean.j - mean.r, small_model.s_hat)
+    np.testing.assert_array_equal(mean.j, -mean.j.T)
+    np.testing.assert_array_equal(mean.r, mean.r.T)
+    np.testing.assert_array_equal(mean.g, small_model.g_hat)
+    b_hat = small_model.structure.family.values(small_model.structure.phi)[0]
+    assert mean.r[1, 1] == b_hat
+    xq = np.random.default_rng(13).uniform(-0.5, 1.5, size=(3, 50))
+    u0 = np.zeros(1)
+    np.testing.assert_array_equal(eval_dynamics(mean, xq, u0), small_model.drift_mean(xq))
+    np.testing.assert_array_equal(mean.hamiltonian_gradient(xq), small_model.hamiltonian_grad(xq))
+    np.testing.assert_array_equal(mean.hamiltonian(xq), small_model.hamiltonian(xq))
+    x = xq[:, 0]
+    np.testing.assert_array_equal(eval_dynamics(mean, x, u0), small_model.drift_mean(x[:, None])[:, 0])
+    assert mean.hamiltonian(x) == small_model.hamiltonian(x[:, None])[0]
 
 
 def test_hamiltonian_minimum_is_a_root_of_the_gradient(small_model):
     box = list(zip(small_model.states.min(axis=1), small_model.states.max(axis=1)))
-    center, root_exit = find_hamiltonian_minimum(small_model, box)
+    center, root_exit = find_hamiltonian_minimum(small_model.mean, box)
     grad_inf = np.max(np.abs(small_model.hamiltonian_grad(center[:, None])))
     assert root_exit["status"] == 1
     assert root_exit["grad_inf_norm"] == grad_inf
@@ -506,11 +526,37 @@ def test_memoized_training_matches_unmemoized(clean_trajectory, monkeypatch):
 
     monkeypatch.setattr(gp_mod, "negative_log_marginal_likelihood", counted)
     memoized, n_memoized = fit()
-    monkeypatch.setattr(gp_mod, "_memo_last_two", lambda objective: objective)
+    monkeypatch.setattr(gp_mod, "_memo_recent_and_best", lambda objective: objective)
     plain, n_plain = fit()
     assert n_plain == sum(r["nfev"] for r in plain.restarts)
     assert n_memoized < n_plain
     _same_fit(memoized, plain)
+
+
+def test_memo_keeps_the_lowest_result_beyond_the_last_two():
+    # L-BFGS-B returns to its iterate after a rejected and an infeasible
+    # trial: theta_1 (the lowest value), theta_2, theta_3, then theta_1 again
+    calls = []
+
+    def objective(theta):
+        calls.append(theta.copy())
+        return float(theta[0]), np.full(2, theta[0])
+
+    memoized = gp_mod._memo_recent_and_best(objective)
+    thetas = [np.array([-1.0, 0.0]), np.array([2.0, 0.0]), np.array([1e25, 0.0])]
+    for theta in thetas + [thetas[0]]:
+        value, grad = memoized(theta)
+        assert value == theta[0] and np.all(grad == theta[0])
+    assert len(calls) == 3
+    # a returned gradient is a copy: altering it leaves the kept one intact
+    memoized(thetas[0])[1][:] = 7.0
+    assert np.all(memoized(thetas[0])[1] == -1.0)
+    # the last two stay kept beside the lowest; older points are evaluated again
+    memoized(thetas[2])
+    assert len(calls) == 3
+    memoized(np.array([3.0, 0.0]))
+    memoized(thetas[1])
+    assert len(calls) == 5
 
 
 def test_training_does_not_depend_on_the_state_layout(filtered_full):
@@ -678,21 +724,6 @@ def test_lengthscale_recovery_from_prior_sample():
     model = train(ds, init, optimizer_config=OptimizerConfig(restarts=3, max_iter=200), rng=np.random.default_rng(2))
     ratio = model.hyper.lengthscales / true.lengthscales
     assert np.all(ratio > 0.7) and np.all(ratio < 1.4)
-
-
-def test_perfect_model_surface(plant):
-    est = micro_structure(b=0.5, r=1.0)
-    model = PerfectPhsModel(plant, est)
-    x = np.array([0.7, 0.2, 0.9])
-    mean, var = model.drift(x[:, None])
-    grad = plant.hamiltonian_gradient(x)
-    np.testing.assert_allclose(mean[:, 0], est.jr() @ grad, atol=1e-14)
-    assert np.all(var == 0.0)
-    assert np.all(model.envelope(x[:, None]) == 0.0)
-    assert model.hamiltonian(x[:, None])[0] == pytest.approx(
-        plant.hamiltonian(x) - plant.hamiltonian(np.zeros(3)), abs=1e-12
-    )
-    np.testing.assert_allclose(model.hamiltonian_grad(x[:, None])[:, 0], grad, atol=1e-14)
 
 
 def test_save_load_round_trip(tmp_path, small_model):

@@ -15,16 +15,12 @@ from phs_lab.control import (
     microactuator_desired_matrices,
 )
 from phs_lab.core import PhsModel, make_mass_spring_damper
-from phs_lab.gp import PerfectPhsModel
-from phs_lab.structure import FixedStructure, StructureEstimate
 from phs_lab.verify import (
     VerifySpec,
     build_desired_dynamics,
     validate_hd_minimum,
     verify_dissipation_condition,
 )
-
-from conftest import micro_structure
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +30,8 @@ def plant():
 
 @pytest.fixture(scope="module")
 def centered_model(plant):
-    return PerfectPhsModel(plant, micro_structure(b=0.5, r=1.0), x_ref=np.array([1.0, 0.0, 0.0]))
+    # the plant is its own exact model, with a zero error envelope
+    return plant
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +61,9 @@ def test_hd_minimum_gate_fails_off_center(centered_model):
     np.testing.assert_allclose(rep.argmin_point, [1.0, 0.0, 0.0], atol=0.21)
 
 
-def test_dissipation_satisfied_with_zero_envelope(centered_model, centered_desired):
+def test_dissipation_satisfied_with_zero_envelope(centered_desired):
     report = verify_dissipation_condition(
-        centered_model,
+        np.zeros_like,
         centered_desired,
         constant_plan([1.0, 0.0, 0.0]),
         VerifySpec(max_radius=0.5, n_radii=8, n_dirs=100, n_times=2),
@@ -107,7 +104,7 @@ def test_dissipation_epsilon_matches_quadratic_oracle():
     spec = VerifySpec(max_radius=0.5, n_radii=50, n_dirs=500, n_times=2)
     grid_step = spec.max_radius / spec.n_radii
     report = verify_dissipation_condition(
-        _ConstantEnvelopeModel(n, eta0),
+        _ConstantEnvelopeModel(n, eta0).envelope,
         quadratic_desired(n, rho),
         constant_plan(np.zeros(n)),
         spec,
@@ -136,7 +133,7 @@ def test_verify_work_counts(eta0, rho):
     spec = VerifySpec(max_radius=0.5, n_radii=10, n_dirs=40, n_times=3, bisect_iters=5)
     model = _CountingEnvelopeModel(3, eta0)
     plan = ReferencePlan(times=np.linspace(0.0, 1.0, 5), xd=np.zeros((5, 3)))
-    report = verify_dissipation_condition(model, quadratic_desired(3, rho), plan, spec)
+    report = verify_dissipation_condition(model.envelope, quadratic_desired(3, rho), plan, spec)
     out = report.to_jsonable()
     n_times = report.times.size
     assert out["bisection_steps"] == (0 if report.unbounded else spec.bisect_iters)
@@ -147,7 +144,7 @@ def test_verify_work_counts(eta0, rho):
 
 def test_dissipation_unbounded_when_envelope_dominates():
     report = verify_dissipation_condition(
-        _ConstantEnvelopeModel(3, 10.0),
+        _ConstantEnvelopeModel(3, 10.0).envelope,
         quadratic_desired(3, 0.1),
         constant_plan(np.zeros(3)),
         VerifySpec(max_radius=0.5, n_radii=8, n_dirs=100, n_times=2),
@@ -161,7 +158,7 @@ def test_dissipation_unbounded_when_envelope_dominates():
 def test_margin_csv_shape(tmp_path):
     spec = VerifySpec(max_radius=0.5, n_radii=6, n_dirs=50, n_times=2)
     report = verify_dissipation_condition(
-        _ConstantEnvelopeModel(3, 0.05),
+        _ConstantEnvelopeModel(3, 0.05).envelope,
         quadratic_desired(3, 0.8),
         constant_plan(np.zeros(3)),
         spec,
@@ -174,11 +171,10 @@ def test_margin_csv_shape(tmp_path):
 
 
 def test_build_desired_recenter_finds_learned_minimum(plant):
-    # the model stores no training states, so the root search starts from
-    # the gate grid's box, [-GATE_BOUND, GATE_BOUND] per dimension
-    model = PerfectPhsModel(plant, micro_structure(b=0.5, r=1.0))
+    # no training-data box is given, so the root search starts from the
+    # gate grid's box, [-GATE_BOUND, GATE_BOUND] per dimension
     jd, rd = microactuator_desired_matrices(b_hat=0.5, r_d_inv=10.0)
-    desired, report = build_desired_dynamics(model, jd, rd)
+    desired, report = build_desired_dynamics(plant, jd, rd)
     assert set(report) == {"center", "root", "final_gate"}
     assert report["root"]["status"] == 1
     assert report["final_gate"]["passed"]
@@ -188,12 +184,8 @@ def test_build_desired_recenter_finds_learned_minimum(plant):
 
 def test_build_desired_for_origin_minimum():
     msd = make_mass_spring_damper(m=1.0, k=1.0, b=0.5)
-    family = FixedStructure(
-        j=[[0.0, 1.0], [-1.0, 0.0]], r=[[0.0, 0.0], [0.0, 0.5]], g=[[0.0], [1.0]]
-    )
-    model = PerfectPhsModel(msd, StructureEstimate(family=family, phi=np.empty(0)))
     desired, report = build_desired_dynamics(
-        model, np.array([[0.0, 1.0], [-1.0, 0.0]]), np.diag([0.0, 1.0])
+        msd, np.array([[0.0, 1.0], [-1.0, 0.0]]), np.diag([0.0, 1.0])
     )
     assert report["final_gate"]["passed"]
     np.testing.assert_allclose(report["center"], [0.0, 0.0], atol=1e-8)
@@ -210,6 +202,5 @@ def test_build_desired_rejects_a_saddle():
         hamiltonian=lambda x: 0.5 * (x[1] ** 2 - x[0] ** 2),
         hamiltonian_gradient=lambda x: np.array([-x[0], x[1]]),
     )
-    model = PerfectPhsModel(saddle, StructureEstimate(family=FixedStructure(j=j, r=r, g=g), phi=np.empty(0)))
     with pytest.raises(SynthesisError, match="lacks a minimum"):
-        build_desired_dynamics(model, np.array(j), np.diag([0.0, 1.0]))
+        build_desired_dynamics(saddle, np.array(j), np.diag([0.0, 1.0]))

@@ -23,7 +23,8 @@ and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
   training-set Gram (``gp._invert_factor``, the inverse ``condition`` and
   ``load_model`` take); each call first copies the factor into a held
   buffer, since the inverse overwrites it;
-- ``mean_q261``: the posterior drift mean on the plan grid;
+- ``mean_q261``: the posterior drift mean on the plan grid, read as the
+  plan reads it, ``core.eval_dynamics(model.mean, x, 0)``;
 - ``mean_var_q2014``: drift mean plus variance at 2014 states drawn
   uniformly in the training-data box (seeded), the size of one verify shell;
 - ``envelope_q2014``: the error envelope beta * var alone at the same 2014
@@ -71,8 +72,9 @@ import numpy as np  # noqa: E402
 
 from phs_lab import control, pipeline, verify  # noqa: E402
 from phs_lab.config import validate_config  # noqa: E402
+from phs_lab.core import eval_dynamics  # noqa: E402
 from phs_lab.filtering import FilteredDataset  # noqa: E402
-from phs_lab.gp import _invert_factor, negative_log_marginal_likelihood  # noqa: E402
+from phs_lab.gp import _invert_factor, load_model, negative_log_marginal_likelihood  # noqa: E402
 from phs_lab.kernels import TrainingPairs, factorize_gram  # noqa: E402
 
 NEEDED = ("config.json", "model.json", "filtered.csv", "hd_check.json", "plan.csv")
@@ -120,7 +122,10 @@ def layers(run_dir):
     """The layer name -> (shape note, zero-argument call) table for one run directory."""
     with open(os.path.join(run_dir, "config.json")) as fh:
         cfg = validate_config(json.load(fh))
-    model = pipeline.load_model_artifact(cfg, run_dir)
+    # the layers below the control code need the GP itself; the control code
+    # reads its mean as a core.PhsModel, as the pipeline's stages do
+    model = load_model(os.path.join(run_dir, "model.json"))
+    mean = model.mean
     dataset = pipeline.filtered_from_csv(os.path.join(run_dir, "filtered.csv"))
     first = FilteredDataset(
         states=dataset.states[:, :N_STUDY],
@@ -140,9 +145,9 @@ def layers(run_dir):
         return _invert_factor(factor_copy)
 
     plan = control.plan_from_csv(os.path.join(run_dir, "plan.csv"))
-    desired = pipeline.load_desired(run_dir, model)
+    desired = pipeline.load_desired(run_dir, mean)
 
-    n = model.dim_state
+    n, n_input = model.dim_state, model.dim_input
     lo, hi = dataset.states.min(axis=1), dataset.states.max(axis=1)
     rng = np.random.default_rng(SHELL_SEED)
     shell = lo[:, None] + (hi - lo)[:, None] * rng.uniform(size=(n, N_SHELL))
@@ -150,14 +155,14 @@ def layers(run_dir):
     axes = [np.linspace(-verify.GATE_BOUND, verify.GATE_BOUND, verify.GATE_RESOLUTION)] * n
     gate_grid = desired.center[:, None] + np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
 
-    controller = pipeline.build_controller(model, desired, plan)
+    controller = pipeline.build_controller(mean, desired, plan)
     t_mid = float(plan.times[plan.times.size // 2])
     x_off = plan.x_d(t_mid) + np.asarray(cfg["closed_loop"]["x0_offset"])
 
     reference = pipeline.build_reference(cfg["plan"]["reference"])
     prim = np.array([reference(t) for t in plan.times], dtype=float)
     shaped0 = (desired.j - desired.r) @ desired.hamiltonian_gradient(np.zeros(n))
-    residual, jacobian = control._best_fit_problem(model, plan.times, prim[:, 0], prim[:, 1], shaped0)
+    residual, jacobian = control._best_fit_problem(mean, plan.times, prim[:, 0], prim[:, 1], shaped0)
     tail = plan.xd[:, 1:].ravel()
 
     return {
@@ -170,12 +175,12 @@ def layers(run_dir):
             lambda: negative_log_marginal_likelihood(first, model.hyper, pairs=pairs_first),
         ),
         "invert_factor_n300": (f"{factor.shape[0]} x {factor.shape[1]}", invert_factor),
-        "mean_q261": (f"Q = {plan.times.size}", lambda: model.drift_mean(plan.xd.T)),
+        "mean_q261": (f"Q = {plan.times.size}", lambda: eval_dynamics(mean, plan.xd.T, np.zeros(n_input))),
         "mean_var_q2014": (f"Q = {N_SHELL}", lambda: model.drift(shell)),
         "envelope_q2014": (f"Q = {N_SHELL}", lambda: model.envelope(shell)),
         "energy_q9261": (f"Q = {gate_grid.shape[1]}", lambda: model.hamiltonian(gate_grid)),
         "controller_q1": ("Q = 1", lambda: controller(x_off, t_mid)),
-        "dynamics_q1": ("Q = 1", lambda: model.dynamics(x_off, np.zeros(model.dim_input))),
+        "dynamics_q1": ("Q = 1", lambda: model.dynamics(x_off, np.zeros(n_input))),
         "best_fit_residual_jacobian": (
             f"{plan.times.size} grid points x {n - 1} unknowns",
             lambda: (residual(tail), jacobian(tail)),
