@@ -29,7 +29,7 @@ from .core import (
     make_mass_spring_damper,
     make_microactuator,
     phs_output,
-    simulate,
+    simulate_feedback,
 )
 from .errors import (
     ConditioningError,

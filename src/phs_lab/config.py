@@ -99,13 +99,11 @@ def _fail(path, expected, got):
     raise ConfigError(f"{path}: expected {expected}, got {got!r}")
 
 
-def _check_number(path, value, lo=None, hi=None, strict_lo=False):
+def _check_number(path, value, lo=None, strict_lo=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
         _fail(path, "a finite number", value)
     if lo is not None and (value <= lo if strict_lo else value < lo):
         _fail(path, f"a number {'>' if strict_lo else '>='} {lo}", value)
-    if hi is not None and value > hi:
-        _fail(path, f"a number <= {hi}", value)
     return float(value)
 
 
@@ -204,6 +202,8 @@ def validate_config(cfg: dict) -> dict:
     t["perturb_scale"] = _check_number("train.perturb_scale", t["perturb_scale"], lo=0.0)
     t["jitter"] = _check_number("train.jitter", t["jitter"], lo=0.0)
     t["max_jitter"] = _check_number("train.max_jitter", t["max_jitter"], lo=0.0)
+    if t["jitter"] > t["max_jitter"]:
+        raise ConfigError("train.jitter: must be at most train.max_jitter")
     cal = t["calibration"]
     cal["x0_offset"] = _check_vector("train.calibration.x0_offset", cal["x0_offset"], length=3)
     _check_int("train.calibration.n_samples", cal["n_samples"], lo=2)

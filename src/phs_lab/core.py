@@ -10,10 +10,11 @@ dissipation R, input matrix G, and stored energy H.  The learned model of
 plant, and also the target error loop of the tracking controller
 (``control.DesiredDynamics``: J_d, R_d, G_hat and H_d in the error
 coordinates) and the learned mean (``gp.GpPhsModel.mean``), so all three are
-simulated, observed and balanced by the same functions here.  H and grad H
-take one state (n,) or a block (n, Q) with one state per column, and so do
-`eval_dynamics` and `phs_output`.  Times are in ms throughout; all other
-quantities are dimensionless.
+simulated by the one integrator `simulate_feedback`, and observed and
+balanced by the same functions here.  H and grad H take one state (n,) or a
+block (n, Q) with one state per column, and so do `eval_dynamics` and
+`phs_output`.  Times are in ms throughout; all other quantities are
+dimensionless.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "eval_dynamics",
     "on_columns",
     "phs_output",
-    "simulate",
     "simulate_feedback",
     "energy_balance_residual",
     "make_microactuator",
@@ -82,7 +82,8 @@ class Trajectory:
     """Sampled system trajectory.
 
     ``states`` is (T, n) row-per-sample, ``inputs`` is (T, m), ``outputs`` is
-    the passive output y = G^T grad H when recorded, else None.
+    the passive output y = G^T grad H, which every simulation records, or
+    None for data without it (a noisy dataset, a CSV without y columns).
     """
 
     times: np.ndarray
@@ -174,62 +175,31 @@ def phs_output(model: PhsModel, x: np.ndarray) -> np.ndarray:
     return model.g.T @ np.asarray(model.hamiltonian_gradient(np.asarray(x, dtype=float)), dtype=float)
 
 
-def simulate(
-    model: PhsModel,
-    x0: np.ndarray,
-    input_signal: Callable[[float], np.ndarray],
-    t_span,
-    n_samples: Optional[int] = None,
-    sample_times: Optional[np.ndarray] = None,
-    rtol: float = 1e-8,
-    atol: float = 1e-8,
-    blowup: float = 1e6,
-    record_outputs: bool = True,
-) -> Trajectory:
-    """Integrate the PHS under the open-loop input ``input_signal``: t -> u(t).
-
-    The state-feedback form is `simulate_feedback`, which documents the
-    sampling options and failure modes.
-    """
-    return simulate_feedback(
-        model,
-        x0,
-        lambda x, t: input_signal(t),
-        t_span,
-        n_samples=n_samples,
-        sample_times=sample_times,
-        rtol=rtol,
-        atol=atol,
-        blowup=blowup,
-        record_outputs=record_outputs,
-    )
-
-
 def simulate_feedback(
     model: PhsModel,
     x0: np.ndarray,
     feedback: Callable[[np.ndarray, float], np.ndarray],
     t_span,
-    n_samples: Optional[int] = None,
-    sample_times: Optional[np.ndarray] = None,
+    n_samples: int,
     rtol: float = 1e-8,
     atol: float = 1e-8,
     blowup: float = 1e6,
-    record_outputs: bool = True,
 ) -> Trajectory:
     """Integrate the PHS under u = feedback(x, t), adaptive Runge-Kutta with dense output.
+
+    This is the one integrator of the package: an open-loop input is the
+    feedback ``lambda x, t: u(t)``, and the unforced target error loop is
+    the `control.DesiredDynamics` under a zero input.
 
     Parameters
     ----------
     feedback : callable
         (x, t) -> u, shape (m,) (scalars accepted for m = 1); the recorded
         inputs are re-evaluated on the sample grid.
-    n_samples : int, optional
-        Resample the dense solution on a uniform grid of this many points
-        (endpoints included).  Mutually exclusive with ``sample_times``.
-    sample_times : array, optional
-        Explicit sample grid inside t_span; a time outside it raises
-        ValueError.
+    n_samples : int
+        The dense solution is sampled on a uniform grid of this many points
+        over t_span, endpoints included; the passive output y is recorded
+        on it too.
 
     Raises
     ------
@@ -243,12 +213,6 @@ def simulate_feedback(
         raise ValueError("t_span must be a nonempty forward interval")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    if n_samples is not None and sample_times is not None:
-        raise ValueError("pass either n_samples or sample_times, not both")
-    if sample_times is not None:
-        ts = np.asarray(sample_times, dtype=float)
-        if not np.all((ts >= t0) & (ts <= t1)):
-            raise ValueError(f"sample_times must lie inside t_span [{t0:.6g}, {t1:.6g}]")
 
     last_ok = [t0]
     limit = blowup**2
@@ -276,14 +240,10 @@ def simulate_feedback(
     if not sol.success:
         raise SimulationDivergedError(f"integrator stopped: {sol.message}", float(sol.t[-1]))
 
-    if n_samples is not None:
-        ts = np.linspace(t0, t1, int(n_samples))
-    elif sample_times is None:
-        ts = sol.t
+    ts = np.linspace(t0, t1, int(n_samples))
     xs = sol.sol(ts).T
     us = np.stack([np.atleast_1d(np.asarray(feedback(x, t), dtype=float)) for x, t in zip(xs, ts)])
-    ys = phs_output(model, xs.T).T if record_outputs else None
-    return Trajectory(times=ts, states=xs, inputs=us, outputs=ys)
+    return Trajectory(times=ts, states=xs, inputs=us, outputs=phs_output(model, xs.T).T)
 
 
 def energy_balance_residual(model: PhsModel, traj: Trajectory) -> np.ndarray:

@@ -47,7 +47,6 @@ from .core import (
     energy_balance_residual,
     eval_dynamics,
     make_microactuator,
-    simulate,
     simulate_feedback,
     trajectory_from_csv,
     trajectory_to_csv,
@@ -126,7 +125,7 @@ def build_reference(spec):
     return reference
 
 
-def rollout_plant(cfg, n_samples, x0_offset=0.0, record_outputs=False):
+def rollout_plant(cfg, n_samples, x0_offset=0.0):
     """Noise-free plant rollout under the configured excitation: (plant, trajectory).
 
     Starts at ``dataset.x0`` plus ``x0_offset`` and integrates over
@@ -135,15 +134,15 @@ def rollout_plant(cfg, n_samples, x0_offset=0.0, record_outputs=False):
     """
     plant, _ = build_plant(cfg)
     d = cfg["dataset"]
-    traj = simulate(
+    u = build_input(d["input"])
+    traj = simulate_feedback(
         plant,
         np.asarray(d["x0"]) + np.asarray(x0_offset),
-        build_input(d["input"]),
+        lambda x, t: u(t),
         d["t_span"],
         n_samples=n_samples,
         rtol=d["rtol"],
         atol=d["atol"],
-        record_outputs=record_outputs,
     )
     return plant, traj
 

@@ -7,15 +7,19 @@ run; building the trajectory once per session keeps them fast.
 import numpy as np
 import pytest
 
-from phs_lab import MicroactuatorParams, make_microactuator, simulate
+from phs_lab import MicroactuatorParams, make_microactuator, simulate_feedback
 from phs_lab.core import Trajectory
 from phs_lab.filtering import FilteredDataset, filter_derivatives
 from phs_lab.gp import GpHyperparams
 from phs_lab.structure import MicroactuatorStructure, StructureEstimate
 
 
-def sin_input(t):
+def sin_input(x, t):
     return np.array([np.sin(t)])
+
+
+def unforced(x, t):
+    return np.zeros(1)
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +29,7 @@ def plant():
 
 @pytest.fixture(scope="session")
 def clean_trajectory(plant):
-    return simulate(plant, np.array([0.0, 0.0, 1.0]), sin_input, (0.0, 20.0), n_samples=300)
+    return simulate_feedback(plant, np.array([0.0, 0.0, 1.0]), sin_input, (0.0, 20.0), n_samples=300)
 
 
 @pytest.fixture(scope="session")

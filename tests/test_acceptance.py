@@ -21,7 +21,6 @@ from phs_lab import (
     gram_matrix,
     make_microactuator,
     phs_kernel,
-    simulate,
 )
 from phs_lab.config import default_config, validate_config
 from phs_lab.control import (
@@ -30,7 +29,6 @@ from phs_lab.control import (
     microactuator_tracking_control,
     plan_from_csv,
     semi_passive_control,
-    simulate_error_dynamics,
     solve_reference_plan,
 )
 from phs_lab.core import (
@@ -52,7 +50,7 @@ from phs_lab.pipeline import build_plant, load_desired, run_pipeline
 from phs_lab.structure import MicroactuatorStructure, StructureEstimate
 from phs_lab.verify import VerifySpec, verify_dissipation_condition
 
-from conftest import micro_hypers, micro_structure, subset
+from conftest import micro_hypers, micro_structure, sin_input, subset, unforced
 from test_gp import _dense_posterior
 from test_verify import _ConstantEnvelopeModel, constant_plan, quadratic_desired
 
@@ -235,8 +233,8 @@ def test_criterion_1b_perfect_model_oracle(perfect_setup):
     gaps = []
     exact = True
     for n_samples in (1301, 2601):
-        ts = np.linspace(0.0, 13.0, n_samples)
-        traj = simulate_feedback(plant, x0, law, (0.0, 13.0), sample_times=ts)
+        traj = simulate_feedback(plant, x0, law, (0.0, 13.0), n_samples=n_samples)
+        ts = traj.times
         nominal = nominal_hd_increments(model, desired, plan, traj)
         actual = np.diff(desired.hamiltonian((traj.states - plan.x_d(ts)).T))
         gaps.append(float(np.max(np.abs(nominal - actual))))
@@ -292,15 +290,17 @@ def test_criterion_2_perfect_model_equivalence(perfect_setup, tmp_path):
     # dynamics shifted by the reference
     xbar0 = np.array([0.5, 0.0, 0.0])
     controller = microactuator_tracking_control(model, desired, plan)
-    ts = np.linspace(0.0, 13.0, 1301)
-    traj = simulate_feedback(
-        plant, plan.x_d(0.0) + xbar0, controller, (0.0, 13.0), sample_times=ts
-    )
-    err_traj = simulate_error_dynamics(desired, xbar0, (0.0, 13.0), n_samples=1301)
-    equiv_gap = np.max(np.abs(traj.states - (plan.x_d(ts) + err_traj.states)))
+    traj = simulate_feedback(plant, plan.x_d(0.0) + xbar0, controller, (0.0, 13.0), n_samples=1301)
+
+    # the unforced target error loop, integrated more tightly than the closed loop
+    def error_loop(t1, n_samples):
+        return simulate_feedback(desired, xbar0, unforced, (0.0, t1), n_samples, rtol=1e-10, atol=1e-10)
+
+    err_traj = error_loop(13.0, 1301)
+    equiv_gap = np.max(np.abs(traj.states - (plan.x_d(traj.times) + err_traj.states)))
 
     # strict decrease of H_d until the error ball is reached
-    long_err = simulate_error_dynamics(desired, xbar0, (0.0, 30.0), n_samples=6001)
+    long_err = error_loop(30.0, 6001)
     hd = desired.hamiltonian(long_err.states.T)
     norms = np.linalg.norm(long_err.states, axis=1)
     inside = np.nonzero(norms <= 1e-3)[0]
@@ -397,10 +397,10 @@ def test_criterion_5_energy_invariants(perfect_setup):
     lossless = make_mass_spring_damper(m=1.0, k=1.0, b=0.0)
     tol = 1e-10
     horizon = 20.0
-    traj = simulate(
+    traj = simulate_feedback(
         lossless,
         np.array([1.0, 0.0]),
-        lambda t: np.zeros(1),
+        unforced,
         (0.0, horizon),
         n_samples=50,
         rtol=tol,
@@ -416,7 +416,7 @@ def test_criterion_5_energy_invariants(perfect_setup):
     worst_rise = -np.inf
     for _ in range(50):
         x0 = rng.uniform([-0.5, -1.0, -1.0], [2.0, 1.0, 1.5])
-        run = simulate(plant, x0, lambda t: np.zeros(1), (0.0, 5.0), n_samples=100)
+        run = simulate_feedback(plant, x0, unforced, (0.0, 5.0), n_samples=100)
         h_vals = plant.hamiltonian(run.states.T)
         rise = float(np.max(h_vals) - h_vals[0])
         worst_rise = max(worst_rise, rise)
@@ -426,7 +426,6 @@ def test_criterion_5_energy_invariants(perfect_setup):
     # power inflow (perfect model, so the certificate ball has radius zero)
     _, model, desired, plan = perfect_setup
     base = microactuator_tracking_control(model, desired, plan)
-    ts = np.linspace(0.0, 13.0, 1301)
     semi_ok = True
     worst_defect = -np.inf
     for k in range(10):
@@ -434,9 +433,8 @@ def test_criterion_5_energy_invariants(perfect_setup):
         freq = float(rng.uniform(0.5, 3.0))
         u_ex = lambda t, a=amp, w=freq: np.array([a * np.sin(w * t)])
         controller = semi_passive_control(base, u_ex)
-        run = simulate_feedback(
-            plant, plan.x_d(0.0), controller, (0.0, 13.0), sample_times=ts
-        )
+        run = simulate_feedback(plant, plan.x_d(0.0), controller, (0.0, 13.0), n_samples=1301)
+        ts = run.times
         xbar = (run.states - plan.x_d(ts)).T
         hd = desired.hamiltonian(xbar)
         # y_ex = Ghat^T grad H_d(xbar), the target loop's port output
@@ -481,7 +479,7 @@ def test_criterion_6_condition_verifier():
 
 
 def _noiseless_dataset(plant, x0, n_samples):
-    traj = simulate(plant, x0, lambda t: np.array([np.sin(t)]), (0.0, 20.0), n_samples=n_samples)
+    traj = simulate_feedback(plant, x0, sin_input, (0.0, 20.0), n_samples=n_samples)
     return FilteredDataset(
         states=traj.states.T,
         derivatives=eval_dynamics(plant, traj.states.T, traj.inputs.T),

@@ -51,11 +51,32 @@ def test_unknown_key_rejected_with_path():
         ({"verify": {"n_radii": 1}}, "verify.n_radii"),
         ({"closed_loop": {"x0_offset": [0.05, 0.0]}}, "closed_loop.x0_offset"),
         ({"plant": {"kind": "pendulum"}}, "plant.kind"),
+        ({"plant": {"m": "heavy"}}, "plant.m"),
+        ({"dataset": {"noise_var": True}}, "dataset.noise_var"),
+        ({"desired": {"r_d_inv": float("nan")}}, "desired.r_d_inv"),
+        ({"verify": {"n_dirs": 2.0}}, "verify.n_dirs"),
+        ({"plant": {"electrical_half": 1}}, "plant.electrical_half"),
+        ({"dataset": {"x0": 0.0}}, "dataset.x0"),
+        ({"plan": {"t_span": [2.0, 1.0]}}, "plan.t_span"),
+        ({"verify": 3}, "verify: expected a section object"),
+        ({"out_dir": 5}, "out_dir"),
+        ({"filter": {"window": 8}}, "filter.window: must be odd"),
+        ({"filter": {"window": 5, "poly_order": 4}}, "filter.window: must be at least"),
+        ([], "config: expected a JSON object"),
     ],
 )
 def test_validation_errors_name_the_leaf(bad, path):
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
         validate_config(bad)
+
+
+def test_jitter_above_max_jitter_rejected():
+    # the Gram factorization escalates jitter up to max_jitter, so a start
+    # above it would get one attempt and no escalation
+    with pytest.raises(ConfigError, match=r"train\.jitter"):
+        validate_config({"train": {"jitter": 1e-5, "max_jitter": 1e-6}})
+    cfg = validate_config({"train": {"jitter": 1e-6, "max_jitter": 1e-6}})
+    assert cfg["train"]["jitter"] == cfg["train"]["max_jitter"]
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from phs_lab import (
     SynthesisError,
     condition,
     make_microactuator,
-    simulate,
+    simulate_feedback,
 )
 from phs_lab.control import (
     ReferencePlan,
@@ -33,14 +33,13 @@ from phs_lab.control import (
     plan_from_csv,
     plan_to_csv,
     semi_passive_control,
-    simulate_error_dynamics,
     solve_reference_plan,
     tracking_control,
 )
-from phs_lab.core import energy_balance_residual, eval_dynamics, phs_output, simulate_feedback
+from phs_lab.core import energy_balance_residual, eval_dynamics, phs_output
 from phs_lab.filtering import FilteredDataset
 
-from conftest import micro_hypers
+from conftest import micro_hypers, unforced
 
 
 def primary_reference(t):
@@ -61,8 +60,8 @@ def perfect_model(plant):
 @pytest.fixture(scope="module")
 def gp_model(plant):
     # a GP conditioned on 30 exact-derivative samples of one rollout
-    u_fn = lambda t: np.array([np.sin(t)])
-    traj = simulate(plant, np.array([0.0, 0.0, 1.0]), u_fn, (0.0, 20.0), n_samples=30)
+    u_fn = lambda x, t: np.array([np.sin(t)])
+    traj = simulate_feedback(plant, np.array([0.0, 0.0, 1.0]), u_fn, (0.0, 20.0), n_samples=30)
     ds = FilteredDataset(
         states=traj.states.T,
         derivatives=eval_dynamics(plant, traj.states.T, traj.inputs.T),
@@ -354,7 +353,7 @@ def test_tracking_control_rejects_singular_g(perfect_model, desired, plan):
 def test_closed_loop_divergence_reports_last_time(plant):
     with pytest.raises(SimulationDivergedError) as err:
         simulate_feedback(
-            plant, np.zeros(3), lambda x, t: np.array([50.0]), (0.0, 20.0), blowup=5.0
+            plant, np.zeros(3), lambda x, t: np.array([50.0]), (0.0, 20.0), n_samples=201, blowup=5.0
         )
     assert 0.0 <= err.value.last_valid_time <= 20.0
 
@@ -369,23 +368,14 @@ def test_closed_loop_matches_open_loop_failure_modes():
         hamiltonian=lambda x: 0.5 * np.sum(x**2, axis=0),
         hamiltonian_gradient=lambda x: np.where(np.abs(x) < 1.0, x, np.nan),
     )
-    x0 = np.zeros(1)
-    with pytest.raises(SimulationDivergedError) as open_err:
-        simulate(edge, x0, lambda t: np.ones(1), (0.0, 3.0))
     with pytest.raises(SimulationDivergedError) as closed_err:
-        simulate_feedback(edge, x0, lambda x, t: np.ones(1), (0.0, 3.0))
+        simulate_feedback(edge, np.zeros(1), lambda x, t: np.ones(1), (0.0, 3.0), n_samples=31)
     assert 0.0 < closed_err.value.last_valid_time <= 1.0
-    assert closed_err.value.last_valid_time == open_err.value.last_valid_time
-
-    with pytest.raises(ValueError):
-        simulate_feedback(
-            edge, x0, lambda x, t: np.zeros(1), (0.0, 0.5), n_samples=5, sample_times=[0.0, 0.25, 0.5]
-        )
 
 
 def test_error_dynamics_dissipate(desired):
     xbar0 = np.array([0.3, -0.2, 0.3])
-    traj = simulate_error_dynamics(desired, xbar0, (0.0, 10.0), n_samples=200)
+    traj = simulate_feedback(desired, xbar0, unforced, (0.0, 10.0), n_samples=200, rtol=1e-10, atol=1e-10)
     hd_vals = desired.hamiltonian(traj.states.T)
     assert hd_vals[0] > 0.0
     assert np.all(np.diff(hd_vals) <= 1e-10)
@@ -399,10 +389,10 @@ def test_target_loop_energy_balance_through_core(desired):
     # stays under one C h^2 and falls about 4x per halving of the sample step,
     # where leaving out the supplied power y_ex^T u_ex stalls it at 0.015
     xbar0 = np.array([0.3, -0.2, 0.3])
-    u_ex = lambda t: np.array([0.4 * np.sin(2.0 * t)])
+    u_ex = lambda x, t: np.array([0.4 * np.sin(2.0 * t)])
     defects = []
     for n_samples in (401, 801, 1601):
-        traj = simulate(desired, xbar0, u_ex, (0.0, 2.0), n_samples=n_samples, rtol=1e-12, atol=1e-12)
+        traj = simulate_feedback(desired, xbar0, u_ex, (0.0, 2.0), n_samples=n_samples, rtol=1e-12, atol=1e-12)
         assert np.ptp(phs_output(desired, traj.states.T)) > 0.0
         defect = float(np.max(energy_balance_residual(desired, traj)))
         assert defect <= 1.5e3 * (2.0 / (n_samples - 1)) ** 2

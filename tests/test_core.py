@@ -14,11 +14,11 @@ from phs_lab import (
     make_mass_spring_damper,
     make_microactuator,
     phs_output,
-    simulate,
+    simulate_feedback,
 )
-from phs_lab.core import on_columns, simulate_feedback, trajectory_from_csv, trajectory_to_csv
+from phs_lab.core import on_columns, trajectory_from_csv, trajectory_to_csv
 
-from conftest import sin_input
+from conftest import sin_input, unforced
 
 
 def test_microactuator_structure_matrices():
@@ -131,7 +131,7 @@ def test_simulation_reaches_horizon(clean_trajectory):
 def test_energy_balance_residual_dense(plant):
     # the trapezoid defect dominates at coarse sampling, so the bound is
     # checked on a dense grid where the integrator error is what remains
-    traj = simulate(
+    traj = simulate_feedback(
         plant, np.array([0.0, 0.0, 1.0]), sin_input, (0.0, 20.0), n_samples=20001, rtol=1e-8, atol=1e-8
     )
     assert np.max(energy_balance_residual(plant, traj)) <= 1e-4
@@ -141,15 +141,15 @@ def test_lossless_conservation():
     msd = make_mass_spring_damper(b=0.0)
     tol = 1e-8
     horizon = 50.0
-    traj = simulate(
-        msd, np.array([1.0, 0.5]), lambda t: np.zeros(1), (0.0, horizon), n_samples=2001, rtol=tol, atol=tol
+    traj = simulate_feedback(
+        msd, np.array([1.0, 0.5]), unforced, (0.0, horizon), n_samples=2001, rtol=tol, atol=tol
     )
     h_vals = msd.hamiltonian(traj.states.T)
     assert np.max(np.abs(h_vals - h_vals[0])) <= 10 * tol * horizon
 
 
 def test_unforced_dissipation_monotone(plant):
-    traj = simulate(plant, np.array([0.5, 0.4, 0.8]), lambda t: np.zeros(1), (0.0, 10.0), n_samples=500)
+    traj = simulate_feedback(plant, np.array([0.5, 0.4, 0.8]), unforced, (0.0, 10.0), n_samples=500)
     h_vals = plant.hamiltonian(traj.states.T)
     assert np.all(np.diff(h_vals) <= 1e-9)
 
@@ -164,7 +164,7 @@ def test_simulation_divergence_reports_last_time():
         hamiltonian_gradient=lambda x: np.asarray(x),
     )
     with pytest.raises(SimulationDivergedError) as err:
-        simulate(unstable, np.array([1.0, 1.0]), lambda t: np.zeros(1), (0.0, 50.0), blowup=1e3)
+        simulate_feedback(unstable, np.array([1.0, 1.0]), unforced, (0.0, 50.0), n_samples=51, blowup=1e3)
     assert err.value.last_valid_time > 0.0
 
 
@@ -182,16 +182,6 @@ def test_model_evaluation_error_on_nonfinite():
         eval_dynamics(bad, np.ones((1, 4)), np.zeros(1))
 
 
-def test_sample_times_outside_span_rejected(plant):
-    x0 = np.array([0.0, 0.0, 1.0])
-    feedback = lambda x, t: np.zeros(1)
-    for times in ([0.0, 0.5, 3.0], [-0.1, 0.5]):
-        with pytest.raises(ValueError, match="inside t_span"):
-            simulate_feedback(plant, x0, feedback, (0.0, 1.0), sample_times=times)
-    traj = simulate_feedback(plant, x0, feedback, (0.0, 1.0), sample_times=[0.0, 0.5, 1.0])
-    assert traj.times.tolist() == [0.0, 0.5, 1.0]
-
-
 def test_trajectory_csv_round_trip(tmp_path, clean_trajectory):
     path = tmp_path / "traj.csv"
     trajectory_to_csv(clean_trajectory, path)
@@ -202,7 +192,7 @@ def test_trajectory_csv_round_trip(tmp_path, clean_trajectory):
 
 
 def test_trajectory_csv_with_outputs(tmp_path, plant):
-    traj = simulate(plant, np.array([0.2, 0.1, 0.9]), sin_input, (0.0, 2.0), n_samples=20)
+    traj = simulate_feedback(plant, np.array([0.2, 0.1, 0.9]), sin_input, (0.0, 2.0), n_samples=20)
     assert traj.outputs is not None
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, path)

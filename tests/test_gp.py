@@ -34,7 +34,13 @@ from phs_lab.gp import (
     save_model,
 )
 from phs_lab.kernels import TrainingPairs, gram_matrix
-from phs_lab.structure import FixedStructure, MicroactuatorStructure, StructureEstimate, StructureFamily
+from phs_lab.structure import (
+    FixedStructure,
+    MicroactuatorStructure,
+    StructureEstimate,
+    StructureFamily,
+    structure_from_jsonable,
+)
 
 from conftest import micro_hypers, micro_structure, subset
 
@@ -744,6 +750,31 @@ def test_save_load_round_trip(tmp_path, small_model):
     # the loaded model stores equals the conditioned model's bit for bit
     for name in ("g_hat", "s_hat", "prior_var", "h_weights", "l_inv", "alpha", "nlml", "jitter_used"):
         np.testing.assert_array_equal(getattr(back, name), getattr(small_model, name), err_msg=name)
+
+
+def test_save_load_round_trip_of_a_fixed_structure(tmp_path, small_dataset):
+    # the fixed family's matrices go through the JSON model file, and the
+    # loaded model's posterior equals the conditioned one's bit for bit
+    c_ordered = FilteredDataset(
+        states=np.ascontiguousarray(small_dataset.states),
+        derivatives=small_dataset.derivatives,
+        inputs=small_dataset.inputs,
+        times=small_dataset.times,
+    )
+    model = condition(c_ordered, micro_hypers(_coupled_fixed_structure()), jitter=0.0)
+    save_model(model, tmp_path / "model.json")
+    back = load_model(tmp_path / "model.json")
+    assert isinstance(back.structure.family, FixedStructure)
+    np.testing.assert_array_equal(back.structure.jr(), model.structure.jr())
+    np.testing.assert_array_equal(back.g_hat, model.g_hat)
+    xq = np.array([[0.5, 1.2], [0.3, -0.4], [0.7, 0.2]])
+    for got, want in zip(back.drift(xq), model.drift(xq)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_unknown_structure_family_kind_is_named():
+    with pytest.raises(ValueError, match="pendulum"):
+        structure_from_jsonable({"family": {"kind": "pendulum"}, "phi": []})
 
 
 def test_save_load_round_trip_is_bit_exact_on_c_ordered_states(tmp_path, small_dataset):

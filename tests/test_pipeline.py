@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from phs_lab import ConfigError, StageError
-from phs_lab.config import validate_config
-from phs_lab.core import simulate, trajectory_from_csv
-from phs_lab.pipeline import build_input, build_plant, run_pipeline, run_stage
+from phs_lab.cli import main
+from phs_lab.config import default_config, validate_config
+from phs_lab.core import simulate_feedback, trajectory_from_csv
+from phs_lab.pipeline import build_input, build_plant, build_reference, rollout_plant, run_pipeline, run_stage
 
 MINI_OVERRIDES = {
     "seed": 3,
@@ -197,16 +198,49 @@ def test_zero_noise_dataset_equals_clean_rollout(tmp_path):
     traj = trajectory_from_csv(workdir / "dataset.csv")
     plant, _ = build_plant(cfg)
     d = cfg["dataset"]
-    ref = simulate(
+    u = build_input(d["input"])
+    ref = simulate_feedback(
         plant,
         np.asarray(d["x0"]),
-        build_input(d["input"]),
+        lambda x, t: u(t),
         d["t_span"],
         n_samples=d["n_samples"],
         rtol=d["rtol"],
         atol=d["atol"],
     )
     np.testing.assert_array_equal(traj.states, ref.states)
+
+
+def test_zero_input_rollout_rests_at_the_energy_minimum():
+    # (1, 0, 0) is the plant's energy minimum: grad H vanishes there, so the
+    # unforced rollout never leaves it
+    cfg = mini_config(dataset={"x0": [1.0, 0.0, 0.0], "input": {"kind": "zero"}})
+    _, traj = rollout_plant(cfg, 20)
+    np.testing.assert_array_equal(traj.states, np.tile([1.0, 0.0, 0.0], (20, 1)))
+    np.testing.assert_array_equal(traj.inputs, np.zeros((20, 1)))
+    np.testing.assert_array_equal(traj.outputs, np.zeros((20, 1)))
+
+
+def test_constant_reference_holds_its_offset():
+    spec = dict(default_config()["plan"]["reference"], kind="constant", offset=0.9)
+    reference = build_reference(spec)
+    assert reference(0.0) == (0.9, 0.0)
+    assert reference(7.5) == (0.9, 0.0)
+
+
+def test_cli_report_prints_the_run_summary(mini_run, tmp_path, capsys):
+    workdir, metrics = mini_run
+    copy = tmp_path / "copy"
+    shutil.copytree(workdir, copy)
+    code = main(["report", "--config", str(copy / "config.json"), "--out", str(copy)])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert "completed stages: metrics" in text
+    lyap = metrics["lyapunov"]
+    assert f"H_d: {lyap['initial']:.6g} -> {lyap['final']:.6g}" in text
+    verify = metrics["verify"]
+    radius = "unbounded" if verify["unbounded"] else f"{verify['epsilon']:.6g}"
+    assert f"dissipation certificate radius: {radius}" in text
 
 
 def test_stage_without_inputs_fails_with_stage_name(tmp_path):
