@@ -29,14 +29,16 @@ from .core import energy_balance_residual, trajectory_to_csv
 from .errors import ConfigError, PhsLabError, StageError
 from .pipeline import STAGE_ORDER, rollout_plant, run_pipeline
 
-_SUBCOMMAND_STAGES = {
-    "generate-data": ["generate", "filter"],
-    "train": ["train"],
-    "plan": ["desired", "plan"],
-    "verify": ["verify"],
-    "control": ["closed_loop"],
-    "pipeline": None,
-    "report": ["metrics"],
+# subcommand -> (the pipeline stages it runs, None for all of them; help text)
+_SUBCOMMANDS = {
+    "simulate": ([], "integrate the configured plant open loop (noise-free)"),
+    "generate-data": (["generate", "filter"], "generate the noisy dataset and filtered derivatives"),
+    "train": (["train"], "fit the model from filtered.csv"),
+    "plan": (["desired", "plan"], "gate the desired energy and solve the reference plan"),
+    "verify": (["verify"], "sample the dissipation-condition certificate"),
+    "control": (["closed_loop"], "run the closed-loop tracking simulation"),
+    "pipeline": (None, "run every stage end to end"),
+    "report": (["metrics"], "recompute metrics and figure CSVs from persisted artifacts"),
 }
 
 
@@ -46,16 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Learn port-Hamiltonian dynamics from data and synthesize tracking controllers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("simulate", "integrate the configured plant open loop (noise-free)"),
-        ("generate-data", "generate the noisy dataset and filtered derivatives"),
-        ("train", "fit the model from filtered.csv"),
-        ("plan", "gate the desired energy and solve the reference plan"),
-        ("verify", "sample the dissipation-condition certificate"),
-        ("control", "run the closed-loop tracking simulation"),
-        ("pipeline", "run every stage end to end"),
-        ("report", "recompute metrics and figure CSVs from persisted artifacts"),
-    ]:
+    for name, (_, help_text) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="experiment config file (JSON); defaults used if omitted")
         sp.add_argument("--seed", type=int, help="override the config seed")
@@ -109,7 +102,7 @@ def main(argv=None) -> int:
         return 0
 
     workdir = resolve_out_dir(cfg, args.out)
-    stages = _SUBCOMMAND_STAGES.get(args.command)
+    stages = _SUBCOMMANDS[args.command][0]
 
     try:
         if args.command == "simulate":

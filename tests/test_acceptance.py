@@ -199,9 +199,7 @@ def test_criterion_1b_flags_dropped_feedforward(production_loop):
     x0 = plan.x_d(t0) + np.asarray(cl["x0_offset"])
 
     def run(controller):
-        return simulate_feedback(
-            plant, x0, controller, (t0, t1), n_samples=cl["n_samples"], rtol=cl["rtol"], atol=cl["atol"]
-        )
+        return simulate_feedback(plant, x0, controller, (t0, t1), n_samples=cl["n_samples"])
 
     production = run(law)
     faulty = run(dropped)

@@ -63,6 +63,7 @@ def test_unknown_key_rejected_with_path():
         ({"filter": {"window": 8}}, "filter.window: must be odd"),
         ({"filter": {"window": 5, "poly_order": 4}}, "filter.window: must be at least"),
         ([], "config: expected a JSON object"),
+        ({"plan": {"reference": {"kind": ["constant"]}}}, "plan.reference.kind"),
     ],
 )
 def test_validation_errors_name_the_leaf(bad, path):
@@ -94,6 +95,14 @@ def test_jitter_above_max_jitter_rejected():
         ("plan.mode", "auto"),
         ("verify.chunk", 2048),
         ("closed_loop.reduced_law", True),
+        ("plant.kind", "microactuator"),
+        ("dataset.rtol", 1e-8),
+        ("dataset.atol", 1e-8),
+        ("closed_loop.rtol", 1e-8),
+        ("closed_loop.atol", 1e-8),
+        ("train.gtol", 1e-5),
+        ("train.perturb_scale", 0.3),
+        ("verify.bisect_iters", 12),
     ],
 )
 def test_removed_leaves_are_unknown_keys(path, value):

@@ -236,6 +236,19 @@ def test_plan_time_coverage(plan):
         plan.reference(13.1)
 
 
+def test_plan_rejects_mismatched_grid_lengths():
+    with pytest.raises(ValueError, match="share the grid length"):
+        ReferencePlan(times=np.linspace(0.0, 1.0, 5), xd=np.zeros((4, 3)))
+
+
+def test_plan_solver_rejects_unsupported_problems(perfect_model, desired):
+    two_inputs = replace(perfect_model, g=np.ones((3, 2)))
+    with pytest.raises(PlanError, match="single-input"):
+        solve_reference_plan(two_inputs, desired, primary_reference, (0.0, 1.0), 0.05)
+    with pytest.raises(PlanError, match="at least 3 grid points"):
+        solve_reference_plan(perfect_model, desired, primary_reference, (0.0, 0.05), 0.05)
+
+
 def test_reduced_law_equals_general(perfect_model, desired, plan):
     general = tracking_control(perfect_model, desired, plan)
     reduced = microactuator_tracking_control(perfect_model, desired, plan)
@@ -358,7 +371,7 @@ def test_closed_loop_divergence_reports_last_time(plant):
     assert 0.0 <= err.value.last_valid_time <= 20.0
 
 
-def test_closed_loop_matches_open_loop_failure_modes():
+def test_simulation_reports_last_valid_time_when_gradient_turns_non_finite():
     # the gradient is non-finite once the state leaves (-1, 1); a constant
     # input of 1 drives x = t there at t = 1
     edge = PhsModel(

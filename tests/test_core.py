@@ -112,6 +112,8 @@ def test_params_validation():
         MicroactuatorParams(m=-1.0)
     with pytest.raises(ValueError):
         MicroactuatorParams(b=-0.1)
+    with pytest.raises(ValueError, match="need m > 0"):
+        make_mass_spring_damper(m=0.0)
 
 
 def test_trajectory_validation():
@@ -119,6 +121,21 @@ def test_trajectory_validation():
         Trajectory(times=np.array([0.0, 0.0, 1.0]), states=np.zeros((3, 2)), inputs=np.zeros((3, 1)))
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 2)), inputs=np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Trajectory(times=np.zeros((3, 1)), states=np.zeros((3, 2)), inputs=np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize(
+    "t_span,x0,message",
+    [
+        ((1.0, 0.0), [0.0, 0.0], "forward interval"),
+        ((1.0, 1.0), [0.0, 0.0], "forward interval"),
+        ((0.0, 1.0), [np.nan, 0.0], "x0 must be finite"),
+    ],
+)
+def test_simulation_rejects_backward_span_and_non_finite_start(t_span, x0, message):
+    with pytest.raises(ValueError, match=message):
+        simulate_feedback(make_mass_spring_damper(), x0, lambda x, t: np.zeros(1), t_span, n_samples=5)
 
 
 def test_simulation_reaches_horizon(clean_trajectory):

@@ -73,6 +73,15 @@ def test_dataset_validation():
             inputs=np.zeros((1, 5)),
             times=np.linspace(0, 1, 5),
         )
+    with pytest.raises(ValueError, match="at least two samples"):
+        FilteredDataset(states=np.zeros((2, 1)), derivatives=np.zeros((2, 1)), inputs=np.zeros((1, 1)), times=[0.0])
+    with pytest.raises(ValueError, match="columns must align"):
+        FilteredDataset(
+            states=np.zeros((2, 5)),
+            derivatives=np.zeros((2, 5)),
+            inputs=np.zeros((1, 4)),
+            times=np.linspace(0, 1, 5),
+        )
 
 
 def test_csv_round_trip(tmp_path):

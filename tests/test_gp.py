@@ -4,6 +4,7 @@ The conditioning oracle here is written independently of the package kernel
 code (dense loops, no shared helpers) so the two routes can disagree.
 """
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,6 +40,7 @@ from phs_lab.structure import (
     MicroactuatorStructure,
     StructureEstimate,
     StructureFamily,
+    softplus_inv,
     structure_from_jsonable,
 )
 
@@ -300,6 +302,48 @@ def test_nlml_scalar_hand_value():
     expected = np.sum(ys**2) / (2 * k_val) + np.log(k_val) + np.log(2 * np.pi)
     value = negative_log_marginal_likelihood(ds, hyper, jitter=0.0, with_grad=False)
     assert value == pytest.approx(expected, abs=1e-12)
+
+
+def test_nlml_gradient_when_scratch_outgrows_the_gram(monkeypatch):
+    # one state, no structure parameters: the gradient needs 5 rows of
+    # N (N - 1) / 2 pair values, more than the N^2 entries of the Gram for
+    # N >= 2, so TrainingPairs.scratch returns a new array
+    fallbacks = []
+    scratch = TrainingPairs.scratch
+
+    def spy(self, rows):
+        out = scratch(self, rows)
+        fallbacks.append(not np.shares_memory(out, self._workspace().gram))
+        return out
+
+    monkeypatch.setattr(TrainingPairs, "scratch", spy)
+    structure = StructureEstimate(
+        family=FixedStructure(j=np.zeros((1, 1)), r=np.array([[0.8]]), g=np.array([[1.0]])),
+        phi=np.zeros(0),
+    )
+    hyper = GpHyperparams(sigma_f=1.5, lengthscales=np.array([0.7]), noise_var=np.array([0.01]), structure=structure)
+    t = np.linspace(0.0, 1.0, 6)
+    ds = FilteredDataset(
+        states=np.array([[-1.0, -0.6, -0.1, 0.3, 0.8, 1.2]]),
+        derivatives=np.array([[0.9, 0.5, 0.1, -0.3, -0.6, -1.0]]),
+        inputs=np.sin(3.0 * t)[None, :],
+        times=t,
+    )
+    _, grad = negative_log_marginal_likelihood(ds, hyper, with_grad=True)
+    assert fallbacks == [True]
+    theta0 = hyper.to_vector()
+    fd = np.zeros_like(theta0)
+    for i in range(theta0.size):
+        h = 1e-6
+        up, down = theta0.copy(), theta0.copy()
+        up[i] += h
+        down[i] -= h
+        fd[i] = (
+            negative_log_marginal_likelihood(ds, hyper.from_vector(up), with_grad=False)
+            - negative_log_marginal_likelihood(ds, hyper.from_vector(down), with_grad=False)
+        ) / (2 * h)
+    rel = np.abs(grad - fd) / np.maximum(1e-8, np.abs(fd))
+    assert np.max(rel) <= 5e-5
 
 
 def _coupled_fixed_structure():
@@ -772,6 +816,22 @@ def test_save_load_round_trip_of_a_fixed_structure(tmp_path, small_dataset):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: softplus_inv(0.0), "requires positive values"),
+        (lambda: FixedStructure(j=np.zeros((2, 3)), r=np.zeros((2, 3)), g=np.ones((2, 1))), "square"),
+        (lambda: FixedStructure(j=np.ones((2, 2)), r=np.zeros((2, 2)), g=np.ones((2, 1))), "skew-symmetric"),
+        (lambda: FixedStructure(j=np.zeros((2, 2)), r=np.diag([1.0, -1.0]), g=np.ones((2, 1))), "semi-definite"),
+        (lambda: StructureEstimate(family=MicroactuatorStructure(), phi=np.zeros(3)), r"phi has shape \(3,\)"),
+    ],
+    ids=["softplus_inv_zero", "non_square_j", "non_skew_j", "indefinite_r", "phi_shape"],
+)
+def test_structure_validation(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_unknown_structure_family_kind_is_named():
     with pytest.raises(ValueError, match="pendulum"):
         structure_from_jsonable({"family": {"kind": "pendulum"}, "phi": []})
@@ -856,3 +916,12 @@ def test_hyperparameter_validation():
             noise_var=np.ones(3),
             structure=micro_structure(),
         )
+    with pytest.raises(ValueError, match="one entry per state dimension"):
+        GpHyperparams(sigma_f=1.0, lengthscales=np.ones(2), noise_var=np.ones(3), structure=micro_structure())
+
+
+def test_load_model_rejects_other_json(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"format": "phs-lab-perfect-model", "version": 1}))
+    with pytest.raises(ValueError, match="not a model file"):
+        load_model(path)

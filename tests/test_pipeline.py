@@ -205,8 +205,6 @@ def test_zero_noise_dataset_equals_clean_rollout(tmp_path):
         lambda x, t: u(t),
         d["t_span"],
         n_samples=d["n_samples"],
-        rtol=d["rtol"],
-        atol=d["atol"],
     )
     np.testing.assert_array_equal(traj.states, ref.states)
 

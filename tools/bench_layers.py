@@ -9,8 +9,11 @@ lacks the artifacts the layers read (model.json, filtered.csv, hd_check.json,
 plan.csv), the stages up to plan are run into it first, with the default
 config at seed 42.  The run's ``config.json`` is validated again, so a run
 directory written before the config schema dropped its single-valued keys
-(``train.risk_p``, ``plan.mode``, ``verify.chunk`` and the others) fails
-with an unknown-key error and has to be regenerated into an empty directory.
+(``train.risk_p``, ``plan.mode``, ``verify.chunk`` and the others, and
+later ``plant.kind``, ``dataset.rtol``, ``dataset.atol``, ``train.gtol``,
+``train.perturb_scale``, ``verify.bisect_iters``, ``closed_loop.rtol`` and
+``closed_loop.atol``) fails with an unknown-key error and has to be
+regenerated into an empty directory.
 The process holds OpenBLAS to one thread, and each layer reports the median
 and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
 
