@@ -15,7 +15,6 @@ from .control import (
     make_desired_dynamics,
     matching_residual,
     microactuator_desired_matrices,
-    microactuator_tracking_control,
     semi_passive_control,
     solve_reference_plan,
     tracking_control,

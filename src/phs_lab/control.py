@@ -11,17 +11,19 @@ reached via the matching condition on the unactuated directions
 
     Gperp mu(xdot | x, D) = Gperp ([J_d - R_d] grad H_d + xdot_d)
 
-with mu the posterior drift mean.  The actuated component gives the control
+with mu the posterior drift mean.  The actuated component gives the control,
+`tracking_control`, the package's one law:
 
     u = (Ghat^T Ghat)^-1 Ghat^T ([J_d - R_d] grad H_d + xdot_d - mu).
 
 The model is a `core.PhsModel` ``mean``: the learned mean
 (``gp.GpPhsModel.mean``), or the plant itself for the perfect-model baseline.
 mu is core.eval_dynamics(mean, x, 0) and Ghat the constant ``mean.g``, so
-Gperp is one matrix: a plan solve computes it once, and the laws read Ghat
-when they are built, not per state.  The target loop's own simulation,
-output and power balance are those of `core`: `simulate_feedback` under a
-zero (or external port) input, `phs_output`, `energy_balance_residual`.
+Gperp is one matrix: a plan solve computes it once, and the law forms its
+products with Ghat when it is built, not per state.  The target loop's own
+simulation, output and power balance are those of `core`:
+`simulate_feedback` under a zero (or external port) input, `phs_output`,
+`energy_balance_residual`.
 
 The full-state reference plan enforces the matching condition along the
 reference itself (xbar = 0) only, recovering the unactuated reference
@@ -64,7 +66,6 @@ __all__ = [
     "matching_residual",
     "solve_reference_plan",
     "tracking_control",
-    "microactuator_tracking_control",
     "semi_passive_control",
     "plan_to_csv",
     "plan_from_csv",
@@ -397,40 +398,37 @@ def _best_fit_problem(mean: PhsModel, times, xd1, xd1dot, shaped0):
 
 
 def tracking_control(mean: PhsModel, desired: DesiredDynamics, plan: ReferencePlan):
-    """General tracking law u = (Ghat^T Ghat)^-1 Ghat^T ([J_d - R_d] grad H_d + xdot_d - mu)."""
+    """The tracking law u = Ghat^+ ([J_d - R_d] grad H_d + xdot_d - mu).
+
+    Ghat^+ = (Ghat^T Ghat)^-1 Ghat^T, Ghat^+ [J_d - R_d] and
+    Ghat^+ [J_hat - R_hat] are constant and computed once, so with
+    mu = [J_hat - R_hat] grad H_hat(x) a call is
+
+        u = Ghat^+ [J_d - R_d] grad H_d(x - x_d) + Ghat^+ xdot_d
+            - Ghat^+ [J_hat - R_hat] grad H_hat(x),
+
+    whose two gradients come from one ``mean.hamiltonian_gradient`` call on
+    the columns x and c + x - x_d (grad H_d(xbar) = grad H_hat(c + xbar)).
+    For the microactuator, Ghat = (0, 0, 1/r_hat)^T and row 3 of
+    J_d - R_d = (0, 0, -1/r_d), this is
+    u = -(r_hat / r_d) d3 H_d + r_hat xdot_d3 + d3 H_hat(x); the common
+    textbook rendering drops the r_hat factors (r_hat = 1).
+    """
     g = mean.g
     gtg = g.T @ g
     if np.linalg.cond(gtg) > 1e12:
         raise SynthesisError("Ghat^T Ghat is singular")
+    g_pinv = np.linalg.solve(gtg, g.T)
+    shaped_gain = g_pinv @ (desired.j - desired.r)
+    model_gain = g_pinv @ (mean.j - mean.r)
 
     def control(x, t):
-        x = np.asarray(x, dtype=float)
-        shaped = (desired.j - desired.r) @ desired.hamiltonian_gradient(x - plan.x_d(t))
-        rhs = shaped + plan.x_d_dot(t) - _mu(mean, x)
-        return np.linalg.solve(gtg, g.T @ rhs)
-
-    return control
-
-
-def microactuator_tracking_control(mean: PhsModel, desired: DesiredDynamics, plan: ReferencePlan):
-    """Reduced single-input law for the microactuator structure.
-
-    u = -(r_hat / r_d) d3 H_d + r_hat xdot_d3 + d3 H_hat(x); equal to the
-    general law whenever Ghat = (0, 0, 1/r_hat)^T and row 3 of J_d - R_d is
-    (0, 0, -1/r_d).  The common textbook rendering drops the r_hat factors,
-    which is the special case r_hat = 1.
-    """
-    rd33 = float(desired.r[2, 2])
-    r_hat = 1.0 / float(mean.g[2, 0])
-
-    def control(x, t):
-        # grad H_hat at x and grad H_d = grad H_hat(c + x - x_d) in one call
         x_d, x_d_dot = plan.reference(t)
         cols = np.empty((x_d.size, 2))
         cols[:, 0] = x
         cols[:, 1] = desired.center + (x - x_d)
-        d3_h, d3_hd = mean.hamiltonian_gradient(cols)[2]
-        return np.array([-r_hat * rd33 * d3_hd + r_hat * x_d_dot[2] + d3_h])
+        grad_h, grad_hd = mean.hamiltonian_gradient(cols).T
+        return shaped_gain @ grad_hd + g_pinv @ x_d_dot - model_gain @ grad_h
 
     return control
 

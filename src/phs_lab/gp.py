@@ -37,8 +37,8 @@ dynamics) takes its states as the columns of an (n, Q) array and goes
 through one routine that evaluates the pair terms x - x_b,
 Lambda^-1 (x - x_b) and k(x, x_b) once per block of _VAR_CHUNK query states
 and derives H_hat with its gradient, the variance or both from them.  H_hat
-is pinned to zero at x_ref by its raw value there, computed once when the
-model is built.  The model stores the
+is pinned to zero at the origin by its raw value there, computed once when
+the model is built.  The model stores the
 inverse L^-1 of the lower Cholesky factor (kernels.invert_lower, once per
 conditioning), so the variance's v = L^-1 k^T is a triangular multiply (BLAS
 trmm) instead of a triangular solve, one per block; its prior part
@@ -88,6 +88,10 @@ _VAR_CHUNK = 128
 # calibrate_beta sets beta_i to this percentile of |f_i - mu_i| / var_i over
 # the held-out rollout, so eta = beta * var covers 99 % of its samples per row
 BETA_PERCENTILE = 99.0
+# `train`'s L-BFGS-B gradient tolerance, and the standard deviation of the
+# seeded Gaussian perturbation that starts every restart after the first
+GTOL = 1e-5
+PERTURB_SCALE = 0.3
 
 
 @dataclass(frozen=True)
@@ -145,8 +149,6 @@ class GpHyperparams:
 class OptimizerConfig:
     restarts: int = 5
     max_iter: int = 500
-    gtol: float = 1e-5
-    perturb_scale: float = 0.3
     jitter: float = 1e-10
     max_jitter: float = 1e-6
 
@@ -315,7 +317,7 @@ class GpPhsModel:
     when it is built: ``s_hat`` = J_hat - R_hat and ``g_hat`` = G_hat, the
     prior variance ``prior_var`` = sf^2 diag(S Lambda^-1 S^T), ``m_hat`` =
     S Lambda^-1 S^T, the Hamiltonian weights ``h_weights`` (see
-    `_posterior`) and the raw energy ``h_ref`` at x_ref.  Immutable by
+    `_posterior`) and the raw energy ``h_ref`` at the origin.  Immutable by
     convention except for the error-envelope scale ``beta`` (set by
     calibration).  Posterior queries are pure.
     """
@@ -328,7 +330,6 @@ class GpPhsModel:
     alpha: np.ndarray
     nlml: float
     beta: np.ndarray
-    x_ref: np.ndarray = None
     # one exit record per optimizer restart, filled in by `train`
     restarts: list = field(default_factory=list, init=False, repr=False)
     s_hat: np.ndarray = field(init=False, repr=False)
@@ -339,9 +340,6 @@ class GpPhsModel:
     h_ref: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.x_ref is None:
-            self.x_ref = np.zeros(self.hyper.dim_state)
-        self.x_ref = np.asarray(self.x_ref, dtype=float)
         self.beta = np.asarray(self.beta, dtype=float)
         sf2 = self.hyper.sigma_f**2
         v = 1.0 / self.hyper.lengthscales**2
@@ -355,7 +353,7 @@ class GpPhsModel:
         # query-independent rows w_i of sf^2 (A S) Lambda^-1, where A holds
         # alpha_i as rows
         self.h_weights = sf2 * (self.alpha.reshape(-1, self.dim_state) @ self.s_hat) * v
-        self.h_ref = self._posterior(self.x_ref[:, None], mean=True, var=False)[0][0]
+        self.h_ref = self._posterior(np.zeros((self.dim_state, 1)), mean=True, var=False)[0][0]
 
     @property
     def dim_state(self):
@@ -399,19 +397,19 @@ class GpPhsModel:
 
         x is an (n,) and u an (m,) float array.
         """
-        _, grad, var = self._posterior(x[:, None], mean=True, var=True)
-        return (self.s_hat @ grad)[:, 0] + self.g_hat @ u, var[:, 0]
+        mean, var = self.drift(x[:, None])
+        return mean[:, 0] + self.g_hat @ u, var[:, 0]
 
     def hamiltonian_grad(self, xq):
         """Posterior mean of grad H at query states (n, Q)."""
         return self._posterior(xq, mean=True, var=False)[1]
 
     def hamiltonian(self, xq):
-        """Posterior Hamiltonian mean at query states (n, Q), pinned to H_hat(x_ref) = 0.
+        """Posterior Hamiltonian mean at query states (n, Q), pinned to H_hat(0) = 0.
 
         The latent energy is conditioned directly on the drift observations;
         the additive constant is fixed by subtracting ``h_ref``, the raw
-        value at x_ref.  Each value is a sum over the training states only,
+        value at the origin.  Each value is a sum over the training states only,
         so a state gets the same bits alone as inside any batch.
         """
         return self._posterior(xq, mean=True, var=False)[0] - self.h_ref
@@ -427,7 +425,7 @@ class GpPhsModel:
         gives h and grad.  Raises ValueError unless xq is an (n, Q) array.
         One SE evaluation per block of _VAR_CHUNK states gives the pair terms
         d_b = x - x_b, Lambda^-1 d_b and k(x, x_b).  h is the row sum of
-        k (d_b^T w_b) over the training states b, before the x_ref pin.
+        k (d_b^T w_b) over the training states b, before the pin at the origin.
         grad, the derivative of H_hat(x) = sum_b k d_b^T w_b, is
         sum_b k (w_b - (d_b^T w_b) Lambda^-1 d_b)
         (= sum_b Pi(x, x_b) t_b for t_b = sf^2 S^T alpha_b); its k @ w runs
@@ -477,11 +475,11 @@ def _query_states(xq, n):
     return xq
 
 
-def _conditioned(hyper, states, xdot0, jitter, max_jitter, **fields) -> GpPhsModel:
+def _conditioned(hyper, states, xdot0, jitter, max_jitter, beta) -> GpPhsModel:
     """The one conditioning routine of `condition` and `load_model`.
 
     Solves alpha from the Gram's Cholesky factor (see _solve), then inverts
-    the factor in place; ``fields`` are the model's beta and x_ref.  The Gram
+    the factor in place; ``beta`` is the model's envelope scale.  The Gram
     is built from kernels.TrainingPairs, which copies ``states`` to C order,
     and the model keeps that copy.  Training builds its likelihood Grams the
     same way, so the Gram a trained model is conditioned on, the Grams its
@@ -500,7 +498,7 @@ def _conditioned(hyper, states, xdot0, jitter, max_jitter, **fields) -> GpPhsMod
         jitter_used=jit_used,
         alpha=alpha,
         nlml=float(value),
-        **fields,
+        beta=beta,
     )
 
 
@@ -552,7 +550,8 @@ def train(
     """Fit hyperparameters by multi-restart quasi-Newton NLML minimization.
 
     The first restart starts exactly at ``init``; the rest perturb the packed
-    log/raw vector with seeded Gaussian noise.  Restarts whose Gram matrix
+    log/raw vector with seeded Gaussian noise of scale PERTURB_SCALE, and each
+    stops at L-BFGS-B's gradient tolerance GTOL.  Restarts whose Gram matrix
     never factorizes, or whose structure parameters leave float range, are
     discarded; if all fail, TrainingError is raised.  Each restart's exit
     (final NLML, nit, nfev, message, |g|_inf, discarded) is kept on the
@@ -585,13 +584,13 @@ def train(
     best = None
     exits = []
     for restart in range(cfg.restarts):
-        start = theta0 if restart == 0 else theta0 + cfg.perturb_scale * rng.standard_normal(theta0.shape)
+        start = theta0 if restart == 0 else theta0 + PERTURB_SCALE * rng.standard_normal(theta0.shape)
         res = minimize(
             objective,
             start,
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": cfg.max_iter, "gtol": cfg.gtol},
+            options={"maxiter": cfg.max_iter, "gtol": GTOL},
         )
         discarded = not res.fun < 1e24
         exits.append(
@@ -649,7 +648,6 @@ def save_model(model: GpPhsModel, path) -> None:
         "jitter_used": model.jitter_used,
         "nlml": model.nlml,
         "beta": model.beta.tolist(),
-        "x_ref": model.x_ref.tolist(),
     }
     write_json(path, payload)
 
@@ -659,7 +657,8 @@ def load_model(path) -> GpPhsModel:
 
     The model is conditioned again (see condition), starting the Gram
     factorization at the saved jitter; the NLML is recomputed from the same
-    factor, so it equals the saved value.
+    factor, so it equals the saved value.  An ``x_ref`` key, which older
+    files hold as zeros, is ignored: H_hat is pinned at the origin.
     """
     payload = read_json(path)
     if payload.get("format") != "phs-lab-gp-model":
@@ -677,5 +676,4 @@ def load_model(path) -> GpPhsModel:
         payload["jitter_used"],
         OptimizerConfig.max_jitter,
         beta=np.asarray(payload["beta"], dtype=float),
-        x_ref=np.asarray(payload["x_ref"], dtype=float),
     )

@@ -36,10 +36,10 @@ from .control import (
     make_desired_dynamics,
     matching_residual,
     microactuator_desired_matrices,
-    microactuator_tracking_control,
     plan_from_csv,
     plan_to_csv,
     solve_reference_plan,
+    tracking_control,
 )
 from .core import (
     MicroactuatorParams,
@@ -268,7 +268,7 @@ def stage_verify(cfg, workdir):
     mean, envelope, _ = load_model_artifact(cfg, workdir)
     desired = load_desired(workdir, mean)
     plan = plan_from_csv(os.path.join(workdir, "plan.csv"))
-    # the verify section holds the sampling leaves of VerifySpec; bisect_iters keeps its default
+    # the verify section holds the sampling leaves of VerifySpec
     spec = VerifySpec(**cfg["verify"], seed=_stage_seed(cfg, "verify"))
     report = verify_dissipation_condition(envelope, desired, plan, spec)
     write_json(os.path.join(workdir, "verify_report.json"), report.to_jsonable())
@@ -277,8 +277,8 @@ def stage_verify(cfg, workdir):
 
 
 def build_controller(mean, desired, plan):
-    """The closed-loop law: the reduced microactuator form of the tracking law."""
-    return microactuator_tracking_control(mean, desired, plan)
+    """The closed-loop law: control.tracking_control of the model's mean."""
+    return tracking_control(mean, desired, plan)
 
 
 def stage_closed_loop(cfg, workdir):

@@ -37,12 +37,15 @@ __all__ = [
     "build_desired_dynamics",
     "GATE_BOUND",
     "GATE_RESOLUTION",
+    "BISECT_ITERS",
 ]
 
 # the energy-minimum gate's grid: GATE_RESOLUTION points per axis on
 # [-GATE_BOUND, GATE_BOUND] in every error coordinate
 GATE_BOUND = 2.0
 GATE_RESOLUTION = 21
+# bisection steps that refine the inner radius once a shell fails inside a feasible one
+BISECT_ITERS = 12
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,6 @@ class VerifySpec:
     n_radii: int = 25
     n_dirs: int = 2000
     n_times: int = 5
-    bisect_iters: int = 12
     seed: int = 0
 
 
@@ -183,9 +185,9 @@ def verify_dissipation_condition(
     """Sample the robust dissipation margin of the target loop ``desired`` around the reference.
 
     Directions mix deterministic axis/corner probes with Monte-Carlo sphere
-    samples; the certificate radius is refined by bisection between the last
-    violating radius and the first radius past which all margins stay
-    nonnegative.  ``envelope`` maps plant states (n, Q) to eta (n, Q).
+    samples; the certificate radius is refined by BISECT_ITERS bisection
+    steps between the last violating radius and the first radius past which
+    all margins stay nonnegative.  ``envelope`` maps plant states (n, Q) to eta (n, Q).
     Every shell, on the radius grid or in the bisection, calls it once per
     plan time, so the report's work counts are
     envelope_calls = (n_radii + bisection_steps) * len(times) and
@@ -237,7 +239,7 @@ def verify_dissipation_condition(
         unbounded = False
         i_last_bad = int(np.max(np.nonzero(~feasible)[0]))
         lo, hi = radii[i_last_bad], radii[i_last_bad + 1]
-        for _ in range(spec.bisect_iters):
+        for _ in range(BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             if min(m_min for m_min, _ in shell_margins(mid)) >= 0.0:
                 hi = mid

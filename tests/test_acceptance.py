@@ -26,10 +26,10 @@ from phs_lab.config import default_config, validate_config
 from phs_lab.control import (
     make_desired_dynamics,
     microactuator_desired_matrices,
-    microactuator_tracking_control,
     plan_from_csv,
     semi_passive_control,
     solve_reference_plan,
+    tracking_control,
 )
 from phs_lab.core import (
     eval_dynamics,
@@ -189,7 +189,7 @@ def test_criterion_1b_flags_dropped_feedforward(production_loop):
     # H_d growth
     plant, model, desired, plan, traj = production_loop
     cl = default_config()["closed_loop"]
-    law = microactuator_tracking_control(model.mean, desired, plan)
+    law = tracking_control(model.mean, desired, plan)
     r_hat = 1.0 / float(model.g_hat[2, 0])
 
     def dropped(x, t):
@@ -226,7 +226,7 @@ def test_criterion_1b_perfect_model_oracle(perfect_setup):
     # production spacing, and falling about 8x per halving (third order per
     # step), where a missing or wrong slope term would fall only 2x
     plant, model, desired, plan = perfect_setup
-    law = microactuator_tracking_control(model, desired, plan)
+    law = tracking_control(model, desired, plan)
     x0 = plan.x_d(0.0) + np.array([0.05, 0.0, 0.0])
     gaps = []
     exact = True
@@ -287,7 +287,7 @@ def test_criterion_2_perfect_model_equivalence(perfect_setup, tmp_path):
     # perturbed start: the closed loop must reproduce the autonomous error
     # dynamics shifted by the reference
     xbar0 = np.array([0.5, 0.0, 0.0])
-    controller = microactuator_tracking_control(model, desired, plan)
+    controller = tracking_control(model, desired, plan)
     traj = simulate_feedback(plant, plan.x_d(0.0) + xbar0, controller, (0.0, 13.0), n_samples=1301)
 
     # the unforced target error loop, integrated more tightly than the closed loop
@@ -423,7 +423,7 @@ def test_criterion_5_energy_invariants(perfect_setup):
     # semi-passive: cumulative desired-energy growth never beats the external
     # power inflow (perfect model, so the certificate ball has radius zero)
     _, model, desired, plan = perfect_setup
-    base = microactuator_tracking_control(model, desired, plan)
+    base = tracking_control(model, desired, plan)
     semi_ok = True
     worst_defect = -np.inf
     for k in range(10):

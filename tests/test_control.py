@@ -29,7 +29,6 @@ from phs_lab.control import (
     make_desired_dynamics,
     matching_residual,
     microactuator_desired_matrices,
-    microactuator_tracking_control,
     plan_from_csv,
     plan_to_csv,
     semi_passive_control,
@@ -249,14 +248,52 @@ def test_plan_solver_rejects_unsupported_problems(perfect_model, desired):
         solve_reference_plan(perfect_model, desired, primary_reference, (0.0, 0.05), 0.05)
 
 
-def test_reduced_law_equals_general(perfect_model, desired, plan):
-    general = tracking_control(perfect_model, desired, plan)
-    reduced = microactuator_tracking_control(perfect_model, desired, plan)
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        x = np.array([1.0, 0.0, 0.3]) + 0.3 * rng.normal(size=3)
-        t = float(rng.uniform(0.0, 13.0))
-        np.testing.assert_allclose(reduced(x, t), general(x, t), atol=1e-10)
+def _random_states_and_times(rng, count=10):
+    for _ in range(count):
+        yield np.array([1.0, 0.0, 0.3]) + 0.3 * rng.normal(size=3), float(rng.uniform(0.0, 13.0))
+
+
+@pytest.mark.parametrize("kind", ["gp", "perfect"])
+def test_tracking_law_is_the_microactuator_formula(kind, perfect_model, gp_model, plan):
+    # with Ghat = (0, 0, 1/r_hat)^T and row 3 of J_d - R_d = (0, 0, -1/r_d)
+    # the law is u = -r_hat (1/r_d) d3 H_d + r_hat xdot_d3 + d3 H_hat(x), and
+    # it reads both gradients from one call of the model's grad H_hat
+    model = gp_model.mean if kind == "gp" else perfect_model
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return model.hamiltonian_gradient(x)
+
+    r_d_inv = 10.0
+    jd, rd = microactuator_desired_matrices(b_hat=0.5, r_d_inv=r_d_inv)
+    desired = make_desired_dynamics(model, jd, rd, center=np.array([1.0, 0.0, 0.0]))
+    law = tracking_control(replace(model, hamiltonian_gradient=counted), desired, plan)
+    r_hat = 1.0 / model.g[2, 0]
+    for x, t in _random_states_and_times(np.random.default_rng(11)):
+        calls.clear()
+        u = law(x, t)
+        assert calls == [(3, 2)]
+        d3_hd = desired.hamiltonian_gradient(x - plan.x_d(t))[2]
+        d3_h = model.hamiltonian_gradient(x)[2]
+        formula = -r_hat * r_d_inv * d3_hd + r_hat * plan.x_d_dot(t)[2] + d3_h
+        np.testing.assert_allclose(u, [formula], rtol=1e-12, atol=1e-12)
+
+
+def test_tracking_law_with_two_inputs_is_the_least_squares_input(perfect_model, plan):
+    # with a rank-2 Ghat the law is the least-squares solution of the
+    # matching equation Ghat u = [J_d - R_d] grad H_d + xdot_d - mu
+    g2 = np.array([[0.0, 0.3], [0.0, 1.0], [0.8, 0.2]])
+    model = replace(perfect_model, g=g2)
+    jd, rd = microactuator_desired_matrices(b_hat=0.5, r_d_inv=10.0)
+    desired = make_desired_dynamics(model, jd, rd, center=np.array([1.0, 0.0, 0.0]))
+    law = tracking_control(model, desired, plan)
+    for x, t in _random_states_and_times(np.random.default_rng(12)):
+        shaped = (desired.j - desired.r) @ desired.hamiltonian_gradient(x - plan.x_d(t))
+        rhs = shaped + plan.x_d_dot(t) - eval_dynamics(model, x, np.zeros(2))
+        u = law(x, t)
+        assert u.shape == (2,)
+        np.testing.assert_allclose(u, np.linalg.lstsq(g2, rhs, rcond=None)[0], rtol=1e-12, atol=1e-12)
 
 
 def _tilted_gradient(plant):

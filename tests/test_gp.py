@@ -175,11 +175,10 @@ def _reference_nlml_grad(ds, hyper, jitter=1e-10):
 
 
 def _hamiltonian_by_quadrature(model, x, tol=1e-9):
-    """H_hat(x) as the line integral of grad H_hat along the straight path from x_ref."""
-    delta = x - model.x_ref
+    """H_hat(x) as the line integral of grad H_hat along the straight path from the origin."""
 
     def integrand(s):
-        return model.hamiltonian_grad((model.x_ref + s * delta)[:, None])[:, 0] @ delta
+        return model.hamiltonian_grad((s * x)[:, None])[:, 0] @ x
 
     return quad_vec(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol)[0]
 
@@ -686,15 +685,16 @@ def test_trained_model_shares_no_memory_with_the_likelihood_workspace(filtered_f
         assert not np.shares_memory(model.alpha, buffer)
 
 
-def test_training_survives_extreme_restart_points(filtered_full):
+def test_training_survives_extreme_restart_points(filtered_full, monkeypatch):
     # huge perturbations make restart line searches under/overflow the exp in
     # the log-parameter unpacking; those trials must register as infeasible,
     # not crash the run
+    monkeypatch.setattr(gp_mod, "PERTURB_SCALE", 50.0)
     ds = subset(filtered_full, 30)
     model = train(
         ds,
         micro_hypers(),
-        optimizer_config=OptimizerConfig(restarts=3, max_iter=40, perturb_scale=50.0),
+        optimizer_config=OptimizerConfig(restarts=3, max_iter=40),
         rng=np.random.default_rng(2),
     )
     assert np.isfinite(model.nlml)
@@ -794,6 +794,20 @@ def test_save_load_round_trip(tmp_path, small_model):
     # the loaded model stores equals the conditioned model's bit for bit
     for name in ("g_hat", "s_hat", "prior_var", "h_weights", "l_inv", "alpha", "nlml", "jitter_used"):
         np.testing.assert_array_equal(getattr(back, name), getattr(small_model, name), err_msg=name)
+
+
+def test_model_file_has_no_x_ref_and_older_files_load_alike(tmp_path, small_model):
+    # H_hat is pinned at the origin; files that still hold the x_ref key
+    # (always zeros) load to the same energy, bit for bit
+    path = tmp_path / "model.json"
+    save_model(small_model, path)
+    payload = json.loads(path.read_text())
+    assert "x_ref" not in payload
+    payload["x_ref"] = [0.0, 0.0, 0.0]
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(payload))
+    xq = np.array([[0.5, 1.2, 0.0], [0.3, -0.4, 0.0], [0.7, 0.2, 0.0]])
+    np.testing.assert_array_equal(load_model(older).hamiltonian(xq), small_model.hamiltonian(xq))
 
 
 def test_save_load_round_trip_of_a_fixed_structure(tmp_path, small_dataset):

@@ -16,6 +16,7 @@ from phs_lab.control import (
 )
 from phs_lab.core import PhsModel, make_mass_spring_damper
 from phs_lab.verify import (
+    BISECT_ITERS,
     VerifySpec,
     build_desired_dynamics,
     validate_hd_minimum,
@@ -130,13 +131,13 @@ class _CountingEnvelopeModel(_ConstantEnvelopeModel):
 
 @pytest.mark.parametrize("eta0, rho", [(0.05, 0.8), (10.0, 0.1)], ids=["bisects", "unbounded"])
 def test_verify_work_counts(eta0, rho):
-    spec = VerifySpec(max_radius=0.5, n_radii=10, n_dirs=40, n_times=3, bisect_iters=5)
+    spec = VerifySpec(max_radius=0.5, n_radii=10, n_dirs=40, n_times=3)
     model = _CountingEnvelopeModel(3, eta0)
     plan = ReferencePlan(times=np.linspace(0.0, 1.0, 5), xd=np.zeros((5, 3)))
     report = verify_dissipation_condition(model.envelope, quadratic_desired(3, rho), plan, spec)
     out = report.to_jsonable()
     n_times = report.times.size
-    assert out["bisection_steps"] == (0 if report.unbounded else spec.bisect_iters)
+    assert out["bisection_steps"] == (0 if report.unbounded else BISECT_ITERS)
     assert out["envelope_calls"] == spec.n_radii * n_times + out["bisection_steps"] * n_times
     assert out["envelope_calls"] == model.calls
     assert out["states_evaluated"] == model.states == model.calls * report.n_dirs
