@@ -20,12 +20,19 @@ Wall-clock timings go to timings.json, kept out of metrics.json so that the
 metrics artifact is bit-identical across machines.  Every file is read and
 written through ``artifacts``: a write replaces its target atomically, and a
 stage that reads a missing, ragged or non-finite upstream file fails naming it.
+
+Each stage runs with the OpenBLAS thread counts of ``STAGE_BLAS_THREADS``,
+one per bundled library (numpy's and scipy's), set for the stage and restored
+after it, so the artifacts do not depend on OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib
 import os
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -200,18 +207,18 @@ def _zero_envelope(xq):
 
 
 def load_model_artifact(cfg, workdir):
-    """The train stage's model as (mean, envelope, box).
+    """The train stage's model as (mean, gp, box).
 
-    ``mean`` is the posterior mean as a core.PhsModel, ``envelope`` maps
-    states (n, Q) to eta = beta * var, and ``box`` is the bounding box of
-    the training states, one (low, high) per dimension.  A perfect-model run
-    gives the plant itself, a zero envelope and no box.
+    ``mean`` is the posterior mean as a core.PhsModel, ``gp`` the
+    gp.GpPhsModel it comes from, and ``box`` is the bounding box of the
+    training states, one (low, high) per dimension.  A perfect-model run
+    gives the plant itself, no GP and no box.
     """
     path = os.path.join(workdir, "model.json")
     if read_json(path).get("format") == "phs-lab-perfect-model":
-        return build_plant(cfg)[0], _zero_envelope, None
+        return build_plant(cfg)[0], None, None
     model = gp_mod.load_model(path)
-    return model.mean, model.envelope, list(zip(model.states.min(axis=1), model.states.max(axis=1)))
+    return model.mean, model, list(zip(model.states.min(axis=1), model.states.max(axis=1)))
 
 
 def stage_desired(cfg, workdir):
@@ -265,13 +272,17 @@ def stage_plan(cfg, workdir):
 
 
 def stage_verify(cfg, workdir):
-    mean, envelope, _ = load_model_artifact(cfg, workdir)
+    mean, gp, _ = load_model_artifact(cfg, workdir)
     desired = load_desired(workdir, mean)
     plan = plan_from_csv(os.path.join(workdir, "plan.csv"))
     # the verify section holds the sampling leaves of VerifySpec
     spec = VerifySpec(**cfg["verify"], seed=_stage_seed(cfg, "verify"))
+    envelope = _zero_envelope if gp is None else gp.envelope
     report = verify_dissipation_condition(envelope, desired, plan, spec)
-    write_json(os.path.join(workdir, "verify_report.json"), report.to_jsonable())
+    write_json(
+        os.path.join(workdir, "verify_report.json"),
+        dict(report.to_jsonable(), blas_threads=blas_thread_counts()),
+    )
     report.margins_to_csv(os.path.join(workdir, "margins.csv"))
     write_text(os.path.join(workdir, "verify_summary.txt"), report.to_text() + "\n")
 
@@ -324,12 +335,21 @@ def _model_hd_increments(mean, desired, plan, traj):
     return 0.5 * np.diff(ts) * (slope[:-1] + slope[1:])
 
 
-def _drift_envelope_ratio(plant, mean, envelope, states):
-    """max_i,k |f_i - mu_i| / eta_i over the rows of states (T, n); 0 where both vanish."""
-    u0 = np.zeros(plant.dim_input)
-    err = np.abs(eval_dynamics(plant, states.T, u0) - eval_dynamics(mean, states.T, u0))
+def _drift_envelope_ratio(plant, gp, states):
+    """max_i,k |f_i - mu_i| / eta_i over the rows of states (T, n); 0 where both vanish.
+
+    mu and eta = beta * var come from one posterior pass of ``gp``; without
+    a GP (a perfect-model run) mu is the plant's drift and eta is zero.
+    """
+    f = eval_dynamics(plant, states.T, np.zeros(plant.dim_input))
+    if gp is None:
+        mu, eta = f, _zero_envelope(f)
+    else:
+        mu, var = gp.drift(states.T)
+        eta = gp.beta[:, None] * var
+    err = np.abs(f - mu)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(err == 0.0, 0.0, err / envelope(states.T))
+        ratio = np.where(err == 0.0, 0.0, err / eta)
     return float(np.max(ratio))
 
 
@@ -337,7 +357,7 @@ def stage_metrics(cfg, workdir):
     traj = trajectory_from_csv(os.path.join(workdir, "closedloop.csv"))
     plan = plan_from_csv(os.path.join(workdir, "plan.csv"))
     plant, _ = build_plant(cfg)
-    mean, envelope, _ = load_model_artifact(cfg, workdir)
+    mean, gp, _ = load_model_artifact(cfg, workdir)
     desired = load_desired(workdir, mean)
     train_summary = read_json(os.path.join(workdir, "train_summary.json"))
     hd_check = read_json(os.path.join(workdir, "hd_check.json"))
@@ -368,7 +388,7 @@ def stage_metrics(cfg, workdir):
             "model_max_increase": float(max(float(np.max(nominal)), 0.0)) if nominal.size else 0.0,
             "tol": tol,
         },
-        "drift_envelope": {"max_ratio": _drift_envelope_ratio(plant, mean, envelope, traj.states)},
+        "drift_envelope": {"max_ratio": _drift_envelope_ratio(plant, gp, traj.states)},
         "energy_balance": {
             "closed_loop_max_residual": float(np.max(energy_balance_residual(plant, traj)))
         },
@@ -412,10 +432,74 @@ def _check_stages(stages):
         raise ConfigError(f"unknown stages: {unknown} (expected names from {STAGE_ORDER})")
 
 
+def _usable_cores():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+# OpenBLAS threads per stage and library.  Verify's envelope shells (2014
+# states per call at production size) run faster with scipy's library, which
+# multiplies by L^-1 in the variance, on two threads; numpy's stays on one
+# there, because its worker thread would compete with scipy's for the cores.
+# Every other stage, training above all, runs faster on one thread.  The
+# counts are set, never read from the environment, because BLAS rounds a
+# product differently when it splits the work across threads.
+STAGE_BLAS_THREADS = {stage: {"numpy": 1, "scipy": 1} for stage in STAGE_ORDER}
+STAGE_BLAS_THREADS["verify"]["scipy"] = min(2, _usable_cores())
+
+# (library, a module linked against it, its symbol suffix): the OpenBLAS
+# builds bundled with numpy and scipy.  dlsym on a module's handle also
+# searches the libraries the module links.
+_OPENBLAS_MODULES = (
+    ("numpy", "numpy._core._multiarray_umath", "64_"),
+    ("scipy", "scipy.linalg.cython_blas", ""),
+)
+
+
+def _find_openblas():
+    """library -> (set_num_threads, get_num_threads) of each bundled OpenBLAS found."""
+    found = {}
+    for name, module, suffix in _OPENBLAS_MODULES:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            set_threads = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            get_threads = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+        except (ImportError, OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        found[name] = (set_threads, get_threads)
+    return found
+
+
+_OPENBLAS = _find_openblas()
+
+
+def blas_thread_counts():
+    """The current thread count of each bundled OpenBLAS, None for one not found."""
+    return {name: _OPENBLAS[name][1]() if name in _OPENBLAS else None for name, _, _ in _OPENBLAS_MODULES}
+
+
+@contextmanager
+def stage_blas_threads(stage):
+    """Run the body with each OpenBLAS found on its count for the stage.
+
+    The previous counts are restored on exit, also when the body raises.
+    """
+    previous = {name: get() for name, (_, get) in _OPENBLAS.items()}
+    try:
+        for name, (set_threads, _) in _OPENBLAS.items():
+            set_threads(STAGE_BLAS_THREADS[stage][name])
+        yield
+    finally:
+        for name, count in previous.items():
+            _OPENBLAS[name][0](count)
+
+
 def run_stage(cfg, workdir, stage):
     _check_stages([stage])
     try:
-        return _STAGES[stage](cfg, workdir)
+        with stage_blas_threads(stage):
+            return _STAGES[stage](cfg, workdir)
     except Exception as exc:
         raise StageError(stage, exc) from exc
 

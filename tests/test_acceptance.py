@@ -46,7 +46,7 @@ from phs_lab.gp import (
     negative_log_marginal_likelihood,
     train,
 )
-from phs_lab.pipeline import build_plant, load_desired, run_pipeline
+from phs_lab.pipeline import build_plant, load_desired, run_pipeline, stage_blas_threads
 from phs_lab.structure import MicroactuatorStructure, StructureEstimate
 from phs_lab.verify import VerifySpec, verify_dissipation_condition
 
@@ -136,11 +136,16 @@ def drift_error_and_envelope(plant, mean, envelope, states):
 
 @pytest.fixture(scope="session")
 def production_loop(production_run):
-    """Plant, model, desired dynamics, plan and closed-loop run rebuilt from the artifacts."""
+    """Plant, model, desired dynamics, plan and closed-loop run rebuilt from the artifacts.
+
+    The tests below recompute what the closed_loop and metrics stages wrote,
+    bit for bit, so they run on those stages' OpenBLAS thread counts.
+    """
     workdir, _, _ = production_run
     plant, _ = build_plant(default_config())
-    model = load_model(workdir / "model.json")
-    desired = load_desired(workdir, model.mean)
+    with stage_blas_threads("metrics"):
+        model = load_model(workdir / "model.json")
+        desired = load_desired(workdir, model.mean)
     plan = plan_from_csv(workdir / "plan.csv")
     traj = trajectory_from_csv(workdir / "closedloop.csv")
     return plant, model, desired, plan, traj
@@ -159,9 +164,10 @@ def test_criterion_1b_hd_monotone(production_run, production_loop):
     _, metrics, _ = production_run
     plant, model, desired, plan, traj = production_loop
     tol = metrics["lyapunov"]["tol"]
-    nominal = nominal_hd_increments(model.mean, desired, plan, traj)
+    with stage_blas_threads("metrics"):
+        nominal = nominal_hd_increments(model.mean, desired, plan, traj)
+        err, eta = drift_error_and_envelope(plant, model.mean, model.envelope, traj.states)
     nominal_events = int(np.sum(nominal > tol))
-    err, eta = drift_error_and_envelope(plant, model.mean, model.envelope, traj.states)
     covered = bool(np.all(err <= eta))
     ratio = float(np.max(err / eta))
     # metrics.json carries the same two quantities, computed by the pipeline
@@ -201,8 +207,9 @@ def test_criterion_1b_flags_dropped_feedforward(production_loop):
     def run(controller):
         return simulate_feedback(plant, x0, controller, (t0, t1), n_samples=cl["n_samples"])
 
-    production = run(law)
-    faulty = run(dropped)
+    with stage_blas_threads("closed_loop"):
+        production = run(law)
+        faulty = run(dropped)
     tol = cl["hd_increase_tol"]
     nominal_ok = nominal_hd_increments(model.mean, desired, plan, production)
     nominal_bad = nominal_hd_increments(model.mean, desired, plan, faulty)

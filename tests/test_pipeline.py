@@ -5,18 +5,33 @@ certificate, closed loop) but shrinks the dataset and grids so two full runs
 cost about a second.
 """
 
+import ctypes
+import importlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from phs_lab import ConfigError, StageError
+from phs_lab import ConfigError, StageError, pipeline
 from phs_lab.cli import main
 from phs_lab.config import default_config, validate_config
 from phs_lab.core import simulate_feedback, trajectory_from_csv
-from phs_lab.pipeline import build_input, build_plant, build_reference, rollout_plant, run_pipeline, run_stage
+from phs_lab.pipeline import (
+    STAGE_BLAS_THREADS,
+    STAGE_ORDER,
+    build_input,
+    build_plant,
+    build_reference,
+    rollout_plant,
+    run_pipeline,
+    run_stage,
+)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 MINI_OVERRIDES = {
     "seed": 3,
@@ -266,3 +281,109 @@ def test_non_finite_upstream_table_fails_the_reading_stage(mini_run, tmp_path):
         run_stage(mini_config(), str(workdir), "closed_loop")
     assert err.value.stage == "closed_loop"
     assert "plan.csv" in str(err.value)
+
+
+# The reduced study of the benchmark's `study` workload: 100 training points,
+# 2 restarts, a 21-point plan grid, 400 x 8 x 3 verify samples.
+STUDY_CONFIG = {
+    "seed": 42,
+    "dataset": {"n_samples": 100},
+    "train": {"restarts": 2, "calibration": {"n_samples": 60}},
+    "plan": {"t_span": [0.0, 1.0]},
+    "verify": {"n_dirs": 400, "n_radii": 8, "n_times": 3},
+    "closed_loop": {"n_samples": 101},
+}
+
+
+def _pipeline_in_subprocess(config_path, out, threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "phs_lab.cli", "pipeline", "--config", str(config_path), "--out", str(out)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_artifacts_do_not_depend_on_blas_environment(tmp_path):
+    config_path = tmp_path / "study.json"
+    config_path.write_text(json.dumps(STUDY_CONFIG))
+    one, two = tmp_path / "one", tmp_path / "two"
+    _pipeline_in_subprocess(config_path, one, 1)
+    _pipeline_in_subprocess(config_path, two, 2)
+    names = sorted(str(p.relative_to(one)) for p in one.rglob("*") if p.is_file() and p.name != "timings.json")
+    assert len(names) == len(ARTIFACTS) - 1 + len(FIGURES)
+    differing = [name for name in names if (one / name).read_bytes() != (two / name).read_bytes()]
+    assert not differing, f"artifacts differ between OPENBLAS_NUM_THREADS=1 and =2: {differing}"
+
+
+def _openblas(module, suffix):
+    """(set, get) of the thread count of the OpenBLAS that ``module`` links."""
+    lib = ctypes.CDLL(importlib.import_module(module).__file__)
+    return getattr(lib, "scipy_openblas_set_num_threads" + suffix), getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+
+
+@pytest.fixture
+def openblas():
+    """Both bundled OpenBLAS libraries, held at 3 threads (a count no stage uses) for the test."""
+    libs = {
+        "numpy": _openblas("numpy._core._multiarray_umath", "64_"),
+        "scipy": _openblas("scipy.linalg.cython_blas", ""),
+    }
+    before = {name: get() for name, (_, get) in libs.items()}
+    for set_threads, _ in libs.values():
+        set_threads(3)
+    yield libs
+    for name, (set_threads, _) in libs.items():
+        set_threads(before[name])
+
+
+def _counts(libs):
+    return {name: get() for name, (_, get) in libs.items()}
+
+
+def test_stage_blas_threads_table():
+    cores = len(os.sched_getaffinity(0))
+    for stage in STAGE_ORDER:
+        scipy_threads = min(2, cores) if stage == "verify" else 1
+        assert STAGE_BLAS_THREADS[stage] == {"numpy": 1, "scipy": scipy_threads}, stage
+
+
+def test_stage_sets_blas_threads_and_restores_them(openblas, monkeypatch, tmp_path):
+    seen = {}
+
+    def probe(stage):
+        def run(cfg, workdir):
+            seen[stage] = _counts(openblas)
+            if stage == "plan":
+                raise RuntimeError("probe failure")
+
+        return run
+
+    for stage in STAGE_ORDER:
+        monkeypatch.setitem(pipeline._STAGES, stage, probe(stage))
+        if stage == "plan":
+            with pytest.raises(StageError):
+                run_stage(mini_config(), str(tmp_path), stage)
+        else:
+            run_stage(mini_config(), str(tmp_path), stage)
+        assert seen[stage] == STAGE_BLAS_THREADS[stage], stage
+        assert _counts(openblas) == {"numpy": 3, "scipy": 3}, stage
+
+
+def test_without_openblas_nothing_is_set_and_verify_records_null(mini_run, openblas, monkeypatch, tmp_path):
+    workdir = tmp_path / "no_blas"
+    shutil.copytree(mini_run[0], workdir)
+    monkeypatch.setattr(pipeline, "_OPENBLAS", {})
+    seen = []
+    verify = pipeline._STAGES["verify"]
+
+    def probed_verify(cfg, wd):
+        seen.append(_counts(openblas))
+        return verify(cfg, wd)
+
+    monkeypatch.setitem(pipeline._STAGES, "verify", probed_verify)
+    run_stage(mini_config(), str(workdir), "verify")
+    assert seen == [{"numpy": 3, "scipy": 3}]
+    with open(workdir / "verify_report.json") as fh:
+        assert json.load(fh)["blas_threads"] == {"numpy": None, "scipy": None}
+    with open(mini_run[0] / "verify_report.json") as fh:
+        assert json.load(fh)["blas_threads"] == STAGE_BLAS_THREADS["verify"]

@@ -14,8 +14,11 @@ later ``plant.kind``, ``dataset.rtol``, ``dataset.atol``, ``train.gtol``,
 ``train.perturb_scale``, ``verify.bisect_iters``, ``closed_loop.rtol`` and
 ``closed_loop.atol``) fails with an unknown-key error and has to be
 regenerated into an empty directory.
-The process holds OpenBLAS to one thread, and each layer reports the median
-and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
+The process starts OpenBLAS on one thread.  The two Q = 2014 layers run
+inside the verify stage's thread context (``pipeline.stage_blas_threads``),
+as the verify stage runs them, and every layer records the thread counts it
+ran with (``blas_threads``).  Each layer reports the median and the minimum
+of ``--repeats`` timed calls after one untimed warm-up call:
 
 - ``nlml_grad_n300``: NLML plus gradient on the training set at the trained
   hyperparameters, every call on one ``kernels.TrainingPairs`` of the
@@ -67,6 +70,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
+from contextlib import nullcontext  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -83,6 +87,8 @@ from phs_lab.kernels import TrainingPairs, factorize_gram  # noqa: E402
 NEEDED = ("config.json", "model.json", "filtered.csv", "hd_check.json", "plan.csv")
 N_STUDY = 100
 TRACED_LAYERS = ("nlml_grad_n300", "nlml_grad_n100")
+# layers timed on the verify stage's thread counts
+VERIFY_LAYERS = ("mean_var_q2014", "envelope_q2014")
 N_SHELL = 2014
 SHELL_SEED = 0
 PRODUCTION_SEED = 42
@@ -199,9 +205,11 @@ def main(argv=None):
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     ensure_run(args.run_dir)
-    out = {"blas_threads": 1, "repeats": args.repeats, "layers": {}}
+    out = {"repeats": args.repeats, "layers": {}}
     for name, (shape, fn) in layers(args.run_dir).items():
-        out["layers"][name] = dict(shape=shape, **time_calls(fn, args.repeats))
+        with pipeline.stage_blas_threads("verify") if name in VERIFY_LAYERS else nullcontext():
+            threads = pipeline.blas_thread_counts()
+            out["layers"][name] = dict(shape=shape, blas_threads=threads, **time_calls(fn, args.repeats))
         if name in TRACED_LAYERS:
             out["layers"][name]["minor_faults_per_call"] = minor_faults_per_call(fn, args.repeats)
             out["layers"][name]["peak_traced_mb"] = peak_traced_mb(fn)

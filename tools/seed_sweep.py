@@ -22,8 +22,9 @@ run's artifacts (``metrics.json``, ``plan_summary.json``, ``plan.csv``,
 - ``stage_s``: each stage's wall seconds and their ``total``.
 
 The second form prints the JSON as one markdown table, failed checks in
-bold.  The pipeline runs with the machine's default BLAS threads, as a
-production run does; the 11 seeds take about 5 minutes on two cores.
+bold.  Each stage runs on its OpenBLAS thread counts from
+``pipeline.STAGE_BLAS_THREADS``, as in a production run, whatever
+OPENBLAS_NUM_THREADS says; the 11 seeds take about 3 minutes on two cores.
 """
 
 import argparse
