@@ -41,8 +41,17 @@ is pinned to zero at the origin by its raw value there, computed once when
 the model is built.  The model stores the
 inverse L^-1 of the lower Cholesky factor (kernels.invert_lower, once per
 conditioning), so the variance's v = L^-1 k^T is a triangular multiply (BLAS
-trmm) instead of a triangular solve, one per block; its prior part
-sf^2 diag(S Lambda^-1 S^T) is a constant.
+trmm, kernels.trmm_lower) instead of a triangular solve, one per block; its
+prior part sf^2 diag(S Lambda^-1 S^T) is a constant.
+
+The blocks of one query write disjoint rows of its results, so they can run
+on two threads.  Inside `posterior_helper` (the pipeline opens one per
+stage) a query of more than one block shares its blocks with one helper
+thread, each thread taking the next block when it is free;
+kernels.trmm_lower and numpy's array operations release the GIL, so the
+block assembly and the multiply by L^-1 both use the second core.  The
+mean's k @ w runs once over all Q states after the blocks, so neither
+the split nor the thread changes a bit of the result.
 
 The mean is itself a PHS (Beckers, Seidman, Perdikaris & Pappas, CDC 2022),
 and control, H_d and the plan read it only as one: `GpPhsModel.mean`, whose
@@ -52,12 +61,15 @@ envelope ratio read the variance, through `GpPhsModel.envelope`.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.linalg.blas import dsyr, dtrmm
+from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dlauum
 from scipy.optimize import minimize
 
@@ -66,7 +78,7 @@ from .artifacts import read_json, write_json
 from .core import PhsModel, on_columns
 from .errors import ConditioningError, TrainingError
 from .filtering import FilteredDataset
-from .kernels import TrainingPairs, factorize_gram, invert_lower
+from .kernels import TrainingPairs, factorize_gram, invert_lower, trmm_lower
 from .structure import StructureEstimate, structure_from_jsonable
 
 __all__ = [
@@ -79,12 +91,17 @@ __all__ = [
     "calibrate_beta",
     "save_model",
     "load_model",
+    "posterior_helper",
+    "posterior_threads",
 ]
 
 # query columns per block of the posterior's pair terms: the (n Q, n N) cross-
 # covariance block (2.8 MB at N = 300) then stays in cache from phs_blocks
 # writing it to trmm reading it
 _VAR_CHUNK = 128
+# the pool of the enclosing `posterior_helper`, whose one thread shares the
+# blocks of a posterior query; None outside one, and in the helper thread
+_HELPER = ContextVar("posterior_helper", default=None)
 # calibrate_beta sets beta_i to this percentile of |f_i - mu_i| / var_i over
 # the held-out rollout, so eta = beta * var covers 99 % of its samples per row
 BETA_PERCENTILE = 99.0
@@ -424,14 +441,18 @@ class GpPhsModel:
         Returns (h, grad, var), None for what was not asked for; ``mean``
         gives h and grad.  Raises ValueError unless xq is an (n, Q) array.
         One SE evaluation per block of _VAR_CHUNK states gives the pair terms
-        d_b = x - x_b, Lambda^-1 d_b and k(x, x_b).  h is the row sum of
-        k (d_b^T w_b) over the training states b, before the pin at the origin.
+        d_b = x - x_b, Lambda^-1 d_b and k(x, x_b); the blocks write disjoint
+        rows of h, k(x, x_b), corr and quad, and inside a `posterior_helper`
+        its thread takes a share of them (`_split_blocks`).  h is the
+        row sum of k (d_b^T w_b) over the training states b, before the pin at
+        the origin.
         grad, the derivative of H_hat(x) = sum_b k d_b^T w_b, is
         sum_b k (w_b - (d_b^T w_b) Lambda^-1 d_b)
-        (= sum_b Pi(x, x_b) t_b for t_b = sf^2 S^T alpha_b); its k @ w runs
-        once over all Q states, as BLAS gemm may round a row differently with
-        the number of rows.  var = prior - |L^-1 k^T|^2 for the lower factor
-        L: per block, phs_blocks assembles sf^2 k (M - u u^T) with
+        (= sum_b Pi(x, x_b) t_b for t_b = sf^2 S^T alpha_b), with corr the
+        sum of its second term; its k @ w runs once over all Q states, after
+        the blocks, as BLAS gemm may round a row differently with the number
+        of rows.  var = prior - quad, quad = |L^-1 k^T|^2 for the lower
+        factor L: per block, phs_blocks assembles sf^2 k (M - u u^T) with
         u = S Lambda^-1 d, and one trmm multiplies its transpose by L^-1.
         """
         xq = _query_states(xq, self.dim_state)
@@ -440,31 +461,89 @@ class GpPhsModel:
         v = 1.0 / self.hyper.lengthscales**2
         w = self.h_weights
         n_pts = self.states.shape[1]
-        h = np.empty(n_q)
-        k_all = np.empty((n_q, n_pts))
-        corr = np.empty((n_q, n))
-        quad = np.empty((n_q, n))
         sf2 = self.hyper.sigma_f**2
-        for start in range(0, n_q, _VAR_CHUNK):
-            rows = slice(start, start + _VAR_CHUNK)
-            diff = xq[:, rows].T[:, None, :] - self.states.T[None, :, :]
-            vd = diff * v
-            k = np.exp(-0.5 * np.einsum("qpn,qpn->qp", diff, vd))
-            if mean:
-                k_all[rows] = k
-                kdw = k * np.einsum("qpn,pn->qp", diff, w)
-                h[rows] = kdw.sum(axis=1)
-                corr[rows] = np.einsum("qp,qpn->qn", kdw, vd)
-            if var:
-                # numpy lays diff and vd out component-major, so this reshape is a view
-                u = (self.s_hat @ vd.transpose(2, 0, 1).reshape(n, -1)).reshape(n, -1, n_pts)
-                cross = backend.phs_blocks(sf2 * k, u, self.m_hat)
-                half = dtrmm(1.0, self.l_inv, cross.T, lower=1, overwrite_b=1)
-                quad[rows] = np.einsum("ij,ij->j", half, half).reshape(-1, n)
+        if mean:
+            h = np.empty(n_q)
+            k_all = np.empty((n_q, n_pts))
+            corr = np.empty((n_q, n))
+        if var:
+            quad = np.empty((n_q, n))
+
+        def blocks(starts):
+            # one thread's blocks; the block at start writes rows
+            # start .. start + _VAR_CHUNK - 1 of h, k_all, corr and quad only
+            for start in starts:
+                rows = slice(start, start + _VAR_CHUNK)
+                diff = xq[:, rows].T[:, None, :] - self.states.T[None, :, :]
+                vd = diff * v
+                k = np.exp(-0.5 * np.einsum("qpn,qpn->qp", diff, vd))
+                if mean:
+                    k_all[rows] = k
+                    kdw = k * np.einsum("qpn,pn->qp", diff, w)
+                    h[rows] = kdw.sum(axis=1)
+                    corr[rows] = np.einsum("qp,qpn->qn", kdw, vd)
+                if var:
+                    # numpy lays diff and vd out component-major, so this reshape is a view
+                    u = (self.s_hat @ vd.transpose(2, 0, 1).reshape(n, -1)).reshape(n, -1, n_pts)
+                    cross = backend.phs_blocks(sf2 * k, u, self.m_hat)
+                    # cross.T is Fortran-ordered: trmm overwrites it with L^-1 cross^T
+                    half = trmm_lower(self.l_inv, cross.T)
+                    quad[rows] = np.einsum("ij,ij->j", half, half).reshape(-1, n)
+
+        _split_blocks(blocks, range(0, n_q, _VAR_CHUNK))
         var_out = np.maximum(self.prior_var - quad, 0.0).T if var else None
         if not mean:
             return None, None, var_out
         return h, (k_all @ w - corr).T, var_out
+
+
+def _split_blocks(blocks, starts):
+    """blocks(starts), or with a `posterior_helper` split over two threads.
+
+    The caller and the helper each run blocks() on one shared iterator over
+    the starts, so each takes the next block as soon as it is free and the
+    split follows the speed of each thread (next() on it is atomic under the
+    GIL).  Returns once both are done; an exception in either is raised
+    here.  With one start, or outside a `posterior_helper`, the caller runs
+    them all in order.
+    """
+    helper = _HELPER.get()
+    if helper is None or len(starts) < 2:
+        blocks(starts)
+        return
+    shared = iter(starts)
+    other = helper.submit(blocks, shared)
+    try:
+        blocks(shared)
+    finally:
+        other.result()
+
+
+@contextmanager
+def posterior_helper():
+    """Run the body with one helper thread that shares the blocks of posterior queries.
+
+    Inside, each `GpPhsModel` query of more than one block of _VAR_CHUNK
+    states splits its blocks with the helper (see `_split_blocks`).  The
+    thread starts on the first such query and is joined when the body
+    exits, also when it raises; when no query splits, no thread starts.
+    The blocks do not depend on the thread that runs them, so the results
+    are the same bits either way.
+    """
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="phs-lab-posterior") as pool:
+        token = _HELPER.set(pool)
+        try:
+            yield
+        finally:
+            _HELPER.reset(token)
+
+
+def posterior_threads():
+    """The threads a posterior query made here splits its blocks over.
+
+    2 inside a `posterior_helper`, 1 elsewhere.
+    """
+    return 1 if _HELPER.get() is None else 2
 
 
 def _query_states(xq, n):

@@ -21,9 +21,11 @@ metrics artifact is bit-identical across machines.  Every file is read and
 written through ``artifacts``: a write replaces its target atomically, and a
 stage that reads a missing, ragged or non-finite upstream file fails naming it.
 
-Each stage runs with the OpenBLAS thread counts of ``STAGE_BLAS_THREADS``,
-one per bundled library (numpy's and scipy's), set for the stage and restored
-after it, so the artifacts do not depend on OPENBLAS_NUM_THREADS.
+Each stage runs both bundled OpenBLAS libraries (numpy's and scipy's) on one
+thread, set for the stage and restored after it, so the artifacts do not
+depend on OPENBLAS_NUM_THREADS; on two cores or more a helper thread, joined
+when the stage ends, shares the blocks of each posterior query
+(``stage_threads``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import ctypes
 import importlib
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -279,10 +281,8 @@ def stage_verify(cfg, workdir):
     spec = VerifySpec(**cfg["verify"], seed=_stage_seed(cfg, "verify"))
     envelope = _zero_envelope if gp is None else gp.envelope
     report = verify_dissipation_condition(envelope, desired, plan, spec)
-    write_json(
-        os.path.join(workdir, "verify_report.json"),
-        dict(report.to_jsonable(), blas_threads=blas_thread_counts()),
-    )
+    threads = {"blas_threads": blas_thread_counts(), "posterior_threads": gp_mod.posterior_threads()}
+    write_json(os.path.join(workdir, "verify_report.json"), dict(report.to_jsonable(), **threads))
     report.margins_to_csv(os.path.join(workdir, "margins.csv"))
     write_text(os.path.join(workdir, "verify_summary.txt"), report.to_text() + "\n")
 
@@ -436,15 +436,16 @@ def _usable_cores():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-# OpenBLAS threads per stage and library.  Verify's envelope shells (2014
-# states per call at production size) run faster with scipy's library, which
-# multiplies by L^-1 in the variance, on two threads; numpy's stays on one
-# there, because its worker thread would compete with scipy's for the cores.
-# Every other stage, training above all, runs faster on one thread.  The
-# counts are set, never read from the environment, because BLAS rounds a
-# product differently when it splits the work across threads.
-STAGE_BLAS_THREADS = {stage: {"numpy": 1, "scipy": 1} for stage in STAGE_ORDER}
-STAGE_BLAS_THREADS["verify"]["scipy"] = min(2, _usable_cores())
+# Every stage runs each bundled OpenBLAS on one thread.  The count is set,
+# never read from the environment, because BLAS rounds a product differently
+# when it splits the work across threads.  The second core goes to the
+# posterior instead: a helper thread shares the blocks of a query
+# (gp.posterior_helper), so the block assembly runs on both cores as well as
+# the multiply by L^-1, and the blocks round the same on either thread.
+BLAS_THREADS = 1
+# the threads a posterior query splits its blocks over in a stage: the
+# caller, plus the helper when the process may use two cores or more
+POSTERIOR_THREADS = min(2, _usable_cores())
 
 # (library, a module linked against it, its symbol suffix): the OpenBLAS
 # builds bundled with numpy and scipy.  dlsym on a module's handle also
@@ -480,25 +481,38 @@ def blas_thread_counts():
 
 
 @contextmanager
-def stage_blas_threads(stage):
-    """Run the body with each OpenBLAS found on its count for the stage.
+def stage_blas_threads():
+    """Run the body with each OpenBLAS found on BLAS_THREADS threads.
 
     The previous counts are restored on exit, also when the body raises.
     """
     previous = {name: get() for name, (_, get) in _OPENBLAS.items()}
     try:
-        for name, (set_threads, _) in _OPENBLAS.items():
-            set_threads(STAGE_BLAS_THREADS[stage][name])
+        for set_threads, _ in _OPENBLAS.values():
+            set_threads(BLAS_THREADS)
         yield
     finally:
         for name, count in previous.items():
             _OPENBLAS[name][0](count)
 
 
+@contextmanager
+def stage_threads():
+    """Run the body on the threads of a stage.
+
+    Each OpenBLAS found runs on BLAS_THREADS threads (stage_blas_threads)
+    and, when POSTERIOR_THREADS is 2, posterior queries split their blocks
+    with one helper thread, joined on exit (gp.posterior_helper).
+    """
+    helper = gp_mod.posterior_helper() if POSTERIOR_THREADS > 1 else nullcontext()
+    with stage_blas_threads(), helper:
+        yield
+
+
 def run_stage(cfg, workdir, stage):
     _check_stages([stage])
     try:
-        with stage_blas_threads(stage):
+        with stage_threads():
             return _STAGES[stage](cfg, workdir)
     except Exception as exc:
         raise StageError(stage, exc) from exc

@@ -188,10 +188,10 @@ def verify_dissipation_condition(
     samples; the certificate radius is refined by BISECT_ITERS bisection
     steps between the last violating radius and the first radius past which
     all margins stay nonnegative.  ``envelope`` maps plant states (n, Q) to eta (n, Q).
-    Every shell, on the radius grid or in the bisection, calls it once per
-    plan time, so the report's work counts are
-    envelope_calls = (n_radii + bisection_steps) * len(times) and
-    states_evaluated = envelope_calls * n_dirs.
+    Every shell, on the radius grid or in the bisection, calls it once on
+    its states around all plan times, so the report's work counts are
+    envelope_calls = n_radii + bisection_steps and
+    states_evaluated = envelope_calls * n_dirs * len(times).
     """
     spec = spec or VerifySpec()
     n = desired.dim_state
@@ -208,18 +208,19 @@ def verify_dissipation_condition(
         """(min, mean) margin per plan time on the sphere of this radius.
 
         The gradient and quadratic term live in error coordinates, so they are
-        shared across plan times; only the envelope sees the plant state.
+        shared across plan times; only the envelope sees the plant state, and
+        one envelope call takes the shell around every plan time at once.
         """
         nonlocal envelope_calls
         xbar = radius * dirs
         grads = desired.hamiltonian_gradient(xbar)
         quad = np.einsum("iq,ij,jq->q", grads, desired.r, grads)
-        out = []
-        for center in centers.T:
-            m = quad - np.sum(np.abs(grads) * envelope(center[:, None] + xbar), axis=0)
-            envelope_calls += 1
-            out.append((float(np.min(m)), float(np.mean(m))))
-        return out
+        # states[:, t, q] = centre t + xbar_q
+        states = centers[:, :, None] + xbar[:, None, :]
+        eta = envelope(states.reshape(n, -1)).reshape(states.shape)
+        envelope_calls += 1
+        margins = quad - np.sum(np.abs(grads)[:, None, :] * eta, axis=0)
+        return [(float(np.min(m)), float(np.mean(m))) for m in margins]
 
     radii = np.linspace(spec.max_radius / spec.n_radii, spec.max_radius, spec.n_radii)
     rows = []
@@ -259,7 +260,7 @@ def verify_dissipation_condition(
         n_dirs=dirs.shape[1],
         max_radius=spec.max_radius,
         envelope_calls=envelope_calls,
-        states_evaluated=envelope_calls * dirs.shape[1],
+        states_evaluated=envelope_calls * dirs.shape[1] * times.size,
         bisection_steps=bisection_steps,
     )
 

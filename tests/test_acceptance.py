@@ -139,11 +139,11 @@ def production_loop(production_run):
     """Plant, model, desired dynamics, plan and closed-loop run rebuilt from the artifacts.
 
     The tests below recompute what the closed_loop and metrics stages wrote,
-    bit for bit, so they run on those stages' OpenBLAS thread counts.
+    bit for bit, so they run on the stages' one OpenBLAS thread.
     """
     workdir, _, _ = production_run
     plant, _ = build_plant(default_config())
-    with stage_blas_threads("metrics"):
+    with stage_blas_threads():
         model = load_model(workdir / "model.json")
         desired = load_desired(workdir, model.mean)
     plan = plan_from_csv(workdir / "plan.csv")
@@ -164,7 +164,7 @@ def test_criterion_1b_hd_monotone(production_run, production_loop):
     _, metrics, _ = production_run
     plant, model, desired, plan, traj = production_loop
     tol = metrics["lyapunov"]["tol"]
-    with stage_blas_threads("metrics"):
+    with stage_blas_threads():
         nominal = nominal_hd_increments(model.mean, desired, plan, traj)
         err, eta = drift_error_and_envelope(plant, model.mean, model.envelope, traj.states)
     nominal_events = int(np.sum(nominal > tol))
@@ -207,7 +207,7 @@ def test_criterion_1b_flags_dropped_feedforward(production_loop):
     def run(controller):
         return simulate_feedback(plant, x0, controller, (t0, t1), n_samples=cl["n_samples"])
 
-    with stage_blas_threads("closed_loop"):
+    with stage_blas_threads():
         production = run(law)
         faulty = run(dropped)
     tol = cl["hd_increase_tol"]

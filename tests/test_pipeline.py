@@ -12,16 +12,17 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from phs_lab import ConfigError, StageError, pipeline
+from phs_lab import ConfigError, StageError, gp, pipeline
 from phs_lab.cli import main
 from phs_lab.config import default_config, validate_config
 from phs_lab.core import simulate_feedback, trajectory_from_csv
 from phs_lab.pipeline import (
-    STAGE_BLAS_THREADS,
+    POSTERIOR_THREADS,
     STAGE_ORDER,
     build_input,
     build_plant,
@@ -341,10 +342,10 @@ def _counts(libs):
 
 
 def test_stage_blas_threads_table():
-    cores = len(os.sched_getaffinity(0))
-    for stage in STAGE_ORDER:
-        scipy_threads = min(2, cores) if stage == "verify" else 1
-        assert STAGE_BLAS_THREADS[stage] == {"numpy": 1, "scipy": scipy_threads}, stage
+    # one rule for every stage: both OpenBLAS libraries on one thread, and the
+    # second core, where there is one, to the posterior's helper thread
+    assert pipeline.BLAS_THREADS == 1
+    assert POSTERIOR_THREADS == min(2, len(os.sched_getaffinity(0)))
 
 
 def test_stage_sets_blas_threads_and_restores_them(openblas, monkeypatch, tmp_path):
@@ -352,7 +353,7 @@ def test_stage_sets_blas_threads_and_restores_them(openblas, monkeypatch, tmp_pa
 
     def probe(stage):
         def run(cfg, workdir):
-            seen[stage] = _counts(openblas)
+            seen[stage] = _counts(openblas), gp.posterior_threads()
             if stage == "plan":
                 raise RuntimeError("probe failure")
 
@@ -365,8 +366,9 @@ def test_stage_sets_blas_threads_and_restores_them(openblas, monkeypatch, tmp_pa
                 run_stage(mini_config(), str(tmp_path), stage)
         else:
             run_stage(mini_config(), str(tmp_path), stage)
-        assert seen[stage] == STAGE_BLAS_THREADS[stage], stage
+        assert seen[stage] == ({"numpy": 1, "scipy": 1}, POSTERIOR_THREADS), stage
         assert _counts(openblas) == {"numpy": 3, "scipy": 3}, stage
+        assert gp.posterior_threads() == 1
 
 
 def test_without_openblas_nothing_is_set_and_verify_records_null(mini_run, openblas, monkeypatch, tmp_path):
@@ -386,4 +388,46 @@ def test_without_openblas_nothing_is_set_and_verify_records_null(mini_run, openb
     with open(workdir / "verify_report.json") as fh:
         assert json.load(fh)["blas_threads"] == {"numpy": None, "scipy": None}
     with open(mini_run[0] / "verify_report.json") as fh:
-        assert json.load(fh)["blas_threads"] == STAGE_BLAS_THREADS["verify"]
+        recorded = json.load(fh)
+    assert recorded["blas_threads"] == {"numpy": 1, "scipy": 1}
+    assert recorded["posterior_threads"] == POSTERIOR_THREADS
+
+
+def test_verify_stage_writes_the_same_bytes_without_the_helper(mini_run, tmp_path):
+    # the mini verify shells hold 2 x 114 states, two posterior blocks, so
+    # through run_stage the helper takes one of them
+    workdir = tmp_path / "serial"
+    shutil.copytree(mini_run[0], workdir)
+    with pipeline.stage_blas_threads():
+        assert gp.posterior_threads() == 1
+        pipeline._STAGES["verify"](mini_config(), str(workdir))
+    assert (workdir / "margins.csv").read_bytes() == (mini_run[0] / "margins.csv").read_bytes()
+    with open(workdir / "verify_report.json") as fh:
+        serial = json.load(fh)
+    with open(mini_run[0] / "verify_report.json") as fh:
+        staged = json.load(fh)
+    assert serial.pop("posterior_threads") == 1
+    assert staged.pop("posterior_threads") == POSTERIOR_THREADS
+    assert serial == staged
+
+
+def test_run_stage_leaves_no_thread_behind(mini_run, monkeypatch, tmp_path):
+    workdir = tmp_path / "threads"
+    shutil.copytree(mini_run[0], workdir)
+    before = threading.active_count()
+    run_stage(mini_config(), str(workdir), "verify")
+    assert threading.active_count() == before
+    during = []
+
+    def failing(cfg, wd):
+        _, model, _ = pipeline.load_model_artifact(cfg, wd)
+        model.envelope(np.zeros((3, 3 * gp._VAR_CHUNK)))
+        during.append(threading.active_count())
+        raise RuntimeError("fails after a split query")
+
+    monkeypatch.setitem(pipeline._STAGES, "verify", failing)
+    with pytest.raises(StageError, match="fails after a split query"):
+        run_stage(mini_config(), str(workdir), "verify")
+    # the helper ran inside the stage and was joined when it failed
+    assert during == [before + POSTERIOR_THREADS - 1]
+    assert threading.active_count() == before

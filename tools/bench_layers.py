@@ -14,11 +14,15 @@ later ``plant.kind``, ``dataset.rtol``, ``dataset.atol``, ``train.gtol``,
 ``train.perturb_scale``, ``verify.bisect_iters``, ``closed_loop.rtol`` and
 ``closed_loop.atol``) fails with an unknown-key error and has to be
 regenerated into an empty directory.
-The process starts OpenBLAS on one thread.  The two Q = 2014 layers run
-inside the verify stage's thread context (``pipeline.stage_blas_threads``),
-as the verify stage runs them, and every layer records the thread counts it
-ran with (``blas_threads``).  Each layer reports the median and the minimum
-of ``--repeats`` timed calls after one untimed warm-up call:
+The process starts OpenBLAS on one thread, the count every stage runs
+both libraries on.  The layers of verify's shapes (``mean_var_q2014``,
+``envelope_q2014`` and ``verify_shell``) run inside a stage's thread
+context (``pipeline.stage_threads``), as the verify stage runs them: there,
+on a machine with two usable cores or more, a helper thread shares the
+blocks of ``gp._VAR_CHUNK`` states of a posterior query.  Every layer
+records the OpenBLAS thread counts (``blas_threads``) and the posterior's
+threads (``posterior_threads``) it ran with.  Each layer reports the median
+and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
 
 - ``nlml_grad_n300``: NLML plus gradient on the training set at the trained
   hyperparameters, every call on one ``kernels.TrainingPairs`` of the
@@ -34,8 +38,10 @@ of ``--repeats`` timed calls after one untimed warm-up call:
 - ``mean_var_q2014``: drift mean plus variance at 2014 states drawn
   uniformly in the training-data box (seeded), the size of one verify shell;
 - ``envelope_q2014``: the error envelope beta * var alone at the same 2014
-  states, the variance-only call that verify makes once per shell and plan
-  time (``envelope_calls`` in ``verify_report.json``);
+  states, the states of one shell around one plan time;
+- ``verify_shell``: the envelope at 5 x 2014 states drawn the same way, the
+  shape of the one call verify makes per shell, around all 5 plan times at
+  once (``envelope_calls`` in ``verify_report.json``);
 - ``energy_q9261``: the posterior energy H_hat on the desired stage's
   gate grid (``verify.GATE_RESOLUTION`` points per axis of
   [-``verify.GATE_BOUND``, ``verify.GATE_BOUND``], 21^3, shifted to the
@@ -77,7 +83,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from phs_lab import control, pipeline, verify  # noqa: E402
+from phs_lab import control, gp, pipeline, verify  # noqa: E402
 from phs_lab.config import validate_config  # noqa: E402
 from phs_lab.core import eval_dynamics  # noqa: E402
 from phs_lab.filtering import FilteredDataset  # noqa: E402
@@ -87,9 +93,11 @@ from phs_lab.kernels import TrainingPairs, factorize_gram  # noqa: E402
 NEEDED = ("config.json", "model.json", "filtered.csv", "hd_check.json", "plan.csv")
 N_STUDY = 100
 TRACED_LAYERS = ("nlml_grad_n300", "nlml_grad_n100")
-# layers timed on the verify stage's thread counts
-VERIFY_LAYERS = ("mean_var_q2014", "envelope_q2014")
+# layers timed inside a stage's thread context, as verify runs them
+VERIFY_LAYERS = ("mean_var_q2014", "envelope_q2014", "verify_shell")
 N_SHELL = 2014
+# plan times per verify shell in the default config (verify.n_times)
+N_TIMES = 5
 SHELL_SEED = 0
 PRODUCTION_SEED = 42
 
@@ -160,6 +168,7 @@ def layers(run_dir):
     lo, hi = dataset.states.min(axis=1), dataset.states.max(axis=1)
     rng = np.random.default_rng(SHELL_SEED)
     shell = lo[:, None] + (hi - lo)[:, None] * rng.uniform(size=(n, N_SHELL))
+    merged = lo[:, None] + (hi - lo)[:, None] * rng.uniform(size=(n, N_TIMES * N_SHELL))
 
     axes = [np.linspace(-verify.GATE_BOUND, verify.GATE_BOUND, verify.GATE_RESOLUTION)] * n
     gate_grid = desired.center[:, None] + np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
@@ -187,6 +196,7 @@ def layers(run_dir):
         "mean_q261": (f"Q = {plan.times.size}", lambda: eval_dynamics(mean, plan.xd.T, np.zeros(n_input))),
         "mean_var_q2014": (f"Q = {N_SHELL}", lambda: model.drift(shell)),
         "envelope_q2014": (f"Q = {N_SHELL}", lambda: model.envelope(shell)),
+        "verify_shell": (f"Q = {N_TIMES} x {N_SHELL}", lambda: model.envelope(merged)),
         "energy_q9261": (f"Q = {gate_grid.shape[1]}", lambda: model.hamiltonian(gate_grid)),
         "controller_q1": ("Q = 1", lambda: controller(x_off, t_mid)),
         "dynamics_q1": ("Q = 1", lambda: model.dynamics(x_off, np.zeros(n_input))),
@@ -207,9 +217,9 @@ def main(argv=None):
     ensure_run(args.run_dir)
     out = {"repeats": args.repeats, "layers": {}}
     for name, (shape, fn) in layers(args.run_dir).items():
-        with pipeline.stage_blas_threads("verify") if name in VERIFY_LAYERS else nullcontext():
-            threads = pipeline.blas_thread_counts()
-            out["layers"][name] = dict(shape=shape, blas_threads=threads, **time_calls(fn, args.repeats))
+        with pipeline.stage_threads() if name in VERIFY_LAYERS else nullcontext():
+            threads = dict(blas_threads=pipeline.blas_thread_counts(), posterior_threads=gp.posterior_threads())
+            out["layers"][name] = dict(shape=shape, **threads, **time_calls(fn, args.repeats))
         if name in TRACED_LAYERS:
             out["layers"][name]["minor_faults_per_call"] = minor_faults_per_call(fn, args.repeats)
             out["layers"][name]["peak_traced_mb"] = peak_traced_mb(fn)

@@ -22,9 +22,11 @@ run's artifacts (``metrics.json``, ``plan_summary.json``, ``plan.csv``,
 - ``stage_s``: each stage's wall seconds and their ``total``.
 
 The second form prints the JSON as one markdown table, failed checks in
-bold.  Each stage runs on its OpenBLAS thread counts from
-``pipeline.STAGE_BLAS_THREADS``, as in a production run, whatever
-OPENBLAS_NUM_THREADS says; the 11 seeds take about 3 minutes on two cores.
+bold.  Each stage runs as in a production run, whatever
+OPENBLAS_NUM_THREADS says: both OpenBLAS libraries on one thread, and on
+two cores a helper thread that shares the blocks of each posterior
+query (``pipeline.stage_threads``); the 11 seeds take about 3 minutes on
+two cores.
 """
 
 import argparse
