@@ -46,10 +46,12 @@ prior part sf^2 diag(S Lambda^-1 S^T) is a constant.
 
 The blocks of one query write disjoint rows of its results, so they can run
 on two threads.  Inside `posterior_helper` (the pipeline opens one per
-stage) a query of more than one block shares its blocks with one helper
-thread, each thread taking the next block when it is free;
+stage; on a process limited to one core it opens none) a query of more
+than one block shares its blocks with one helper thread, each thread
+taking the next block when it is free;
 kernels.trmm_lower and numpy's array operations release the GIL, so the
-block assembly and the multiply by L^-1 both use the second core.  The
+block assembly and the multiply by L^-1 both use the second core, which
+BLAS leaves free: `kernels` sets it to one thread when imported.  The
 mean's k @ w runs once over all Q states after the blocks, so neither
 the split nor the thread changes a bit of the result.
 
@@ -61,6 +63,7 @@ envelope ratio read the variance, through `GpPhsModel.envelope`.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -527,9 +530,14 @@ def posterior_helper():
     states splits its blocks with the helper (see `_split_blocks`).  The
     thread starts on the first such query and is joined when the body
     exits, also when it raises; when no query splits, no thread starts.
-    The blocks do not depend on the thread that runs them, so the results
-    are the same bits either way.
+    A process that may use one core only opens no helper, and its queries
+    run their blocks in order.  The blocks do not depend on the thread that
+    runs them, so the results are the same bits either way.
     """
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if usable < 2:
+        yield
+        return
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="phs-lab-posterior") as pool:
         token = _HELPER.set(pool)
         try:
@@ -541,7 +549,7 @@ def posterior_helper():
 def posterior_threads():
     """The threads a posterior query made here splits its blocks over.
 
-    2 inside a `posterior_helper`, 1 elsewhere.
+    2 inside a `posterior_helper` on two cores or more, 1 elsewhere.
     """
     return 1 if _HELPER.get() is None else 2
 

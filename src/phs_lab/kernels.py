@@ -25,11 +25,17 @@ triangular inverse that calls BLAS and LAPACK in place on blocks of the
 factor, and `trmm_lower` multiplies by a lower triangle in place.  Both
 reach scipy's BLAS and LAPACK through ctypes, which releases the GIL for
 the call, so two Python threads can run them at once.
+
+Importing this module sets both bundled OpenBLAS libraries, numpy's and
+scipy's, to one thread, once for the process, so every call of the package
+rounds the same whatever OPENBLAS_NUM_THREADS says; `blas_thread_counts`
+reads the counts back.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,6 +52,7 @@ __all__ = [
     "factorize_gram",
     "invert_lower",
     "trmm_lower",
+    "blas_thread_counts",
 ]
 
 
@@ -288,6 +295,44 @@ _AT_L, _AT_N, _AT_ONE = (ctypes.addressof(c) for c in (_L, _N, _ONE))
 _TRMM_SIZES, _INT_BYTES = ctypes.c_int * 4, ctypes.sizeof(ctypes.c_int)
 # diagonal blocks of at most this order are inverted by LAPACK trtri
 _INVERSE_LEAF = 64
+
+# (library, a module linked against it, its symbol suffix): the OpenBLAS
+# builds bundled with numpy and scipy.  dlsym on a module's handle also
+# searches the libraries the module links.
+_OPENBLAS_MODULES = (
+    ("numpy", "numpy._core._multiarray_umath", "64_"),
+    ("scipy", "scipy.linalg.cython_blas", ""),
+)
+
+
+def _find_openblas():
+    """library -> (set_num_threads, get_num_threads) of each bundled OpenBLAS found."""
+    found = {}
+    for name, module, suffix in _OPENBLAS_MODULES:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            set_threads = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            get_threads = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+        except (ImportError, OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        found[name] = (set_threads, get_threads)
+    return found
+
+
+_OPENBLAS = _find_openblas()
+# BLAS rounds a product differently when it splits the work across threads,
+# so the package runs each OpenBLAS found on one thread, set here once and
+# never read from the environment; the second core goes to the posterior's
+# helper thread instead (gp.posterior_helper)
+for _set_threads, _ in _OPENBLAS.values():
+    _set_threads(1)
+
+
+def blas_thread_counts():
+    """The current thread count of each bundled OpenBLAS, None for one not found."""
+    return {name: _OPENBLAS[name][1]() if name in _OPENBLAS else None for name, _, _ in _OPENBLAS_MODULES}
 
 
 def invert_lower(factor):

@@ -21,20 +21,16 @@ metrics artifact is bit-identical across machines.  Every file is read and
 written through ``artifacts``: a write replaces its target atomically, and a
 stage that reads a missing, ragged or non-finite upstream file fails naming it.
 
-Each stage runs both bundled OpenBLAS libraries (numpy's and scipy's) on one
-thread, set for the stage and restored after it, so the artifacts do not
-depend on OPENBLAS_NUM_THREADS; on two cores or more a helper thread, joined
-when the stage ends, shares the blocks of each posterior query
-(``stage_threads``).
+Each stage runs inside `gp.posterior_helper`: on two cores or more a helper
+thread, joined when the stage ends, shares the blocks of each posterior
+query.  BLAS runs on one thread, set once for the package when `kernels`
+is imported, so the artifacts do not depend on OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
-import ctypes
-import importlib
 import os
 import time
-from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -62,6 +58,7 @@ from .core import (
 )
 from .errors import ConfigError, StageError
 from .filtering import FilteredDataset, filter_derivatives, filtered_from_csv, filtered_to_csv
+from .kernels import blas_thread_counts
 from .structure import MicroactuatorStructure, StructureEstimate
 from .verify import VerifySpec, build_desired_dynamics, verify_dissipation_condition
 
@@ -432,87 +429,10 @@ def _check_stages(stages):
         raise ConfigError(f"unknown stages: {unknown} (expected names from {STAGE_ORDER})")
 
 
-def _usable_cores():
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-# Every stage runs each bundled OpenBLAS on one thread.  The count is set,
-# never read from the environment, because BLAS rounds a product differently
-# when it splits the work across threads.  The second core goes to the
-# posterior instead: a helper thread shares the blocks of a query
-# (gp.posterior_helper), so the block assembly runs on both cores as well as
-# the multiply by L^-1, and the blocks round the same on either thread.
-BLAS_THREADS = 1
-# the threads a posterior query splits its blocks over in a stage: the
-# caller, plus the helper when the process may use two cores or more
-POSTERIOR_THREADS = min(2, _usable_cores())
-
-# (library, a module linked against it, its symbol suffix): the OpenBLAS
-# builds bundled with numpy and scipy.  dlsym on a module's handle also
-# searches the libraries the module links.
-_OPENBLAS_MODULES = (
-    ("numpy", "numpy._core._multiarray_umath", "64_"),
-    ("scipy", "scipy.linalg.cython_blas", ""),
-)
-
-
-def _find_openblas():
-    """library -> (set_num_threads, get_num_threads) of each bundled OpenBLAS found."""
-    found = {}
-    for name, module, suffix in _OPENBLAS_MODULES:
-        try:
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
-            set_threads = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
-            get_threads = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
-        except (ImportError, OSError, AttributeError):
-            continue
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        found[name] = (set_threads, get_threads)
-    return found
-
-
-_OPENBLAS = _find_openblas()
-
-
-def blas_thread_counts():
-    """The current thread count of each bundled OpenBLAS, None for one not found."""
-    return {name: _OPENBLAS[name][1]() if name in _OPENBLAS else None for name, _, _ in _OPENBLAS_MODULES}
-
-
-@contextmanager
-def stage_blas_threads():
-    """Run the body with each OpenBLAS found on BLAS_THREADS threads.
-
-    The previous counts are restored on exit, also when the body raises.
-    """
-    previous = {name: get() for name, (_, get) in _OPENBLAS.items()}
-    try:
-        for set_threads, _ in _OPENBLAS.values():
-            set_threads(BLAS_THREADS)
-        yield
-    finally:
-        for name, count in previous.items():
-            _OPENBLAS[name][0](count)
-
-
-@contextmanager
-def stage_threads():
-    """Run the body on the threads of a stage.
-
-    Each OpenBLAS found runs on BLAS_THREADS threads (stage_blas_threads)
-    and, when POSTERIOR_THREADS is 2, posterior queries split their blocks
-    with one helper thread, joined on exit (gp.posterior_helper).
-    """
-    helper = gp_mod.posterior_helper() if POSTERIOR_THREADS > 1 else nullcontext()
-    with stage_blas_threads(), helper:
-        yield
-
-
 def run_stage(cfg, workdir, stage):
     _check_stages([stage])
     try:
-        with stage_threads():
+        with gp_mod.posterior_helper():
             return _STAGES[stage](cfg, workdir)
     except Exception as exc:
         raise StageError(stage, exc) from exc

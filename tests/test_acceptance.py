@@ -46,7 +46,7 @@ from phs_lab.gp import (
     negative_log_marginal_likelihood,
     train,
 )
-from phs_lab.pipeline import build_plant, load_desired, run_pipeline, stage_blas_threads
+from phs_lab.pipeline import build_plant, load_desired, run_pipeline
 from phs_lab.structure import MicroactuatorStructure, StructureEstimate
 from phs_lab.verify import VerifySpec, verify_dissipation_condition
 
@@ -139,13 +139,12 @@ def production_loop(production_run):
     """Plant, model, desired dynamics, plan and closed-loop run rebuilt from the artifacts.
 
     The tests below recompute what the closed_loop and metrics stages wrote,
-    bit for bit, so they run on the stages' one OpenBLAS thread.
+    bit for bit; like the stages, they run BLAS on the package's one thread.
     """
     workdir, _, _ = production_run
     plant, _ = build_plant(default_config())
-    with stage_blas_threads():
-        model = load_model(workdir / "model.json")
-        desired = load_desired(workdir, model.mean)
+    model = load_model(workdir / "model.json")
+    desired = load_desired(workdir, model.mean)
     plan = plan_from_csv(workdir / "plan.csv")
     traj = trajectory_from_csv(workdir / "closedloop.csv")
     return plant, model, desired, plan, traj
@@ -164,9 +163,8 @@ def test_criterion_1b_hd_monotone(production_run, production_loop):
     _, metrics, _ = production_run
     plant, model, desired, plan, traj = production_loop
     tol = metrics["lyapunov"]["tol"]
-    with stage_blas_threads():
-        nominal = nominal_hd_increments(model.mean, desired, plan, traj)
-        err, eta = drift_error_and_envelope(plant, model.mean, model.envelope, traj.states)
+    nominal = nominal_hd_increments(model.mean, desired, plan, traj)
+    err, eta = drift_error_and_envelope(plant, model.mean, model.envelope, traj.states)
     nominal_events = int(np.sum(nominal > tol))
     covered = bool(np.all(err <= eta))
     ratio = float(np.max(err / eta))
@@ -207,9 +205,8 @@ def test_criterion_1b_flags_dropped_feedforward(production_loop):
     def run(controller):
         return simulate_feedback(plant, x0, controller, (t0, t1), n_samples=cl["n_samples"])
 
-    with stage_blas_threads():
-        production = run(law)
-        faulty = run(dropped)
+    production = run(law)
+    faulty = run(dropped)
     tol = cl["hd_increase_tol"]
     nominal_ok = nominal_hd_increments(model.mean, desired, plan, production)
     nominal_bad = nominal_hd_increments(model.mean, desired, plan, faulty)

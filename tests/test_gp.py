@@ -5,6 +5,8 @@ code (dense loops, no shared helpers) so the two routes can disagree.
 """
 
 import json
+import os
+import subprocess
 import sys
 import threading
 from types import SimpleNamespace
@@ -527,8 +529,67 @@ def test_envelope_scales_with_beta(small_model):
     small_model.beta = np.ones(3)
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# criterion 7's N = 100 fit with one restart: the thread counts right after
+# `import phs_lab`, then the NLML and alpha bits, on one line of JSON
+_TRAIN_SCRIPT = """
+import json
+import numpy as np
+import phs_lab
+from phs_lab import kernels
+from phs_lab.core import eval_dynamics
+from phs_lab.filtering import FilteredDataset
+from phs_lab.gp import GpHyperparams, OptimizerConfig, train
+from phs_lab.structure import MicroactuatorStructure, StructureEstimate
+
+counts = kernels.blas_thread_counts()
+plant = phs_lab.make_microactuator(phs_lab.MicroactuatorParams())
+sin_input = lambda x, t: np.array([np.sin(t)])
+traj = phs_lab.simulate_feedback(plant, np.array([0.0, 0.0, 1.0]), sin_input, (0.0, 20.0), n_samples=100)
+ds = FilteredDataset(
+    states=traj.states.T,
+    derivatives=eval_dynamics(plant, traj.states.T, traj.inputs.T),
+    inputs=traj.inputs.T,
+    times=traj.times,
+)
+family = MicroactuatorStructure()
+init = GpHyperparams(
+    sigma_f=1.0,
+    lengthscales=np.ones(3),
+    noise_var=np.full(3, 1e-2),
+    structure=StructureEstimate(family=family, phi=family.default_phi()),
+)
+model = train(ds, init, optimizer_config=OptimizerConfig(restarts=1), rng=np.random.default_rng(100))
+print(json.dumps({"counts": counts, "nlml": model.nlml.hex(), "alpha": model.alpha.tobytes().hex()}))
+"""
+
+
+def _train_in_subprocess(threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _TRAIN_SCRIPT], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_training_does_not_depend_on_blas_environment():
+    # importing the package sets both OpenBLAS libraries to one thread, so a
+    # fit outside the pipeline's stages gives the same bits whatever the
+    # environment asks for
+    runs = {threads: _train_in_subprocess(threads) for threads in (1, 2, 3)}
+    for threads, run in runs.items():
+        assert run.pop("counts") == {"numpy": 1, "scipy": 1}, threads
+    assert runs[1] == runs[2] == runs[3]
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """The helper's thread, whatever number of cores this process may use."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 @pytest.mark.parametrize("mean, var", [(True, True), (True, False), (False, True)])
-def test_posterior_helper_gives_the_same_bits(small_model, mean, var):
+def test_posterior_helper_gives_the_same_bits(small_model, mean, var, two_cores):
     # three full _VAR_CHUNK blocks and a tail, shared by the caller and the
     # helper; each block rounds the same on either thread, and k @ w still
     # runs once over all states.  A short switch interval interleaves the two
@@ -553,14 +614,27 @@ def test_posterior_helper_gives_the_same_bits(small_model, mean, var):
             np.testing.assert_array_equal(got, expected)
 
 
-def test_posterior_helper_starts_no_thread_for_one_block(small_model):
+def test_posterior_helper_starts_no_thread_on_one_core(small_model, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    xq = np.random.default_rng(14).uniform(-0.5, 1.5, size=(3, 3 * gp_mod._VAR_CHUNK))
+    serial = small_model._posterior(xq, mean=True, var=True)
+    before = threading.active_count()
+    with posterior_helper():
+        assert posterior_threads() == 1
+        split = small_model._posterior(xq, mean=True, var=True)
+        assert threading.active_count() == before
+    for got, expected in zip(split, serial):
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_posterior_helper_starts_no_thread_for_one_block(small_model, two_cores):
     before = threading.active_count()
     with posterior_helper():
         small_model.drift(np.zeros((3, gp_mod._VAR_CHUNK)))
         assert threading.active_count() == before
 
 
-def test_block_error_on_the_helper_is_raised_by_the_caller():
+def test_block_error_on_the_helper_is_raised_by_the_caller(two_cores):
     # the caller holds its first block until the helper has taken one, which
     # fails; the caller runs every other block and then raises the failure
     helper_failed = threading.Event()

@@ -5,8 +5,6 @@ certificate, closed loop) but shrinks the dataset and grids so two full runs
 cost about a second.
 """
 
-import ctypes
-import importlib
 import json
 import os
 import shutil
@@ -17,12 +15,11 @@ import threading
 import numpy as np
 import pytest
 
-from phs_lab import ConfigError, StageError, gp, pipeline
+from phs_lab import ConfigError, StageError, gp, kernels, pipeline
 from phs_lab.cli import main
 from phs_lab.config import default_config, validate_config
 from phs_lab.core import simulate_feedback, trajectory_from_csv
 from phs_lab.pipeline import (
-    POSTERIOR_THREADS,
     STAGE_ORDER,
     build_input,
     build_plant,
@@ -33,6 +30,9 @@ from phs_lab.pipeline import (
 )
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# the threads a stage's posterior queries split their blocks over: the
+# caller, plus gp.posterior_helper's thread on two cores or more
+POSTERIOR_THREADS = min(2, len(os.sched_getaffinity(0)))
 
 MINI_OVERRIDES = {
     "seed": 3,
@@ -316,75 +316,11 @@ def test_artifacts_do_not_depend_on_blas_environment(tmp_path):
     assert not differing, f"artifacts differ between OPENBLAS_NUM_THREADS=1 and =2: {differing}"
 
 
-def _openblas(module, suffix):
-    """(set, get) of the thread count of the OpenBLAS that ``module`` links."""
-    lib = ctypes.CDLL(importlib.import_module(module).__file__)
-    return getattr(lib, "scipy_openblas_set_num_threads" + suffix), getattr(lib, "scipy_openblas_get_num_threads" + suffix)
-
-
-@pytest.fixture
-def openblas():
-    """Both bundled OpenBLAS libraries, held at 3 threads (a count no stage uses) for the test."""
-    libs = {
-        "numpy": _openblas("numpy._core._multiarray_umath", "64_"),
-        "scipy": _openblas("scipy.linalg.cython_blas", ""),
-    }
-    before = {name: get() for name, (_, get) in libs.items()}
-    for set_threads, _ in libs.values():
-        set_threads(3)
-    yield libs
-    for name, (set_threads, _) in libs.items():
-        set_threads(before[name])
-
-
-def _counts(libs):
-    return {name: get() for name, (_, get) in libs.items()}
-
-
-def test_stage_blas_threads_table():
-    # one rule for every stage: both OpenBLAS libraries on one thread, and the
-    # second core, where there is one, to the posterior's helper thread
-    assert pipeline.BLAS_THREADS == 1
-    assert POSTERIOR_THREADS == min(2, len(os.sched_getaffinity(0)))
-
-
-def test_stage_sets_blas_threads_and_restores_them(openblas, monkeypatch, tmp_path):
-    seen = {}
-
-    def probe(stage):
-        def run(cfg, workdir):
-            seen[stage] = _counts(openblas), gp.posterior_threads()
-            if stage == "plan":
-                raise RuntimeError("probe failure")
-
-        return run
-
-    for stage in STAGE_ORDER:
-        monkeypatch.setitem(pipeline._STAGES, stage, probe(stage))
-        if stage == "plan":
-            with pytest.raises(StageError):
-                run_stage(mini_config(), str(tmp_path), stage)
-        else:
-            run_stage(mini_config(), str(tmp_path), stage)
-        assert seen[stage] == ({"numpy": 1, "scipy": 1}, POSTERIOR_THREADS), stage
-        assert _counts(openblas) == {"numpy": 3, "scipy": 3}, stage
-        assert gp.posterior_threads() == 1
-
-
-def test_without_openblas_nothing_is_set_and_verify_records_null(mini_run, openblas, monkeypatch, tmp_path):
+def test_without_openblas_nothing_is_set_and_verify_records_null(mini_run, monkeypatch, tmp_path):
     workdir = tmp_path / "no_blas"
     shutil.copytree(mini_run[0], workdir)
-    monkeypatch.setattr(pipeline, "_OPENBLAS", {})
-    seen = []
-    verify = pipeline._STAGES["verify"]
-
-    def probed_verify(cfg, wd):
-        seen.append(_counts(openblas))
-        return verify(cfg, wd)
-
-    monkeypatch.setitem(pipeline._STAGES, "verify", probed_verify)
+    monkeypatch.setattr(kernels, "_OPENBLAS", {})
     run_stage(mini_config(), str(workdir), "verify")
-    assert seen == [{"numpy": 3, "scipy": 3}]
     with open(workdir / "verify_report.json") as fh:
         assert json.load(fh)["blas_threads"] == {"numpy": None, "scipy": None}
     with open(mini_run[0] / "verify_report.json") as fh:
@@ -398,9 +334,8 @@ def test_verify_stage_writes_the_same_bytes_without_the_helper(mini_run, tmp_pat
     # through run_stage the helper takes one of them
     workdir = tmp_path / "serial"
     shutil.copytree(mini_run[0], workdir)
-    with pipeline.stage_blas_threads():
-        assert gp.posterior_threads() == 1
-        pipeline._STAGES["verify"](mini_config(), str(workdir))
+    assert gp.posterior_threads() == 1
+    pipeline._STAGES["verify"](mini_config(), str(workdir))
     assert (workdir / "margins.csv").read_bytes() == (mini_run[0] / "margins.csv").read_bytes()
     with open(workdir / "verify_report.json") as fh:
         serial = json.load(fh)

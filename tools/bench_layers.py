@@ -14,15 +14,16 @@ later ``plant.kind``, ``dataset.rtol``, ``dataset.atol``, ``train.gtol``,
 ``train.perturb_scale``, ``verify.bisect_iters``, ``closed_loop.rtol`` and
 ``closed_loop.atol``) fails with an unknown-key error and has to be
 regenerated into an empty directory.
-The process starts OpenBLAS on one thread, the count every stage runs
-both libraries on.  The layers of verify's shapes (``mean_var_q2014``,
-``envelope_q2014`` and ``verify_shell``) run inside a stage's thread
-context (``pipeline.stage_threads``), as the verify stage runs them: there,
-on a machine with two usable cores or more, a helper thread shares the
-blocks of ``gp._VAR_CHUNK`` states of a posterior query.  Every layer
-records the OpenBLAS thread counts (``blas_threads``) and the posterior's
-threads (``posterior_threads``) it ran with.  Each layer reports the median
-and the minimum of ``--repeats`` timed calls after one untimed warm-up call:
+Importing the package sets both OpenBLAS libraries to one thread, as every
+call of it runs.  Every layer runs inside ``gp.posterior_helper``, as each
+pipeline stage runs: on a machine with two usable cores or more, a helper
+thread shares the blocks of ``gp._VAR_CHUNK`` states of a posterior query,
+so the multi-block queries (``mean_q261``, the verify shapes and
+``energy_q9261``) split as the plan, desired and verify stages split them.
+Every layer records the OpenBLAS thread counts (``blas_threads``) and the
+posterior's threads (``posterior_threads``) it ran with.  Each layer
+reports the median and the minimum of ``--repeats`` timed calls after one
+untimed warm-up call:
 
 - ``nlml_grad_n300``: NLML plus gradient on the training set at the trained
   hyperparameters, every call on one ``kernels.TrainingPairs`` of the
@@ -63,20 +64,14 @@ so they count what every later call of a fit allocates and touches anew.
 The last line of standard output is one JSON object.
 """
 
+import argparse
+import json
 import os
-
-# set before numpy loads
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import json  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-import tracemalloc  # noqa: E402
-from contextlib import nullcontext  # noqa: E402
+import resource
+import statistics
+import sys
+import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -88,13 +83,11 @@ from phs_lab.config import validate_config  # noqa: E402
 from phs_lab.core import eval_dynamics  # noqa: E402
 from phs_lab.filtering import FilteredDataset  # noqa: E402
 from phs_lab.gp import _invert_factor, load_model, negative_log_marginal_likelihood  # noqa: E402
-from phs_lab.kernels import TrainingPairs, factorize_gram  # noqa: E402
+from phs_lab.kernels import TrainingPairs, blas_thread_counts, factorize_gram  # noqa: E402
 
 NEEDED = ("config.json", "model.json", "filtered.csv", "hd_check.json", "plan.csv")
 N_STUDY = 100
 TRACED_LAYERS = ("nlml_grad_n300", "nlml_grad_n100")
-# layers timed inside a stage's thread context, as verify runs them
-VERIFY_LAYERS = ("mean_var_q2014", "envelope_q2014", "verify_shell")
 N_SHELL = 2014
 # plan times per verify shell in the default config (verify.n_times)
 N_TIMES = 5
@@ -216,13 +209,13 @@ def main(argv=None):
         parser.error("--repeats must be at least 1")
     ensure_run(args.run_dir)
     out = {"repeats": args.repeats, "layers": {}}
-    for name, (shape, fn) in layers(args.run_dir).items():
-        with pipeline.stage_threads() if name in VERIFY_LAYERS else nullcontext():
-            threads = dict(blas_threads=pipeline.blas_thread_counts(), posterior_threads=gp.posterior_threads())
+    with gp.posterior_helper():
+        for name, (shape, fn) in layers(args.run_dir).items():
+            threads = dict(blas_threads=blas_thread_counts(), posterior_threads=gp.posterior_threads())
             out["layers"][name] = dict(shape=shape, **threads, **time_calls(fn, args.repeats))
-        if name in TRACED_LAYERS:
-            out["layers"][name]["minor_faults_per_call"] = minor_faults_per_call(fn, args.repeats)
-            out["layers"][name]["peak_traced_mb"] = peak_traced_mb(fn)
+            if name in TRACED_LAYERS:
+                out["layers"][name]["minor_faults_per_call"] = minor_faults_per_call(fn, args.repeats)
+                out["layers"][name]["peak_traced_mb"] = peak_traced_mb(fn)
     print(json.dumps(out))
 
 

@@ -23,10 +23,11 @@ run's artifacts (``metrics.json``, ``plan_summary.json``, ``plan.csv``,
 
 The second form prints the JSON as one markdown table, failed checks in
 bold.  Each stage runs as in a production run, whatever
-OPENBLAS_NUM_THREADS says: both OpenBLAS libraries on one thread, and on
-two cores a helper thread that shares the blocks of each posterior
-query (``pipeline.stage_threads``); the 11 seeds take about 3 minutes on
-two cores.
+OPENBLAS_NUM_THREADS says: both OpenBLAS libraries on one thread (set
+when the package is imported), and on two cores a helper thread that
+shares the blocks of each posterior query (``gp.posterior_helper``, which
+``pipeline.run_stage`` opens); the 11 seeds take about 3 minutes on two
+cores.
 """
 
 import argparse
