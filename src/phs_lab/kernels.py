@@ -22,9 +22,7 @@ model loading all build through it, and `gram_matrix` mirrors its lower
 triangle to the full symmetric matrix for callers that need one.
 `invert_lower` is the one inverse of a Cholesky factor, a recursive blocked
 triangular inverse that calls BLAS and LAPACK in place on blocks of the
-factor, and `trmm_lower` multiplies by a lower triangle in place.  Both
-reach scipy's BLAS and LAPACK through ctypes, which releases the GIL for
-the call, so two Python threads can run them at once.
+factor.
 
 Importing this module sets both bundled OpenBLAS libraries, numpy's and
 scipy's, to one thread, once for the process, so every call of the package
@@ -51,7 +49,6 @@ __all__ = [
     "gram_matrix",
     "factorize_gram",
     "invert_lower",
-    "trmm_lower",
     "blas_thread_counts",
 ]
 
@@ -291,8 +288,6 @@ _TRTRI = _lapack_routine(cython_lapack, "dtrtri", 6)
 _TRMM = _lapack_routine(cython_blas, "dtrmm", 11)
 _L, _R, _N = (ctypes.c_char(c) for c in (b"L", b"R", b"N"))
 _ONE, _MINUS_ONE = ctypes.c_double(1.0), ctypes.c_double(-1.0)
-_AT_L, _AT_N, _AT_ONE = (ctypes.addressof(c) for c in (_L, _N, _ONE))
-_TRMM_SIZES, _INT_BYTES = ctypes.c_int * 4, ctypes.sizeof(ctypes.c_int)
 # diagonal blocks of at most this order are inverted by LAPACK trtri
 _INVERSE_LEAF = 64
 
@@ -324,8 +319,7 @@ def _find_openblas():
 _OPENBLAS = _find_openblas()
 # BLAS rounds a product differently when it splits the work across threads,
 # so the package runs each OpenBLAS found on one thread, set here once and
-# never read from the environment; the second core goes to the posterior's
-# helper thread instead (gp.posterior_helper)
+# never read from the environment
 for _set_threads, _ in _OPENBLAS.values():
     _set_threads(1)
 
@@ -353,28 +347,6 @@ def invert_lower(factor):
         raise ValueError("factor must be a writeable float64 array")
     _invert_block(factor.ctypes.data, factor.shape[0], 0, factor.shape[0])
     return factor
-
-
-def trmm_lower(a, b):
-    """b <- a b in place, for the lower triangle of the square Fortran-ordered ``a``.
-
-    One BLAS trmm call on scipy's library, the routine that
-    scipy.linalg.blas.dtrmm(1.0, a, b, lower=1, overwrite_b=1) wraps, with
-    the GIL released.  The strict upper triangle of ``a`` is not read.
-    ``b`` is a writeable Fortran-ordered float64 array with as many rows as
-    ``a``.  Returns ``b``.
-    """
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.flags.f_contiguous or a.dtype != np.float64:
-        raise ValueError("a must be a square Fortran-ordered float64 array")
-    if b.ndim != 2 or b.shape[0] != a.shape[0]:
-        raise ValueError(f"b must be a 2-D array with {a.shape[0]} rows")
-    if not b.flags.f_contiguous or b.dtype != np.float64 or not b.flags.writeable:
-        raise ValueError("b must be a writeable Fortran-ordered float64 array")
-    # the sizes m, n, lda, ldb in one int array, every argument passed as an address
-    sizes = _TRMM_SIZES(*b.shape, max(1, a.shape[0]), max(1, b.shape[0]))
-    m, n, lda, ldb = (ctypes.addressof(sizes) + i * _INT_BYTES for i in range(4))
-    _TRMM(_AT_L, _AT_L, _AT_N, _AT_N, m, n, _AT_ONE, a.ctypes.data, lda, b.ctypes.data, ldb)
-    return b
 
 
 def _invert_block(base, ld, start, order):

@@ -21,10 +21,8 @@ metrics artifact is bit-identical across machines.  Every file is read and
 written through ``artifacts``: a write replaces its target atomically, and a
 stage that reads a missing, ragged or non-finite upstream file fails naming it.
 
-Each stage runs inside `gp.posterior_helper`: on two cores or more a helper
-thread, joined when the stage ends, shares the blocks of each posterior
-query.  BLAS runs on one thread, set once for the package when `kernels`
-is imported, so the artifacts do not depend on OPENBLAS_NUM_THREADS.
+BLAS runs on one thread, set once for the package when `kernels` is
+imported, so the artifacts do not depend on OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -278,8 +276,10 @@ def stage_verify(cfg, workdir):
     spec = VerifySpec(**cfg["verify"], seed=_stage_seed(cfg, "verify"))
     envelope = _zero_envelope if gp is None else gp.envelope
     report = verify_dissipation_condition(envelope, desired, plan, spec)
-    threads = {"blas_threads": blas_thread_counts(), "posterior_threads": gp_mod.posterior_threads()}
-    write_json(os.path.join(workdir, "verify_report.json"), dict(report.to_jsonable(), **threads))
+    write_json(
+        os.path.join(workdir, "verify_report.json"),
+        dict(report.to_jsonable(), blas_threads=blas_thread_counts()),
+    )
     report.margins_to_csv(os.path.join(workdir, "margins.csv"))
     write_text(os.path.join(workdir, "verify_summary.txt"), report.to_text() + "\n")
 
@@ -432,8 +432,7 @@ def _check_stages(stages):
 def run_stage(cfg, workdir, stage):
     _check_stages([stage])
     try:
-        with gp_mod.posterior_helper():
-            return _STAGES[stage](cfg, workdir)
+        return _STAGES[stage](cfg, workdir)
     except Exception as exc:
         raise StageError(stage, exc) from exc
 

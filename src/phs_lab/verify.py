@@ -13,7 +13,10 @@ Two checks gate a controller before it is trusted:
   exact model).
   The condition is probed on spheres of increasing radius around the
   reference; the certificate radius eps is the smallest radius beyond which
-  every sampled margin is nonnegative.
+  every sampled margin is nonnegative.  The deterministic directions (signed
+  axes and hypercube corners) go first: a negative margin among them on the
+  largest sphere is a violating state, so it decides `unbounded` without the
+  random scan.  That is a refutation, never a certificate.
 """
 
 from __future__ import annotations
@@ -133,6 +136,11 @@ class ConditionReport:
     envelope_calls: int
     states_evaluated: int
     bisection_steps: int
+    # whether the random scan ran; when it did not, the deterministic state
+    # with the most negative margin on the largest sphere (radius, plan
+    # time, direction, margin) decided the verdict
+    scan: bool
+    witness: Optional[dict]
 
     def to_text(self) -> str:
         lines = []
@@ -145,9 +153,17 @@ class ConditionReport:
             )
         else:
             lines.append(f"dissipation condition: holds outside radius eps = {self.epsilon:.6g}")
+        if self.witness is not None:
+            w = self.witness
+            lines.append(
+                f"verdict from a witness: margin {w['margin']:.6g} at radius {w['radius']:.6g}, "
+                f"plan time {w['time']:.6g}, direction [{', '.join(f'{v:.6g}' for v in w['direction'])}]; "
+                "the random scan did not run"
+            )
+        kind = "deterministic directions (axes and corners)" if not self.scan else "directions"
         lines.append(
             f"radius grid: {self.radii[0]:.6g} .. {self.radii[-1]:.6g} ({self.radii.size} points), "
-            f"{self.n_dirs} directions per radius, {self.times.size} reference times"
+            f"{self.n_dirs} {kind} per radius, {self.times.size} reference times"
         )
         i_worst = int(np.argmin(self.min_margin_per_radius))
         lines.append(
@@ -173,6 +189,8 @@ class ConditionReport:
             "envelope_calls": int(self.envelope_calls),
             "states_evaluated": int(self.states_evaluated),
             "bisection_steps": int(self.bisection_steps),
+            "scan": bool(self.scan),
+            "witness": self.witness,
         }
 
 
@@ -185,13 +203,19 @@ def verify_dissipation_condition(
     """Sample the robust dissipation margin of the target loop ``desired`` around the reference.
 
     Directions mix deterministic axis/corner probes with Monte-Carlo sphere
-    samples; the certificate radius is refined by BISECT_ITERS bisection
-    steps between the last violating radius and the first radius past which
-    all margins stay nonnegative.  ``envelope`` maps plant states (n, Q) to eta (n, Q).
-    Every shell, on the radius grid or in the bisection, calls it once on
-    its states around all plan times, so the report's work counts are
-    envelope_calls = n_radii + bisection_steps and
-    states_evaluated = envelope_calls * n_dirs * len(times).
+    samples.  The 2n + 2^n deterministic ones are evaluated first, on every
+    radius and plan time in one envelope call; when their margin is negative
+    on the largest sphere the verdict is `unbounded`, the report holds their
+    minima and names the most negative one as its witness, and the random
+    scan does not run.  Otherwise every shell of the radius grid is scanned
+    over all directions, and the certificate radius is refined by
+    BISECT_ITERS bisection steps between the last violating radius and the
+    first radius past which all margins stay nonnegative.  ``envelope`` maps
+    plant states (n, Q) to eta (n, Q); a scanned shell, on the grid or in
+    the bisection, calls it once on its states around all plan times.  The
+    report's work counts are what ran: envelope_calls = 1 without the scan
+    and 1 + n_radii + bisection_steps with it, and states_evaluated sums the
+    states of those calls.
     """
     spec = spec or VerifySpec()
     n = desired.dim_state
@@ -203,31 +227,52 @@ def verify_dissipation_condition(
     centers = np.stack([plan.x_d(t) for t in times], axis=1)
 
     envelope_calls = 0
+    states_evaluated = 0
 
-    def shell_margins(radius: float):
-        """(min, mean) margin per plan time on the sphere of this radius.
+    def shell_margins(radii, block):
+        """Margins (n_times, len(radii), Q) at every plan time + radius * direction of ``block`` (n, Q).
 
         The gradient and quadratic term live in error coordinates, so they are
         shared across plan times; only the envelope sees the plant state, and
-        one envelope call takes the shell around every plan time at once.
+        one envelope call takes every shell around every plan time at once.
         """
-        nonlocal envelope_calls
-        xbar = radius * dirs
+        nonlocal envelope_calls, states_evaluated
+        xbar = (block[:, None, :] * radii[None, :, None]).reshape(n, -1)
         grads = desired.hamiltonian_gradient(xbar)
         quad = np.einsum("iq,ij,jq->q", grads, desired.r, grads)
         # states[:, t, q] = centre t + xbar_q
         states = centers[:, :, None] + xbar[:, None, :]
         eta = envelope(states.reshape(n, -1)).reshape(states.shape)
         envelope_calls += 1
+        states_evaluated += xbar.shape[1] * times.size
         margins = quad - np.sum(np.abs(grads)[:, None, :] * eta, axis=0)
-        return [(float(np.min(m)), float(np.mean(m))) for m in margins]
+        return margins.reshape(times.size, radii.size, block.shape[1])
 
     radii = np.linspace(spec.max_radius / spec.n_radii, spec.max_radius, spec.n_radii)
-    rows = []
-    for s in radii:
-        rows.extend([s, t, m_min, m_mean] for t, (m_min, m_mean) in zip(times, shell_margins(s)))
-    rows = np.asarray(rows, dtype=float)
-    min_per_radius = rows[:, 2].reshape(spec.n_radii, times.size).min(axis=1)
+    margins = shell_margins(radii, dirs[:, : 2 * n + 2**n])
+    outer = margins[:, -1, :]
+    scan = bool(np.min(outer) >= 0.0)
+    witness = None
+    if scan:
+        margins = np.concatenate([shell_margins(radii[i : i + 1], dirs) for i in range(radii.size)], axis=1)
+    else:
+        i_time, i_dir = np.unravel_index(np.argmin(outer), outer.shape)
+        witness = {
+            "radius": float(radii[-1]),
+            "time": float(times[i_time]),
+            "direction": [float(v) for v in dirs[:, i_dir]],
+            "margin": float(outer[i_time, i_dir]),
+        }
+    # one row per (radius, plan time): radius, t, min and mean margin over the directions
+    rows = np.column_stack(
+        [
+            np.repeat(radii, times.size),
+            np.tile(times, radii.size),
+            margins.min(axis=2).T.ravel(),
+            margins.mean(axis=2).T.ravel(),
+        ]
+    )
+    min_per_radius = margins.min(axis=(0, 2))
     feasible = min_per_radius >= 0.0
 
     bisection_steps = 0
@@ -242,7 +287,7 @@ def verify_dissipation_condition(
         lo, hi = radii[i_last_bad], radii[i_last_bad + 1]
         for _ in range(BISECT_ITERS):
             mid = 0.5 * (lo + hi)
-            if min(m_min for m_min, _ in shell_margins(mid)) >= 0.0:
+            if np.min(shell_margins(np.array([mid]), dirs)) >= 0.0:
                 hi = mid
             else:
                 lo = mid
@@ -257,11 +302,13 @@ def verify_dissipation_condition(
         min_margin_per_radius=min_per_radius,
         margin_rows=rows,
         times=times,
-        n_dirs=dirs.shape[1],
+        n_dirs=margins.shape[2],
         max_radius=spec.max_radius,
         envelope_calls=envelope_calls,
-        states_evaluated=envelope_calls * dirs.shape[1] * times.size,
+        states_evaluated=states_evaluated,
         bisection_steps=bisection_steps,
+        scan=scan,
+        witness=witness,
     )
 
 

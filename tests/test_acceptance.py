@@ -51,7 +51,7 @@ from phs_lab.structure import MicroactuatorStructure, StructureEstimate
 from phs_lab.verify import VerifySpec, verify_dissipation_condition
 
 from conftest import micro_hypers, micro_structure, sin_input, subset, unforced
-from test_gp import _dense_posterior
+from test_gp import _dense_mean_grad_h_and_var, _dense_posterior
 from test_verify import _ConstantEnvelopeModel, constant_plan, quadratic_desired
 
 pytestmark = [pytest.mark.acceptance, pytest.mark.slow]
@@ -264,6 +264,71 @@ def test_production_plan_fit_converges(production_run):
         ok,
         f"trust-region status {fit['status']} ({fit['message']}) after "
         f"{fit['nfev']} evaluations, max matching residual {summary['max_matching_residual']:.3g}",
+    )
+
+
+def test_production_verify_witness_matches_the_dense_oracle(production_run):
+    # the verifier's production verdict, recomputed apart from the package:
+    # the margin grad H_d^T R_d grad H_d - sum_i |d_i H_d| beta_i var_i(x) at
+    # the reported witness state, with grad H_hat and var from the dense-loop
+    # posterior of test_gp (the Gram's diagonal carries noise_var plus the
+    # model's jitter), and the plan times it checked against the config
+    workdir, _, _ = production_run
+    rep, hd, saved = (
+        json.loads((workdir / name).read_text()) for name in ("verify_report.json", "hd_check.json", "model.json")
+    )
+    plan = plan_from_csv(workdir / "plan.csv")
+    n_times = default_config()["verify"]["n_times"]
+    times = rep["times"]
+    times_ok = (
+        len(times) == len(set(times)) == n_times
+        and times[0] == plan.times[0]
+        and times[-1] == plan.times[-1]
+        and all(t in plan.times for t in times)
+    )
+    w = rep["witness"]
+    if w is None:
+        report("verify-witness", False, f"no witness; scan {rep['scan']}, unbounded {rep['unbounded']}, times {times}")
+    model = load_model(workdir / "model.json")
+    n, n_pts = model.states.shape
+    # xdot0 holds the targets minus G_hat u point by point, which the oracle
+    # reads as derivatives with zero inputs
+    data = FilteredDataset(
+        states=np.asarray(saved["states"]),
+        derivatives=np.asarray(saved["xdot0"]).reshape(n_pts, n).T,
+        inputs=np.zeros((1, n_pts)),
+        times=np.arange(n_pts, dtype=float),
+    )
+    hyper = GpHyperparams(
+        sigma_f=model.hyper.sigma_f,
+        lengthscales=model.hyper.lengthscales,
+        noise_var=model.hyper.noise_var + saved["jitter_used"],
+        structure=model.hyper.structure,
+    )
+    xbar = w["radius"] * np.asarray(w["direction"])
+    center = np.asarray(hd["center"])
+    state = plan.x_d(w["time"]) + xbar
+    # column 0: grad H_d(xbar) = grad H_hat(center + xbar); column 1: var at the plant state
+    _, grad, var = _dense_mean_grad_h_and_var(data, hyper, np.stack([center + xbar, state], axis=1))
+    g = grad[:, 0]
+    _, rd = microactuator_desired_matrices(hd["b_hat"], hd["r_d_inv"])
+    margin = float(g @ rd @ g - np.abs(g) @ (np.asarray(saved["beta"]) * var[:, 1]))
+    rel_gap = abs(margin - w["margin"]) / abs(margin)
+    ok = (
+        times_ok
+        and rep["unbounded"]
+        and not rep["scan"]
+        and w["radius"] == rep["max_radius"]
+        and w["margin"] == rep["min_margin_per_radius"][-1]
+        and margin < 0.0
+        and rel_gap <= 1e-8
+    )
+    report(
+        "verify-witness",
+        ok,
+        f"witness margin {w['margin']:.6g} at radius {w['radius']:g}, t = {w['time']:g}; dense oracle "
+        f"{margin:.6g} (relative gap {rel_gap:.2g} <= 1e-8); {len(times)} plan times "
+        f"(configured {n_times}): {times_ok}",
     )
 
 

@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,8 +35,6 @@ from phs_lab.gp import (
     load_model,
     mean_adjust,
     negative_log_marginal_likelihood,
-    posterior_helper,
-    posterior_threads,
     save_model,
 )
 from phs_lab.kernels import TrainingPairs, gram_matrix
@@ -580,79 +577,6 @@ def test_training_does_not_depend_on_blas_environment():
     for threads, run in runs.items():
         assert run.pop("counts") == {"numpy": 1, "scipy": 1}, threads
     assert runs[1] == runs[2] == runs[3]
-
-
-@pytest.fixture
-def two_cores(monkeypatch):
-    """The helper's thread, whatever number of cores this process may use."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-
-@pytest.mark.parametrize("mean, var", [(True, True), (True, False), (False, True)])
-def test_posterior_helper_gives_the_same_bits(small_model, mean, var, two_cores):
-    # three full _VAR_CHUNK blocks and a tail, shared by the caller and the
-    # helper; each block rounds the same on either thread, and k @ w still
-    # runs once over all states.  A short switch interval interleaves the two
-    # threads' Python code as finely as it can.
-    xq = np.random.default_rng(14).uniform(-0.5, 1.5, size=(3, 3 * gp_mod._VAR_CHUNK + 17))
-    serial = small_model._posterior(xq, mean=mean, var=var)
-    before = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with posterior_helper():
-            assert posterior_threads() == 2
-            splits = [small_model._posterior(xq, mean=mean, var=var) for _ in range(5)]
-            # the helper thread started for the queries and is still there
-            assert threading.active_count() == before + 1
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == before
-    assert posterior_threads() == 1
-    for split in splits:
-        for got, expected in zip(split, serial):
-            np.testing.assert_array_equal(got, expected)
-
-
-def test_posterior_helper_starts_no_thread_on_one_core(small_model, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    xq = np.random.default_rng(14).uniform(-0.5, 1.5, size=(3, 3 * gp_mod._VAR_CHUNK))
-    serial = small_model._posterior(xq, mean=True, var=True)
-    before = threading.active_count()
-    with posterior_helper():
-        assert posterior_threads() == 1
-        split = small_model._posterior(xq, mean=True, var=True)
-        assert threading.active_count() == before
-    for got, expected in zip(split, serial):
-        np.testing.assert_array_equal(got, expected)
-
-
-def test_posterior_helper_starts_no_thread_for_one_block(small_model, two_cores):
-    before = threading.active_count()
-    with posterior_helper():
-        small_model.drift(np.zeros((3, gp_mod._VAR_CHUNK)))
-        assert threading.active_count() == before
-
-
-def test_block_error_on_the_helper_is_raised_by_the_caller(two_cores):
-    # the caller holds its first block until the helper has taken one, which
-    # fails; the caller runs every other block and then raises the failure
-    helper_failed = threading.Event()
-    done = []
-
-    def blocks(starts):
-        for start in starts:
-            if threading.current_thread() is not threading.main_thread():
-                helper_failed.set()
-                raise ArithmeticError("helper block")
-            assert helper_failed.wait(timeout=10)
-            done.append(start)
-
-    before = threading.active_count()
-    with pytest.raises(ArithmeticError, match="helper block"), posterior_helper():
-        gp_mod._split_blocks(blocks, range(4))
-    assert len(done) == 3
-    assert threading.active_count() == before
 
 
 def test_calibration_sets_percentile_coverage(small_model, filtered_full):

@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from phs_lab import ConfigError, StageError, gp, kernels, pipeline
+from phs_lab import ConfigError, StageError, kernels
 from phs_lab.cli import main
 from phs_lab.config import default_config, validate_config
 from phs_lab.core import simulate_feedback, trajectory_from_csv
@@ -30,9 +30,6 @@ from phs_lab.pipeline import (
 )
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-# the threads a stage's posterior queries split their blocks over: the
-# caller, plus gp.posterior_helper's thread on two cores or more
-POSTERIOR_THREADS = min(2, len(os.sched_getaffinity(0)))
 
 MINI_OVERRIDES = {
     "seed": 3,
@@ -326,43 +323,12 @@ def test_without_openblas_nothing_is_set_and_verify_records_null(mini_run, monke
     with open(mini_run[0] / "verify_report.json") as fh:
         recorded = json.load(fh)
     assert recorded["blas_threads"] == {"numpy": 1, "scipy": 1}
-    assert recorded["posterior_threads"] == POSTERIOR_THREADS
 
 
-def test_verify_stage_writes_the_same_bytes_without_the_helper(mini_run, tmp_path):
-    # the mini verify shells hold 2 x 114 states, two posterior blocks, so
-    # through run_stage the helper takes one of them
-    workdir = tmp_path / "serial"
-    shutil.copytree(mini_run[0], workdir)
-    assert gp.posterior_threads() == 1
-    pipeline._STAGES["verify"](mini_config(), str(workdir))
-    assert (workdir / "margins.csv").read_bytes() == (mini_run[0] / "margins.csv").read_bytes()
-    with open(workdir / "verify_report.json") as fh:
-        serial = json.load(fh)
-    with open(mini_run[0] / "verify_report.json") as fh:
-        staged = json.load(fh)
-    assert serial.pop("posterior_threads") == 1
-    assert staged.pop("posterior_threads") == POSTERIOR_THREADS
-    assert serial == staged
-
-
-def test_run_stage_leaves_no_thread_behind(mini_run, monkeypatch, tmp_path):
+def test_run_stage_leaves_no_thread_behind(mini_run, tmp_path):
+    # the mini verify runs multi-block posterior queries on the calling thread
     workdir = tmp_path / "threads"
     shutil.copytree(mini_run[0], workdir)
     before = threading.active_count()
     run_stage(mini_config(), str(workdir), "verify")
-    assert threading.active_count() == before
-    during = []
-
-    def failing(cfg, wd):
-        _, model, _ = pipeline.load_model_artifact(cfg, wd)
-        model.envelope(np.zeros((3, 3 * gp._VAR_CHUNK)))
-        during.append(threading.active_count())
-        raise RuntimeError("fails after a split query")
-
-    monkeypatch.setitem(pipeline._STAGES, "verify", failing)
-    with pytest.raises(StageError, match="fails after a split query"):
-        run_stage(mini_config(), str(workdir), "verify")
-    # the helper ran inside the stage and was joined when it failed
-    assert during == [before + POSTERIOR_THREADS - 1]
     assert threading.active_count() == before

@@ -18,10 +18,14 @@ from phs_lab.core import PhsModel, make_mass_spring_damper
 from phs_lab.verify import (
     BISECT_ITERS,
     VerifySpec,
+    _sphere_directions,
     build_desired_dynamics,
     validate_hd_minimum,
     verify_dissipation_condition,
 )
+
+# the deterministic directions of a 3-state loop: 6 signed axes, 8 corners
+N_WITNESS = 14
 
 
 @pytest.fixture(scope="module")
@@ -131,16 +135,146 @@ class _CountingEnvelopeModel(_ConstantEnvelopeModel):
 
 @pytest.mark.parametrize("eta0, rho", [(0.05, 0.8), (10.0, 0.1)], ids=["bisects", "unbounded"])
 def test_verify_work_counts(eta0, rho):
+    # one envelope call on the witness directions, then, when the scan runs,
+    # one per shell of the grid and of the bisection on all directions
     spec = VerifySpec(max_radius=0.5, n_radii=10, n_dirs=40, n_times=3)
     model = _CountingEnvelopeModel(3, eta0)
     plan = ReferencePlan(times=np.linspace(0.0, 1.0, 5), xd=np.zeros((5, 3)))
     report = verify_dissipation_condition(model.envelope, quadratic_desired(3, rho), plan, spec)
     out = report.to_jsonable()
     n_times = report.times.size
-    assert out["bisection_steps"] == (0 if report.unbounded else BISECT_ITERS)
-    assert out["envelope_calls"] == spec.n_radii + out["bisection_steps"]
-    assert out["envelope_calls"] == model.calls
-    assert out["states_evaluated"] == model.states == model.calls * report.n_dirs * n_times
+    assert out["scan"] is (not report.unbounded)
+    assert out["n_dirs"] == (N_WITNESS + spec.n_dirs if out["scan"] else N_WITNESS)
+    assert out["bisection_steps"] == (BISECT_ITERS if out["scan"] else 0)
+    scanned_shells = spec.n_radii + out["bisection_steps"] if out["scan"] else 0
+    assert out["envelope_calls"] == model.calls == 1 + scanned_shells
+    witness_states = spec.n_radii * N_WITNESS * n_times
+    assert out["states_evaluated"] == model.states == witness_states + scanned_shells * out["n_dirs"] * n_times
+
+
+def _reference_verify(envelope, desired, plan, spec):
+    """The per-radius scan and bisection as the verifier ran them before its witness pass, verbatim."""
+    n = desired.dim_state
+    rng = np.random.default_rng(spec.seed)
+    dirs = _sphere_directions(n, spec.n_dirs, rng)
+
+    idx = np.unique(np.linspace(0, plan.times.size - 1, spec.n_times).round().astype(int))
+    times = plan.times[idx]
+    centers = np.stack([plan.x_d(t) for t in times], axis=1)
+
+    def shell_margins(radius: float):
+        xbar = radius * dirs
+        grads = desired.hamiltonian_gradient(xbar)
+        quad = np.einsum("iq,ij,jq->q", grads, desired.r, grads)
+        # states[:, t, q] = centre t + xbar_q
+        states = centers[:, :, None] + xbar[:, None, :]
+        eta = envelope(states.reshape(n, -1)).reshape(states.shape)
+        margins = quad - np.sum(np.abs(grads)[:, None, :] * eta, axis=0)
+        return [(float(np.min(m)), float(np.mean(m))) for m in margins]
+
+    radii = np.linspace(spec.max_radius / spec.n_radii, spec.max_radius, spec.n_radii)
+    rows = []
+    for s in radii:
+        rows.extend([s, t, m_min, m_mean] for t, (m_min, m_mean) in zip(times, shell_margins(s)))
+    rows = np.asarray(rows, dtype=float)
+    min_per_radius = rows[:, 2].reshape(spec.n_radii, times.size).min(axis=1)
+    feasible = min_per_radius >= 0.0
+
+    if np.all(feasible):
+        satisfied, unbounded, eps = True, False, 0.0
+    elif not feasible[-1]:
+        satisfied, unbounded, eps = False, True, float("inf")
+    else:
+        satisfied = False
+        unbounded = False
+        i_last_bad = int(np.max(np.nonzero(~feasible)[0]))
+        lo, hi = radii[i_last_bad], radii[i_last_bad + 1]
+        for _ in range(BISECT_ITERS):
+            mid = 0.5 * (lo + hi)
+            if min(m_min for m_min, _ in shell_margins(mid)) >= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        eps = float(hi)
+    return dict(
+        satisfied=satisfied,
+        unbounded=unbounded,
+        epsilon=eps,
+        radii=radii,
+        min_margin_per_radius=min_per_radius,
+        margin_rows=rows,
+    )
+
+
+def _scan_cases(centered_desired):
+    return {
+        # an inner radius fails, so the certificate radius is bisected
+        "bisects": (
+            _ConstantEnvelopeModel(3, 0.05).envelope,
+            quadratic_desired(3, 0.8),
+            ReferencePlan(times=np.linspace(0.0, 1.0, 5), xd=np.zeros((5, 3))),
+            VerifySpec(max_radius=0.5, n_radii=10, n_dirs=40, n_times=3),
+        ),
+        # criterion 6's oracle: the certificate radius has a closed form
+        "quadratic_oracle": (
+            _ConstantEnvelopeModel(3, 0.05).envelope,
+            quadratic_desired(3, 0.8),
+            constant_plan(np.zeros(3)),
+            VerifySpec(max_radius=0.5, n_radii=50, n_dirs=500, n_times=2),
+        ),
+        "satisfied": (
+            np.zeros_like,
+            centered_desired,
+            constant_plan([1.0, 0.0, 0.0]),
+            VerifySpec(max_radius=0.5, n_radii=8, n_dirs=100, n_times=2),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["bisects", "quadratic_oracle", "satisfied"])
+def test_scan_report_equals_the_reference_when_no_witness_refutes(case, centered_desired):
+    args = _scan_cases(centered_desired)[case]
+    report = verify_dissipation_condition(*args)
+    expected = _reference_verify(*args)
+    assert report.scan
+    assert report.witness is None
+    assert report.to_jsonable()["witness"] is None
+    assert report.satisfied == expected["satisfied"]
+    assert report.unbounded == expected["unbounded"]
+    assert report.epsilon == expected["epsilon"]
+    for name in ("radii", "min_margin_per_radius", "margin_rows"):
+        assert np.array_equal(getattr(report, name), expected[name]), name
+    assert "witness" not in report.to_text()
+
+
+def test_witness_refutes_the_outer_shell_with_one_envelope_call():
+    spec = VerifySpec(max_radius=0.5, n_radii=10, n_dirs=40, n_times=3)
+    desired = quadratic_desired(3, 0.1)
+    plan = ReferencePlan(times=np.linspace(0.0, 1.0, 5), xd=np.linspace(-1.0, 1.0, 15).reshape(5, 3))
+    model = _CountingEnvelopeModel(3, 10.0)
+    report = verify_dissipation_condition(model.envelope, desired, plan, spec)
+    assert model.calls == 1
+    assert model.states == spec.n_radii * N_WITNESS * report.times.size
+    assert not report.scan
+    assert report.unbounded and not report.satisfied
+    assert report.n_dirs == N_WITNESS
+
+    # the witness names a state whose margin, recomputed on its own, is negative
+    w = report.to_jsonable()["witness"]
+    assert w["radius"] == spec.max_radius
+    assert w["time"] in report.times
+    xbar = w["radius"] * np.asarray(w["direction"])
+    grad = desired.hamiltonian_gradient(xbar[:, None])[:, 0]
+    eta = _ConstantEnvelopeModel(3, 10.0).envelope((plan.x_d(w["time"]) + xbar)[:, None])[:, 0]
+    margin = grad @ desired.r @ grad - np.abs(grad) @ eta
+    assert margin < 0.0
+    assert margin == pytest.approx(w["margin"], rel=1e-12)
+    assert w["margin"] == report.min_margin_per_radius[-1]
+    assert "verdict from a witness" in report.to_text()
+
+    # the full scan reaches the same verdict
+    expected = _reference_verify(_ConstantEnvelopeModel(3, 10.0).envelope, desired, plan, spec)
+    assert (expected["satisfied"], expected["unbounded"]) == (report.satisfied, report.unbounded)
 
 
 def test_dissipation_unbounded_when_envelope_dominates():

@@ -15,15 +15,10 @@ later ``plant.kind``, ``dataset.rtol``, ``dataset.atol``, ``train.gtol``,
 ``closed_loop.atol``) fails with an unknown-key error and has to be
 regenerated into an empty directory.
 Importing the package sets both OpenBLAS libraries to one thread, as every
-call of it runs.  Every layer runs inside ``gp.posterior_helper``, as each
-pipeline stage runs: on a machine with two usable cores or more, a helper
-thread shares the blocks of ``gp._VAR_CHUNK`` states of a posterior query,
-so the multi-block queries (``mean_q261``, the verify shapes and
-``energy_q9261``) split as the plan, desired and verify stages split them.
-Every layer records the OpenBLAS thread counts (``blas_threads``) and the
-posterior's threads (``posterior_threads``) it ran with.  Each layer
-reports the median and the minimum of ``--repeats`` timed calls after one
-untimed warm-up call:
+call of it runs, and every layer runs on the calling thread, as each
+pipeline stage does.  Every layer records the OpenBLAS thread counts
+(``blas_threads``) it ran with.  Each layer reports the median and the
+minimum of ``--repeats`` timed calls after one untimed warm-up call:
 
 - ``nlml_grad_n300``: NLML plus gradient on the training set at the trained
   hyperparameters, every call on one ``kernels.TrainingPairs`` of the
@@ -41,8 +36,12 @@ untimed warm-up call:
 - ``envelope_q2014``: the error envelope beta * var alone at the same 2014
   states, the states of one shell around one plan time;
 - ``verify_shell``: the envelope at 5 x 2014 states drawn the same way, the
-  shape of the one call verify makes per shell, around all 5 plan times at
-  once (``envelope_calls`` in ``verify_report.json``);
+  shape of the one call verify makes per scanned shell, around all 5 plan
+  times at once;
+- ``verify_witness``: the envelope at 25 x 14 x 5 states drawn the same
+  way, the shape of verify's one call on its deterministic directions
+  (25 radii, 6 signed axes and 8 corners, 5 plan times), which decides the
+  production verdict (``envelope_calls`` in ``verify_report.json``);
 - ``energy_q9261``: the posterior energy H_hat on the desired stage's
   gate grid (``verify.GATE_RESOLUTION`` points per axis of
   [-``verify.GATE_BOUND``, ``verify.GATE_BOUND``], 21^3, shifted to the
@@ -78,7 +77,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from phs_lab import control, gp, pipeline, verify  # noqa: E402
+from phs_lab import control, pipeline, verify  # noqa: E402
 from phs_lab.config import validate_config  # noqa: E402
 from phs_lab.core import eval_dynamics  # noqa: E402
 from phs_lab.filtering import FilteredDataset  # noqa: E402
@@ -89,8 +88,12 @@ NEEDED = ("config.json", "model.json", "filtered.csv", "hd_check.json", "plan.cs
 N_STUDY = 100
 TRACED_LAYERS = ("nlml_grad_n300", "nlml_grad_n100")
 N_SHELL = 2014
-# plan times per verify shell in the default config (verify.n_times)
+# plan times per verify shell and radii in the default config
+# (verify.n_times, verify.n_radii), and verify's deterministic directions
+# of a 3-state loop
 N_TIMES = 5
+N_RADII = 25
+N_WITNESS = 14
 SHELL_SEED = 0
 PRODUCTION_SEED = 42
 
@@ -162,6 +165,7 @@ def layers(run_dir):
     rng = np.random.default_rng(SHELL_SEED)
     shell = lo[:, None] + (hi - lo)[:, None] * rng.uniform(size=(n, N_SHELL))
     merged = lo[:, None] + (hi - lo)[:, None] * rng.uniform(size=(n, N_TIMES * N_SHELL))
+    witness = lo[:, None] + (hi - lo)[:, None] * rng.uniform(size=(n, N_RADII * N_WITNESS * N_TIMES))
 
     axes = [np.linspace(-verify.GATE_BOUND, verify.GATE_BOUND, verify.GATE_RESOLUTION)] * n
     gate_grid = desired.center[:, None] + np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
@@ -190,6 +194,7 @@ def layers(run_dir):
         "mean_var_q2014": (f"Q = {N_SHELL}", lambda: model.drift(shell)),
         "envelope_q2014": (f"Q = {N_SHELL}", lambda: model.envelope(shell)),
         "verify_shell": (f"Q = {N_TIMES} x {N_SHELL}", lambda: model.envelope(merged)),
+        "verify_witness": (f"Q = {N_RADII} x {N_WITNESS} x {N_TIMES}", lambda: model.envelope(witness)),
         "energy_q9261": (f"Q = {gate_grid.shape[1]}", lambda: model.hamiltonian(gate_grid)),
         "controller_q1": ("Q = 1", lambda: controller(x_off, t_mid)),
         "dynamics_q1": ("Q = 1", lambda: model.dynamics(x_off, np.zeros(n_input))),
@@ -209,13 +214,11 @@ def main(argv=None):
         parser.error("--repeats must be at least 1")
     ensure_run(args.run_dir)
     out = {"repeats": args.repeats, "layers": {}}
-    with gp.posterior_helper():
-        for name, (shape, fn) in layers(args.run_dir).items():
-            threads = dict(blas_threads=blas_thread_counts(), posterior_threads=gp.posterior_threads())
-            out["layers"][name] = dict(shape=shape, **threads, **time_calls(fn, args.repeats))
-            if name in TRACED_LAYERS:
-                out["layers"][name]["minor_faults_per_call"] = minor_faults_per_call(fn, args.repeats)
-                out["layers"][name]["peak_traced_mb"] = peak_traced_mb(fn)
+    for name, (shape, fn) in layers(args.run_dir).items():
+        out["layers"][name] = dict(shape=shape, blas_threads=blas_thread_counts(), **time_calls(fn, args.repeats))
+        if name in TRACED_LAYERS:
+            out["layers"][name]["minor_faults_per_call"] = minor_faults_per_call(fn, args.repeats)
+            out["layers"][name]["peak_traced_mb"] = peak_traced_mb(fn)
     print(json.dumps(out))
 
 

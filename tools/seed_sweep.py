@@ -9,8 +9,8 @@ The first form runs every stage of ``run_pipeline`` with the default config
 at seeds 42 and 1-10, each seed into ``DIR/seed<N>``, or into a temporary
 directory when ``--workdir`` is not given.  It then reads back only the
 run's artifacts (``metrics.json``, ``plan_summary.json``, ``plan.csv``,
-``closedloop.csv`` and ``timings.json``) and writes one JSON object,
-``{"seeds": {"<seed>": row}}``.  A row holds:
+``closedloop.csv``, ``verify_report.json`` and ``timings.json``) and writes
+one JSON object, ``{"seeds": {"<seed>": row}}``.  A row holds:
 
 - ``criteria``: ``1a`` max |x1 - x_d1|, ``1b_i`` the model-predicted H_d
   increases above the tolerance, ``1b_ii`` max |f - mu| / eta, and
@@ -19,15 +19,16 @@ run's artifacts (``metrics.json``, ``plan_summary.json``, ``plan.csv``,
   ``solves``, the free and the box solve's exits (None for runs that do not
   record them), ``max_matching_residual`` and ``min_xd3``;
 - ``max_abs_u`` over the closed-loop samples;
+- ``verify``: the verifier's ``verdict`` (``satisfied``, ``unbounded`` or
+  ``bounded``, with its certificate radius ``epsilon``), whether its random
+  ``scan`` ran or a witness among its deterministic directions decided, and
+  the ``states_evaluated`` by its envelope calls;
 - ``stage_s``: each stage's wall seconds and their ``total``.
 
 The second form prints the JSON as one markdown table, failed checks in
 bold.  Each stage runs as in a production run, whatever
-OPENBLAS_NUM_THREADS says: both OpenBLAS libraries on one thread (set
-when the package is imported), and on two cores a helper thread that
-shares the blocks of each posterior query (``gp.posterior_helper``, which
-``pipeline.run_stage`` opens); the 11 seeds take about 3 minutes on two
-cores.
+OPENBLAS_NUM_THREADS says: both OpenBLAS libraries on one thread, set when
+the package is imported; the 11 seeds take about a minute on two cores.
 """
 
 import argparse
@@ -56,6 +57,7 @@ def read_row(workdir):
     timings = read_json(os.path.join(workdir, "timings.json"))
     plan = read_table(os.path.join(workdir, "plan.csv"))
     loop = read_table(os.path.join(workdir, "closedloop.csv"))
+    checked = read_json(os.path.join(workdir, "verify_report.json"))
     lyapunov = metrics["lyapunov"]
     return {
         "criteria": {
@@ -71,6 +73,12 @@ def read_row(workdir):
             "min_xd3": float(np.min(plan.group("xd")[:, 2])),
         },
         "max_abs_u": float(np.max(np.abs(loop.group("u")))),
+        "verify": {
+            "verdict": "satisfied" if checked["satisfied"] else "unbounded" if checked["unbounded"] else "bounded",
+            "epsilon": checked["epsilon"],
+            "scan": checked["scan"],
+            "states_evaluated": checked["states_evaluated"],
+        },
         "stage_s": dict(timings, total=sum(timings.values())),
     }
 
@@ -94,11 +102,11 @@ def table(result):
 
     lines = [
         "| seed | 1a: max \\|x1 − x_d1\\| | 1b(i) events | 1b(ii) | plant events | min x_d3 | max \\|u\\| "
-        "| plan fit: status, nfev | box re-solve | plan s | total s |",
-        "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |",
+        "| plan fit: status, nfev | box re-solve | verify: verdict (path, states) | verify s | plan s | total s |",
+        "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |",
     ]
     for seed, row in sorted(result["seeds"].items(), key=lambda item: int(item[0])):
-        c, p = row["criteria"], row["plan"]
+        c, p, v = row["criteria"], row["plan"], row["verify"]
         solves = p["solves"]
         if solves is None:
             box = "n/a"
@@ -116,6 +124,8 @@ def table(result):
             f"{row['max_abs_u']:.2g}",
             f"{p['fit']['status']}, {p['fit']['nfev']}",
             box,
+            f"{v['verdict']} ({'scan' if v['scan'] else 'witness'}, {v['states_evaluated']})",
+            f"{row['stage_s']['verify']:.2f}",
             f"{row['stage_s']['plan']:.2f}",
             f"{row['stage_s']['total']:.1f}",
         ]
