@@ -41,7 +41,7 @@ is pinned to zero at the origin by its raw value there, computed once when
 the model is built.  The model stores the
 inverse L^-1 of the lower Cholesky factor (kernels.invert_lower, once per
 conditioning), so the variance's v = L^-1 k^T is a triangular multiply (BLAS
-trmm) instead of a triangular solve, one per block; its prior part
+trmm, kernels.trmm_lower) instead of a triangular solve, one per block; its prior part
 sf^2 diag(S Lambda^-1 S^T) is a constant.
 
 The mean is itself a PHS (Beckers, Seidman, Perdikaris & Pappas, CDC 2022),
@@ -57,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.linalg.blas import dsyr, dtrmm
+from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dlauum
 from scipy.optimize import minimize
 
@@ -66,7 +66,7 @@ from .artifacts import read_json, write_json
 from .core import PhsModel, on_columns
 from .errors import ConditioningError, TrainingError
 from .filtering import FilteredDataset
-from .kernels import TrainingPairs, factorize_gram, invert_lower
+from .kernels import TrainingPairs, factorize_gram, invert_lower, trmm_lower
 from .structure import StructureEstimate, structure_from_jsonable
 
 __all__ = [
@@ -465,7 +465,7 @@ class GpPhsModel:
                 u = (self.s_hat @ vd.transpose(2, 0, 1).reshape(n, -1)).reshape(n, -1, n_pts)
                 cross = backend.phs_blocks(sf2 * k, u, self.m_hat)
                 # cross.T is Fortran-ordered: trmm overwrites it with L^-1 cross^T
-                half = dtrmm(1.0, self.l_inv, cross.T, lower=1, overwrite_b=1)
+                half = trmm_lower(self.l_inv, cross.T)
                 quad[rows] = np.einsum("ij,ij->j", half, half).reshape(-1, n)
         var_out = np.maximum(self.prior_var - quad, 0.0).T if var else None
         if not mean:

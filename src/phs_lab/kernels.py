@@ -22,7 +22,7 @@ model loading all build through it, and `gram_matrix` mirrors its lower
 triangle to the full symmetric matrix for callers that need one.
 `invert_lower` is the one inverse of a Cholesky factor, a recursive blocked
 triangular inverse that calls BLAS and LAPACK in place on blocks of the
-factor.
+factor, and `trmm_lower` multiplies by a lower triangle in place.
 
 Importing this module sets both bundled OpenBLAS libraries, numpy's and
 scipy's, to one thread, once for the process, so every call of the package
@@ -38,6 +38,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import cho_factor, cython_blas, cython_lapack
+from scipy.linalg.blas import dtrmm
 
 from . import backend
 from .errors import ConditioningError
@@ -49,6 +50,7 @@ __all__ = [
     "gram_matrix",
     "factorize_gram",
     "invert_lower",
+    "trmm_lower",
     "blas_thread_counts",
 ]
 
@@ -347,6 +349,24 @@ def invert_lower(factor):
         raise ValueError("factor must be a writeable float64 array")
     _invert_block(factor.ctypes.data, factor.shape[0], 0, factor.shape[0])
     return factor
+
+
+def trmm_lower(a, b):
+    """b <- a b in place, for the lower triangle of the square Fortran-ordered ``a``.
+
+    One call of scipy.linalg.blas.dtrmm(1.0, a, b, lower=1, overwrite_b=1).
+    The strict upper triangle of ``a`` is not read.  ``b`` is a writeable
+    Fortran-ordered float64 array with as many rows as ``a``; on any other
+    array the wrapper would multiply a copy and leave ``b`` as it was, so it
+    is refused.  Returns ``b``.
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.flags.f_contiguous or a.dtype != np.float64:
+        raise ValueError("a must be a square Fortran-ordered float64 array")
+    if b.ndim != 2 or b.shape[0] != a.shape[0]:
+        raise ValueError(f"b must be a 2-D array with {a.shape[0]} rows")
+    if not b.flags.f_contiguous or b.dtype != np.float64 or not b.flags.writeable:
+        raise ValueError("b must be a writeable Fortran-ordered float64 array")
+    return dtrmm(1.0, a, b, lower=1, overwrite_b=1)
 
 
 def _invert_block(base, ld, start, order):

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dlauum, dpotri, dtrtri
 
 from phs_lab import ConditioningError, gram_matrix, phs_kernel, se_hessian
 from phs_lab import backend
 from phs_lab.gp import GpHyperparams
-from phs_lab.kernels import TrainingPairs, factorize_gram, invert_lower
+from phs_lab.kernels import TrainingPairs, factorize_gram, invert_lower, trmm_lower
 from phs_lab.structure import FixedStructure, StructureEstimate
 
 from conftest import micro_hypers, micro_structure
@@ -255,6 +256,39 @@ def test_blocked_inverse_rejects_arrays_it_cannot_overwrite(factor):
     # Fortran-ordered float64 matrix, so anything else is refused
     with pytest.raises(ValueError, match="factor must"):
         invert_lower(factor)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (300, 128), (900, 384), (900, 90)])
+def test_trmm_lower_equals_scipy_dtrmm(shape):
+    # the same bits as scipy's own call, in place, the strict upper triangle
+    # of a unread
+    rows, cols = shape
+    a = _factor_with_nan_upper(rows, 3)
+    b = np.asfortranarray(np.random.default_rng(4).standard_normal((rows, cols)))
+    expected = dtrmm(1.0, np.tril(np.nan_to_num(a, nan=0.0)), b, lower=1)
+    out = trmm_lower(a, b)
+    assert out is b
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.eye(3, order="F"), np.ones((3, 2), order="C")),
+        (np.eye(3, order="F"), _read_only(np.ones((3, 2), order="F"))),
+        (np.eye(3, order="F"), np.ones((3, 2), dtype=np.float32, order="F")),
+        (np.eye(3, order="F"), np.ones((4, 2), order="F")),
+        (np.eye(3, order="C")[:, ::-1], np.ones((3, 2), order="F")),
+        (np.ones((3, 4), order="F"), np.ones((3, 2), order="F")),
+        (np.eye(3, dtype=np.float32, order="F"), np.ones((3, 2), order="F")),
+    ],
+    ids=["c-ordered-b", "read-only-b", "float32-b", "row-mismatch", "c-ordered-a", "non-square-a", "float32-a"],
+)
+def test_trmm_lower_rejects_arrays_it_cannot_use(a, b):
+    # on any of these scipy's wrapper would multiply a copy, or a wrong
+    # layout, and leave b as it was
+    with pytest.raises(ValueError, match="must be"):
+        trmm_lower(a, b)
 
 
 def test_jr_stack_equals_per_column_jr():
