@@ -15,7 +15,6 @@ from .control import (
     make_desired_dynamics,
     matching_residual,
     microactuator_desired_matrices,
-    semi_passive_control,
     solve_reference_plan,
     tracking_control,
 )
@@ -25,7 +24,6 @@ from .core import (
     Trajectory,
     energy_balance_residual,
     eval_dynamics,
-    make_mass_spring_damper,
     make_microactuator,
     phs_output,
     simulate_feedback,
@@ -53,7 +51,6 @@ from .gp import (
     save_model,
     train,
 )
-from .kernels import gram_matrix, phs_kernel, se_hessian
 from .pipeline import generate_dataset, run_pipeline
 from .structure import (
     FixedStructure,

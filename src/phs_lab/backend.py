@@ -19,8 +19,8 @@ variance (gp.py); `pair_blocks` forms the blocks of a list of pairs in the
 layout kernels.TrainingPairs copies into the lower triangle of the training
 Gram.  `phs_cross` assembles all pairs of two state sets; no program path
 calls it, and the tests check the training Gram against it.
-kernels.se_hessian and kernels.phs_kernel are the one-pair references all
-of these are tested against.  States are column-major (n, N).
+The one-pair references all of these are tested against, se_hessian and
+phs_kernel, are in tests/oracles.py.  States are column-major (n, N).
 """
 
 from __future__ import annotations

@@ -120,7 +120,6 @@ _SCHEMA = {
         "n_samples": (300, _int(2)),
         "noise_var": (0.001, _number(0.0)),
         "input": {
-            "kind": ("sin", _choice("zero", "sin")),
             "amplitude": (1.0, _number()),
             "frequency": (1.0, _number()),
         },

@@ -66,7 +66,6 @@ __all__ = [
     "matching_residual",
     "solve_reference_plan",
     "tracking_control",
-    "semi_passive_control",
     "plan_to_csv",
     "plan_from_csv",
 ]
@@ -429,15 +428,6 @@ def tracking_control(mean: PhsModel, desired: DesiredDynamics, plan: ReferencePl
         cols[:, 1] = desired.center + (x - x_d)
         grad_h, grad_hd = mean.hamiltonian_gradient(cols).T
         return shaped_gain @ grad_hd + g_pinv @ x_d_dot - model_gain @ grad_h
-
-    return control
-
-
-def semi_passive_control(base_control, u_ex: Callable[[float], np.ndarray]):
-    """Add an external port input: u(x, t) = base(x, t) + u_ex(t)."""
-
-    def control(x, t):
-        return base_control(x, t) + np.atleast_1d(np.asarray(u_ex(t), dtype=float))
 
     return control
 

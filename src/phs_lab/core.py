@@ -38,7 +38,6 @@ __all__ = [
     "simulate_feedback",
     "energy_balance_residual",
     "make_microactuator",
-    "make_mass_spring_damper",
     "trajectory_to_csv",
     "trajectory_from_csv",
 ]
@@ -295,19 +294,6 @@ def make_microactuator(params: MicroactuatorParams = MicroactuatorParams()) -> P
         g=np.array([[0.0], [0.0], [1.0 / p.r]]),
         hamiltonian=hamiltonian,
         hamiltonian_gradient=gradient,
-    )
-
-
-def make_mass_spring_damper(m: float = 1.0, k: float = 1.0, b: float = 0.5) -> PhsModel:
-    """Two-state linear PHS (position, momentum); handy as a known-answer system."""
-    if m <= 0 or k <= 0 or b < 0:
-        raise ValueError("need m > 0, k > 0, b >= 0")
-    return PhsModel(
-        j=np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        r=np.diag([0.0, b]),
-        g=np.array([[0.0], [1.0]]),
-        hamiltonian=lambda x: 0.5 * k * x[0] ** 2 + x[1] ** 2 / (2 * m),
-        hamiltonian_gradient=lambda x: np.array([k * x[0], x[1] / m]),
     )
 
 

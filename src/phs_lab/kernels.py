@@ -18,8 +18,9 @@ diagonal blocks only, into the lower triangle of its training set's
 Fortran-ordered Gram buffer, which LAPACK factorizes in place.  The buffer
 belongs to the training set's workspace, so the likelihood calls of one fit
 reuse it.  It is the one Gram builder: the likelihood, conditioning and
-model loading all build through it, and `gram_matrix` mirrors its lower
-triangle to the full symmetric matrix for callers that need one.
+model loading all build through it.  The one-pair references se_hessian
+and phs_kernel, and gram_matrix, which mirrors this lower triangle to the
+full symmetric matrix, are test code, in tests/oracles.py.
 `invert_lower` is the one inverse of a Cholesky factor, a recursive blocked
 triangular inverse that calls BLAS and LAPACK in place on blocks of the
 factor, and `trmm_lower` multiplies by a lower triangle in place.
@@ -44,40 +45,12 @@ from . import backend
 from .errors import ConditioningError
 
 __all__ = [
-    "se_hessian",
-    "phs_kernel",
     "TrainingPairs",
-    "gram_matrix",
     "factorize_gram",
     "invert_lower",
     "trmm_lower",
     "blas_thread_counts",
 ]
-
-
-def se_hessian(x, x_prime, lengthscales) -> np.ndarray:
-    """Mixed Hessian Pi(x, x') of the SE kernel, one pair at a time.
-
-    Straightforward reference implementation; the batched hot path is checked
-    against it in the tests.
-    """
-    x = np.asarray(x, dtype=float)
-    x_prime = np.asarray(x_prime, dtype=float)
-    ls = np.asarray(lengthscales, dtype=float)
-    if np.any(ls <= 0):
-        raise ValueError("lengthscales must be positive")
-    v = 1.0 / ls**2
-    d = x - x_prime
-    k = np.exp(-0.5 * np.sum(v * d * d))
-    vd = v * d
-    return k * (np.diag(v) - np.outer(vd, vd))
-
-
-def phs_kernel(x, x_prime, hyper) -> np.ndarray:
-    """Matrix-valued kernel sigma_f^2 * S Pi(x, x') S^T, one pair at a time."""
-    s = hyper.structure.jr()
-    pi = se_hessian(x, x_prime, hyper.lengthscales)
-    return hyper.sigma_f**2 * s @ pi @ s.T
 
 
 class TrainingPairs:
@@ -223,22 +196,6 @@ def _all_finite(a):
     # min and max are NaN when an entry is NaN and +-inf when an entry is: the
     # answer of np.isfinite(a).all() without its array of flags
     return bool(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)))
-
-
-def gram_matrix(states, hyper, jitter: float = 0.0) -> np.ndarray:
-    """Full symmetric block Gram matrix over the training states.
-
-    ``states`` is (n, N) column-major.  Block (i, j) is k_phs(x_i, x_j), and
-    the diagonal blocks additionally carry diag(noise_var) + jitter * I.  The
-    lower triangle is TrainingPairs.gram's, mirrored to the upper.
-    """
-    pairs = TrainingPairs(np.atleast_2d(np.asarray(states, dtype=float)))
-    lower = pairs.gram(hyper, pairs.terms(hyper))
-    gram = np.tril(lower)
-    gram += np.tril(lower, -1).T
-    eye = np.arange(gram.shape[0])
-    gram[eye, eye] += jitter
-    return gram
 
 
 def factorize_gram(build, jitter: float = 1e-10, max_jitter: float = 1e-6):

@@ -90,8 +90,6 @@ def build_plant(cfg):
 
 
 def build_input(spec):
-    if spec["kind"] == "zero":
-        return lambda t: np.zeros(1)
     amp, freq = spec["amplitude"], spec["frequency"]
     return lambda t: np.array([amp * np.sin(freq * t)])
 

@@ -15,25 +15,17 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from phs_lab import (
-    MicroactuatorParams,
-    condition,
-    gram_matrix,
-    make_microactuator,
-    phs_kernel,
-)
+from phs_lab import MicroactuatorParams, condition, make_microactuator
 from phs_lab.config import default_config, validate_config
 from phs_lab.control import (
     make_desired_dynamics,
     microactuator_desired_matrices,
     plan_from_csv,
-    semi_passive_control,
     solve_reference_plan,
     tracking_control,
 )
 from phs_lab.core import (
     eval_dynamics,
-    make_mass_spring_damper,
     phs_output,
     simulate_feedback,
     trajectory_from_csv,
@@ -51,8 +43,15 @@ from phs_lab.structure import MicroactuatorStructure, StructureEstimate
 from phs_lab.verify import VerifySpec, verify_dissipation_condition
 
 from conftest import micro_hypers, micro_structure, sin_input, subset, unforced
-from test_gp import _dense_mean_grad_h_and_var, _dense_posterior
-from test_verify import _ConstantEnvelopeModel, constant_plan, quadratic_desired
+from oracles import (
+    ConstantEnvelopeModel,
+    constant_plan,
+    dense_mean_grad_h_and_var,
+    gram_matrix,
+    make_mass_spring_damper,
+    phs_kernel,
+    quadratic_desired,
+)
 
 pytestmark = [pytest.mark.acceptance, pytest.mark.slow]
 
@@ -267,11 +266,70 @@ def test_production_plan_fit_converges(production_run):
     )
 
 
+def test_production_plan_follows_the_configured_reference(production_run):
+    # the plan's x_d1 is the configured drifting sine at every grid point,
+    # written out here from the config leaves alone
+    workdir, _, _ = production_run
+    ref = default_config()["plan"]["reference"]
+    plan = plan_from_csv(workdir / "plan.csv")
+    t = plan.times
+    expected = ref["offset"] + ref["slope"] * t + ref["amplitude"] * np.sin(ref["frequency"] * t)
+    gap = float(np.max(np.abs(plan.xd[:, 0] - expected)))
+    ok = ref["kind"] == "drifting-sine" and np.array_equal(plan.xd[:, 0], expected)
+    report(
+        "plan-reference",
+        ok,
+        f"x_d1 at {t.size} grid points vs {ref['offset']:g} + {ref['slope']:g} t + "
+        f"{ref['amplitude']:g} sin({ref['frequency']:g} t): max gap {gap:.3g} (bit for bit)",
+    )
+
+
+def test_production_closed_loop_starts_at_the_configured_offset(production_run):
+    # 1a bounds the error by the initial offset, so the loop must start there
+    workdir, _, _ = production_run
+    offset = np.asarray(default_config()["closed_loop"]["x0_offset"])
+    plan = plan_from_csv(workdir / "plan.csv")
+    traj = trajectory_from_csv(workdir / "closedloop.csv")
+    gap = float(np.max(np.abs(traj.states[0] - plan.x_d(plan.times[0]) - offset)))
+    report("start-offset", gap <= 1e-12, f"x(0) - x_d(0) - x0_offset: max gap {gap:.3g} (<= 1e-12)")
+
+
+def test_production_beta_recomputes_from_the_calibration_rollout(production_run):
+    # beta_i is the 99th percentile of |f_i - mu_i| / var_i along a noiseless
+    # rollout from dataset.x0 + train.calibration.x0_offset under the
+    # configured sine input, with the plant's exact derivatives
+    workdir, _, _ = production_run
+    cfg = default_config()
+    data, cal = cfg["dataset"], cfg["train"]["calibration"]
+    amp, freq = data["input"]["amplitude"], data["input"]["frequency"]
+    plant = make_microactuator(MicroactuatorParams(**cfg["plant"]))
+    run = simulate_feedback(
+        plant,
+        np.asarray(data["x0"]) + np.asarray(cal["x0_offset"]),
+        lambda x, t: np.array([amp * np.sin(freq * t)]),
+        data["t_span"],
+        n_samples=cal["n_samples"],
+    )
+    model = load_model(workdir / "model.json")
+    states, inputs = run.states.T, run.inputs.T
+    mean, var = model.drift(states)
+    err = np.abs(mean - (eval_dynamics(plant, states, inputs) - model.g_hat @ inputs))
+    beta = np.percentile(err / np.maximum(var, 1e-12), 99.0, axis=1)
+    saved = np.asarray(json.loads((workdir / "train_summary.json").read_text())["beta"])
+    ok = np.array_equal(beta, saved)
+    report(
+        "beta",
+        ok,
+        f"recomputed beta {np.array2string(beta, precision=6)} vs train_summary.json "
+        f"{np.array2string(saved, precision=6)} (bit for bit)",
+    )
+
+
 def test_production_verify_witness_matches_the_dense_oracle(production_run):
     # the verifier's production verdict, recomputed apart from the package:
     # the margin grad H_d^T R_d grad H_d - sum_i |d_i H_d| beta_i var_i(x) at
     # the reported witness state, with grad H_hat and var from the dense-loop
-    # posterior of test_gp (the Gram's diagonal carries noise_var plus the
+    # posterior of tests/oracles.py (the Gram's diagonal carries noise_var plus the
     # model's jitter), and the plan times it checked against the config
     workdir, _, _ = production_run
     rep, hd, saved = (
@@ -309,7 +367,7 @@ def test_production_verify_witness_matches_the_dense_oracle(production_run):
     center = np.asarray(hd["center"])
     state = plan.x_d(w["time"]) + xbar
     # column 0: grad H_d(xbar) = grad H_hat(center + xbar); column 1: var at the plant state
-    _, grad, var = _dense_mean_grad_h_and_var(data, hyper, np.stack([center + xbar, state], axis=1))
+    _, grad, var = dense_mean_grad_h_and_var(data, hyper, np.stack([center + xbar, state], axis=1))
     g = grad[:, 0]
     _, rd = microactuator_desired_matrices(hd["b_hat"], hd["r_d_inv"])
     margin = float(g @ rd @ g - np.abs(g) @ (np.asarray(saved["beta"]) * var[:, 1]))
@@ -396,10 +454,10 @@ def test_criterion_3_gp_oracle_equivalence(filtered_full):
     worst_mean = worst_var = 0.0
     for _ in range(5):
         xq = rng.uniform(-0.5, 1.5, size=3)
-        mean_o, var_o, _, _ = _dense_posterior(ds, hyper, xq)
+        mean_o, _, var_o = dense_mean_grad_h_and_var(ds, hyper, xq[:, None])
         mean, var = model_small.drift(xq[:, None])
-        worst_mean = max(worst_mean, float(np.max(np.abs(mean[:, 0] - mean_o))))
-        worst_var = max(worst_var, float(np.max(np.abs(var[:, 0] - var_o))))
+        worst_mean = max(worst_mean, float(np.max(np.abs(mean - mean_o))))
+        worst_var = max(worst_var, float(np.max(np.abs(var - var_o))))
 
     vec = hyper.to_vector()
     _, grad = negative_log_marginal_likelihood(ds, hyper, jitter=0.0)
@@ -499,7 +557,7 @@ def test_criterion_5_energy_invariants(perfect_setup):
         amp = float(rng.uniform(-0.5, 0.5))
         freq = float(rng.uniform(0.5, 3.0))
         u_ex = lambda t, a=amp, w=freq: np.array([a * np.sin(w * t)])
-        controller = semi_passive_control(base, u_ex)
+        controller = lambda x, t, u_ex=u_ex: base(x, t) + u_ex(t)
         run = simulate_feedback(plant, plan.x_d(0.0), controller, (0.0, 13.0), n_samples=1301)
         ts = run.times
         xbar = (run.states - plan.x_d(ts)).T
@@ -529,7 +587,7 @@ def test_criterion_6_condition_verifier():
     spec = VerifySpec(max_radius=0.5, n_radii=50, n_dirs=500, n_times=2)
     grid_step = spec.max_radius / spec.n_radii
     rep = verify_dissipation_condition(
-        _ConstantEnvelopeModel(n, eta0).envelope,
+        ConstantEnvelopeModel(n, eta0).envelope,
         quadratic_desired(n, rho),
         constant_plan(np.zeros(n)),
         spec,

@@ -103,14 +103,17 @@ def test_jitter_above_max_jitter_rejected():
         ("train.gtol", 1e-5),
         ("train.perturb_scale", 0.3),
         ("verify.bisect_iters", 12),
+        ("dataset.input.kind", "sin"),
     ],
 )
 def test_removed_leaves_are_unknown_keys(path, value):
     # these settings had one value in every run; a config that still sets
     # one, even to its old default, must fail instead of being ignored
-    section, key = path.split(".")
+    cfg = value
+    for part in reversed(path.split(".")):
+        cfg = {part: cfg}
     with pytest.raises(ConfigError, match=path.replace(".", r"\.") + ": unknown key"):
-        validate_config({section: {key: value}})
+        validate_config(cfg)
 
 
 def test_config_round_trip(tmp_path):
@@ -135,13 +138,13 @@ def test_load_config_bad_json(tmp_path):
 def test_overrides_parse_json_values():
     cfg = apply_overrides(
         default_config(),
-        ["seed=7", "dataset.noise_var=0.002", "plant.electrical_half=true", "dataset.input.kind=zero"],
+        ["seed=7", "dataset.noise_var=0.002", "plant.electrical_half=true", "plan.reference.kind=constant"],
     )
     assert cfg["seed"] == 7
     assert cfg["dataset"]["noise_var"] == 0.002
     assert cfg["plant"]["electrical_half"] is True
     # bare strings that are not JSON still land as strings
-    assert cfg["dataset"]["input"]["kind"] == "zero"
+    assert cfg["plan"]["reference"]["kind"] == "constant"
 
 
 def test_overrides_reject_unknown_and_malformed():

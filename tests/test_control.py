@@ -31,7 +31,6 @@ from phs_lab.control import (
     microactuator_desired_matrices,
     plan_from_csv,
     plan_to_csv,
-    semi_passive_control,
     solve_reference_plan,
     tracking_control,
 )
@@ -376,12 +375,6 @@ def test_best_fit_jacobian_matches_finite_differences(kind, perfect_model, gp_mo
         fd = approx_derivative(residual, z, method="3-point")
         assert jac.shape == fd.shape == (2 * n_grid, 2 * n_grid)
         np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-8 * np.max(np.abs(fd)))
-
-
-def test_semi_passive_adds_external_input():
-    base = lambda x, t: np.array([1.0])
-    combined = semi_passive_control(base, lambda t: np.array([0.5 * t]))
-    np.testing.assert_allclose(combined(np.zeros(3), 2.0), [2.0], atol=1e-15)
 
 
 def test_external_port_output_hand_value(desired):

@@ -11,7 +11,6 @@ from phs_lab import (
     Trajectory,
     energy_balance_residual,
     eval_dynamics,
-    make_mass_spring_damper,
     make_microactuator,
     phs_output,
     simulate_feedback,
@@ -19,6 +18,7 @@ from phs_lab import (
 from phs_lab.core import on_columns, trajectory_from_csv, trajectory_to_csv
 
 from conftest import sin_input, unforced
+from oracles import make_mass_spring_damper
 
 
 def test_microactuator_structure_matrices():

@@ -1,7 +1,8 @@
 """GP over PHS vector fields: likelihood, conditioning, posterior energy.
 
-The conditioning oracle here is written independently of the package kernel
-code (dense loops, no shared helpers) so the two routes can disagree.
+The conditioning oracle (tests/oracles.py) is written independently of the
+package kernel code (dense loops, no shared helpers) so the two routes can
+disagree.
 """
 
 import json
@@ -37,7 +38,7 @@ from phs_lab.gp import (
     negative_log_marginal_likelihood,
     save_model,
 )
-from phs_lab.kernels import TrainingPairs, gram_matrix
+from phs_lab.kernels import TrainingPairs
 from phs_lab.structure import (
     FixedStructure,
     MicroactuatorStructure,
@@ -48,97 +49,7 @@ from phs_lab.structure import (
 )
 
 from conftest import micro_hypers, micro_structure, subset
-
-
-# ---------------------------------------------------------------- oracle code
-
-
-def _se(x, xp, ls):
-    d = x - xp
-    return np.exp(-0.5 * np.sum(d * d / ls**2))
-
-
-def _se_pi(x, xp, ls):
-    d = x - xp
-    v = 1.0 / ls**2
-    return _se(x, xp, ls) * (np.diag(v) - np.outer(v * d, v * d))
-
-
-def _dense_gram(ds, hyper):
-    est = hyper.structure
-    n = ds.states.shape[0]
-    n_pts = ds.n_points
-    x_cols = ds.states
-    gram = np.zeros((n * n_pts, n * n_pts))
-    for i in range(n_pts):
-        for j in range(n_pts):
-            block = (
-                hyper.sigma_f**2
-                * est.jr()
-                @ _se_pi(x_cols[:, i], x_cols[:, j], hyper.lengthscales)
-                @ est.jr().T
-            )
-            gram[n * i : n * (i + 1), n * j : n * (j + 1)] = block
-    gram += np.kron(np.eye(n_pts), np.diag(hyper.noise_var))
-    return gram
-
-
-def _dense_targets(ds, hyper):
-    est = hyper.structure
-    n = ds.states.shape[0]
-    return np.concatenate(
-        [
-            ds.derivatives[:, i] - est.g() @ ds.inputs[:, i]
-            for i in range(ds.n_points)
-        ]
-    )
-
-
-def _dense_posterior(ds, hyper, xq):
-    est = hyper.structure
-    n = ds.states.shape[0]
-    gram = _dense_gram(ds, hyper)
-    y = _dense_targets(ds, hyper)
-    alpha = np.linalg.solve(gram, y)
-    cross = np.zeros((n, n * ds.n_points))
-    for j in range(ds.n_points):
-        cross[:, n * j : n * (j + 1)] = (
-            hyper.sigma_f**2
-            * est.jr()
-            @ _se_pi(xq, ds.states[:, j], hyper.lengthscales)
-            @ est.jr().T
-        )
-    mean = cross @ alpha
-    prior = hyper.sigma_f**2 * est.jr() @ _se_pi(xq, xq, hyper.lengthscales) @ est.jr().T
-    var = np.diag(prior - cross @ np.linalg.solve(gram, cross.T))
-    return mean, var, gram, y
-
-
-def _dense_mean_grad_h_and_var(ds, hyper, xq):
-    """Drift mean and variance through the cross-covariance, and grad H_hat
-    through the derivative of cov(H(x), xdot_j), one query column and one
-    sample at a time."""
-    est = hyper.structure
-    n = ds.states.shape[0]
-    gram = _dense_gram(ds, hyper)
-    alpha = np.linalg.solve(gram, _dense_targets(ds, hyper))
-    mean = np.zeros_like(xq)
-    grad = np.zeros_like(xq)
-    var = np.zeros_like(xq)
-    for q in range(xq.shape[1]):
-        x = xq[:, q]
-        cross = np.zeros((n, n * ds.n_points))
-        for j in range(ds.n_points):
-            xj = ds.states[:, j]
-            pi = _se_pi(x, xj, hyper.lengthscales)
-            aj = alpha[n * j : n * (j + 1)]
-            cross[:, n * j : n * (j + 1)] = hyper.sigma_f**2 * est.jr() @ pi @ est.jr().T
-            # d/dx [sf^2 Jr(x_j) Lambda^-1 (x - x_j) k(x, x_j)]^T = sf^2 Pi(x, x_j) Jr(x_j)^T
-            grad[:, q] += hyper.sigma_f**2 * pi @ est.jr().T @ aj
-        mean[:, q] = cross @ alpha
-        prior = hyper.sigma_f**2 * est.jr() @ _se_pi(x, x, hyper.lengthscales) @ est.jr().T
-        var[:, q] = np.diag(prior - cross @ np.linalg.solve(gram, cross.T))
-    return mean, grad, var
+from oracles import dense_gram, dense_mean_grad_h_and_var, dense_targets, gram_matrix, se_value
 
 
 def _reference_nlml_grad(ds, hyper, jitter=1e-10):
@@ -152,8 +63,8 @@ def _reference_nlml_grad(ds, hyper, jitter=1e-10):
     n, n_pts = x.shape
     sf2 = hyper.sigma_f**2
     struct = hyper.structure
-    cho = cho_factor(_dense_gram(ds, hyper) + jitter * np.eye(n * n_pts), lower=True)
-    alpha = cho_solve(cho, _dense_targets(ds, hyper))
+    cho = cho_factor(dense_gram(ds, hyper) + jitter * np.eye(n * n_pts), lower=True)
+    alpha = cho_solve(cho, dense_targets(ds, hyper))
     w = cho_solve(cho, np.eye(n * n_pts)) - np.outer(alpha, alpha)
     k_se, d, pi = backend.pi_tensor(x, x, hyper.lengthscales)
     s = struct.jr()
@@ -223,7 +134,7 @@ def test_weight_space_mean_and_grad_match_dense_oracle(family, n_query):
     rng = np.random.default_rng(n_query + (0 if family == "microactuator" else 1000))
     ds, hyper, model = _random_model(family, rng)
     xq = rng.uniform(-1.5, 1.5, size=(3, n_query))
-    mean_o, grad_o, var_o = _dense_mean_grad_h_and_var(ds, hyper, xq)
+    mean_o, grad_o, var_o = dense_mean_grad_h_and_var(ds, hyper, xq)
     mean = model.drift_mean(xq)
     grad = model.hamiltonian_grad(xq)
     assert mean.shape == grad.shape == (3, n_query)
@@ -264,16 +175,16 @@ def test_posterior_matches_dense_conditioning(small_dataset, small_model):
     rng = np.random.default_rng(4)
     for _ in range(5):
         xq = rng.uniform(-0.5, 1.5, size=3)
-        mean_o, var_o, _, _ = _dense_posterior(small_dataset, hyper, xq)
+        mean_o, _, var_o = dense_mean_grad_h_and_var(small_dataset, hyper, xq[:, None])
         mean, var = small_model.drift(xq[:, None])
-        np.testing.assert_allclose(mean[:, 0], mean_o, atol=1e-10)
-        np.testing.assert_allclose(var[:, 0], var_o, atol=1e-10)
+        np.testing.assert_allclose(mean, mean_o, atol=1e-10)
+        np.testing.assert_allclose(var, var_o, atol=1e-10)
 
 
 def test_nlml_matches_dense_formula(small_dataset, small_model):
     hyper = micro_hypers()
-    gram = _dense_gram(small_dataset, hyper)
-    y = _dense_targets(small_dataset, hyper)
+    gram = dense_gram(small_dataset, hyper)
+    y = dense_targets(small_dataset, hyper)
     sign, logdet = np.linalg.slogdet(gram)
     assert sign > 0
     expected = 0.5 * y @ np.linalg.solve(gram, y) + 0.5 * logdet + (y.size / 2) * np.log(2 * np.pi)
@@ -430,8 +341,7 @@ def test_nlml_gradient_matches_reference_contraction(filtered_full, step):
 def test_gradient_identity_and_dual_route_hamiltonian(small_dataset, small_model):
     hyper = micro_hypers()
     est = hyper.structure
-    _, _, gram, y = _dense_posterior(small_dataset, hyper, np.zeros(3))
-    alpha = np.linalg.solve(gram, y)
+    alpha = np.linalg.solve(dense_gram(small_dataset, hyper), dense_targets(small_dataset, hyper))
 
     def h_direct(x):
         # conditioning the latent energy on the derivative observations:
@@ -440,7 +350,7 @@ def test_gradient_identity_and_dual_route_hamiltonian(small_dataset, small_model
         v = 1.0 / hyper.lengthscales**2
         for i in range(small_dataset.n_points):
             xi = small_dataset.states[:, i]
-            c = hyper.sigma_f**2 * est.jr() @ (v * (x - xi) * _se(x, xi, hyper.lengthscales))
+            c = hyper.sigma_f**2 * est.jr() @ (v * (x - xi) * se_value(x, xi, hyper.lengthscales))
             out += c @ alpha[3 * i : 3 * i + 3]
         return out
 
@@ -813,7 +723,7 @@ def test_lengthscale_recovery_from_prior_sample():
         inputs=np.zeros((1, 40)),
         times=np.arange(40.0),
     )
-    gram = _dense_gram(ds_empty, true)
+    gram = dense_gram(ds_empty, true)
     sample = np.linalg.cholesky(gram + 1e-12 * np.eye(80)) @ gen.standard_normal(80)
     ds = FilteredDataset(
         states=states,

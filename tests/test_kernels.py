@@ -5,21 +5,21 @@ import pytest
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dlauum, dpotri, dtrtri
 
-from phs_lab import ConditioningError, gram_matrix, phs_kernel, se_hessian
+from phs_lab import ConditioningError
 from phs_lab import backend
 from phs_lab.gp import GpHyperparams
 from phs_lab.kernels import TrainingPairs, factorize_gram, invert_lower, trmm_lower
 from phs_lab.structure import FixedStructure, StructureEstimate
 
 from conftest import micro_hypers, micro_structure
+from oracles import gram_matrix, phs_kernel, se_hessian, se_value
 
 
 def _fd_se_cross_hessian(x, x_prime, ls, h=1e-4):
     """Mixed second derivative d^2 k / dx dx' by central differences."""
 
     def k(a, b):
-        d = a - b
-        return np.exp(-0.5 * np.sum(d * d / ls**2))
+        return se_value(a, b, ls)
 
     n = x.size
     out = np.empty((n, n))
@@ -323,7 +323,7 @@ def test_batched_hot_path_matches_pairwise_reference():
         for b in range(11):
             diff = xa[:, a] - xb[:, b]
             np.testing.assert_allclose(d[a, b], diff, atol=1e-15)
-            assert k[a, b] == pytest.approx(np.exp(-0.5 * np.sum(diff**2 / ls**2)), abs=1e-15)
+            assert k[a, b] == pytest.approx(se_value(xa[:, a], xb[:, b], ls), abs=1e-15)
             np.testing.assert_allclose(pi[a, b], se_hessian(xa[:, a], xb[:, b], ls), atol=1e-14)
             np.testing.assert_allclose(
                 cross[3 * a : 3 * a + 3, 3 * b : 3 * b + 3],

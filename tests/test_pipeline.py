@@ -225,7 +225,7 @@ def test_zero_noise_dataset_equals_clean_rollout(tmp_path):
 def test_zero_input_rollout_rests_at_the_energy_minimum():
     # (1, 0, 0) is the plant's energy minimum: grad H vanishes there, so the
     # unforced rollout never leaves it
-    cfg = mini_config(dataset={"x0": [1.0, 0.0, 0.0], "input": {"kind": "zero"}})
+    cfg = mini_config(dataset={"x0": [1.0, 0.0, 0.0], "input": {"amplitude": 0.0}})
     _, traj = rollout_plant(cfg, 20)
     np.testing.assert_array_equal(traj.states, np.tile([1.0, 0.0, 0.0], (20, 1)))
     np.testing.assert_array_equal(traj.inputs, np.zeros((20, 1)))

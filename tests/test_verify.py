@@ -2,19 +2,20 @@
 
 The certificate radius has a closed form for a quadratic energy with a
 constant error envelope, which pins the sampling machinery to an oracle
-computed by hand below.
+computed by hand (`quadratic_desired` in tests/oracles.py).
 """
 
 import numpy as np
 import pytest
 
-from phs_lab import MicroactuatorParams, SynthesisError, make_microactuator
+from phs_lab import SynthesisError, condition
 from phs_lab.control import (
     ReferencePlan,
     make_desired_dynamics,
     microactuator_desired_matrices,
 )
-from phs_lab.core import PhsModel, make_mass_spring_damper
+from phs_lab.core import PhsModel
+from phs_lab.gp import _VAR_CHUNK
 from phs_lab.verify import (
     BISECT_ITERS,
     VerifySpec,
@@ -24,13 +25,11 @@ from phs_lab.verify import (
     verify_dissipation_condition,
 )
 
+from conftest import micro_hypers, subset
+from oracles import ConstantEnvelopeModel, constant_plan, make_mass_spring_damper, quadratic_desired
+
 # the deterministic directions of a 3-state loop: 6 signed axes, 8 corners
 N_WITNESS = 14
-
-
-@pytest.fixture(scope="module")
-def plant():
-    return make_microactuator(MicroactuatorParams())
 
 
 @pytest.fixture(scope="module")
@@ -43,11 +42,6 @@ def centered_model(plant):
 def centered_desired(centered_model):
     jd, rd = microactuator_desired_matrices(b_hat=0.5, r_d_inv=10.0)
     return make_desired_dynamics(centered_model, jd, rd, center=np.array([1.0, 0.0, 0.0]))
-
-
-def constant_plan(xd_row, t1=1.0):
-    xd_row = np.asarray(xd_row, dtype=float)
-    return ReferencePlan(times=np.array([0.0, t1]), xd=np.tile(xd_row, (2, 1)))
 
 
 def test_hd_minimum_gate_passes_when_centered(centered_desired):
@@ -80,36 +74,13 @@ def test_dissipation_satisfied_with_zero_envelope(centered_desired):
     assert "SATISFIED" in report.to_text()
 
 
-class _ConstantEnvelopeModel:
-    def __init__(self, n, eta0):
-        self.n = n
-        self.eta0 = float(eta0)
-
-    def envelope(self, xq):
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        return np.full((self.n, xq.shape[1]), self.eta0)
-
-
-def quadratic_desired(n, rho):
-    # H_d = |xbar|^2 / 2, R_d = rho I: margin on the sphere of radius s is
-    # rho s^2 - eta0 s |d|_1, worst over unit d at |d|_1 = sqrt(n), so the
-    # certificate radius is eta0 sqrt(n) / rho
-    return PhsModel(
-        j=np.zeros((n, n)),
-        r=rho * np.eye(n),
-        g=np.zeros((n, 1)),
-        hamiltonian=lambda xbar: 0.5 * np.sum(xbar**2, axis=0),
-        hamiltonian_gradient=lambda xbar: np.asarray(xbar, dtype=float),
-    )
-
-
 def test_dissipation_epsilon_matches_quadratic_oracle():
     n, eta0, rho = 3, 0.05, 0.8
     eps_true = eta0 * np.sqrt(n) / rho
     spec = VerifySpec(max_radius=0.5, n_radii=50, n_dirs=500, n_times=2)
     grid_step = spec.max_radius / spec.n_radii
     report = verify_dissipation_condition(
-        _ConstantEnvelopeModel(n, eta0).envelope,
+        ConstantEnvelopeModel(n, eta0).envelope,
         quadratic_desired(n, rho),
         constant_plan(np.zeros(n)),
         spec,
@@ -120,7 +91,7 @@ def test_dissipation_epsilon_matches_quadratic_oracle():
     assert "holds outside radius" in report.to_text()
 
 
-class _CountingEnvelopeModel(_ConstantEnvelopeModel):
+class _CountingEnvelopeModel(ConstantEnvelopeModel):
     def __init__(self, n, eta0):
         super().__init__(n, eta0)
         self.calls = 0
@@ -210,14 +181,14 @@ def _scan_cases(centered_desired):
     return {
         # an inner radius fails, so the certificate radius is bisected
         "bisects": (
-            _ConstantEnvelopeModel(3, 0.05).envelope,
+            ConstantEnvelopeModel(3, 0.05).envelope,
             quadratic_desired(3, 0.8),
             ReferencePlan(times=np.linspace(0.0, 1.0, 5), xd=np.zeros((5, 3))),
             VerifySpec(max_radius=0.5, n_radii=10, n_dirs=40, n_times=3),
         ),
         # criterion 6's oracle: the certificate radius has a closed form
         "quadratic_oracle": (
-            _ConstantEnvelopeModel(3, 0.05).envelope,
+            ConstantEnvelopeModel(3, 0.05).envelope,
             quadratic_desired(3, 0.8),
             constant_plan(np.zeros(3)),
             VerifySpec(max_radius=0.5, n_radii=50, n_dirs=500, n_times=2),
@@ -247,6 +218,28 @@ def test_scan_report_equals_the_reference_when_no_witness_refutes(case, centered
     assert "witness" not in report.to_text()
 
 
+def test_scan_with_a_gp_envelope_equals_the_reference(filtered_full):
+    # a conditioned GP's envelope through the whole scan: beta = 0.1 leaves
+    # every witness margin on the outer shell nonnegative, an inner shell
+    # fails, so the certificate radius is bisected; each shell holds
+    # (14 + 100) directions x 3 plan times = 342 states, more than one
+    # posterior block of _VAR_CHUNK = 128
+    model = condition(subset(filtered_full, 30), micro_hypers(), jitter=0.0)
+    model.beta = np.full(3, 0.1)
+    plan = ReferencePlan(times=np.linspace(0.0, 1.0, 5), xd=np.linspace([0.6, -0.2, 0.8], [1.0, 0.2, 1.2], 5))
+    spec = VerifySpec(max_radius=0.5, n_radii=10, n_dirs=100, n_times=3)
+    args = (model.envelope, quadratic_desired(3, 0.8), plan, spec)
+    assert (N_WITNESS + spec.n_dirs) * 3 > _VAR_CHUNK
+    report = verify_dissipation_condition(*args)
+    expected = _reference_verify(*args)
+    assert report.scan
+    assert report.bisection_steps == BISECT_ITERS
+    assert (report.satisfied, report.unbounded) == (expected["satisfied"], expected["unbounded"]) == (False, False)
+    assert report.epsilon == expected["epsilon"]
+    for name in ("radii", "min_margin_per_radius", "margin_rows"):
+        assert np.array_equal(getattr(report, name), expected[name]), name
+
+
 def test_witness_refutes_the_outer_shell_with_one_envelope_call():
     spec = VerifySpec(max_radius=0.5, n_radii=10, n_dirs=40, n_times=3)
     desired = quadratic_desired(3, 0.1)
@@ -265,7 +258,7 @@ def test_witness_refutes_the_outer_shell_with_one_envelope_call():
     assert w["time"] in report.times
     xbar = w["radius"] * np.asarray(w["direction"])
     grad = desired.hamiltonian_gradient(xbar[:, None])[:, 0]
-    eta = _ConstantEnvelopeModel(3, 10.0).envelope((plan.x_d(w["time"]) + xbar)[:, None])[:, 0]
+    eta = ConstantEnvelopeModel(3, 10.0).envelope((plan.x_d(w["time"]) + xbar)[:, None])[:, 0]
     margin = grad @ desired.r @ grad - np.abs(grad) @ eta
     assert margin < 0.0
     assert margin == pytest.approx(w["margin"], rel=1e-12)
@@ -273,13 +266,13 @@ def test_witness_refutes_the_outer_shell_with_one_envelope_call():
     assert "verdict from a witness" in report.to_text()
 
     # the full scan reaches the same verdict
-    expected = _reference_verify(_ConstantEnvelopeModel(3, 10.0).envelope, desired, plan, spec)
+    expected = _reference_verify(ConstantEnvelopeModel(3, 10.0).envelope, desired, plan, spec)
     assert (expected["satisfied"], expected["unbounded"]) == (report.satisfied, report.unbounded)
 
 
 def test_dissipation_unbounded_when_envelope_dominates():
     report = verify_dissipation_condition(
-        _ConstantEnvelopeModel(3, 10.0).envelope,
+        ConstantEnvelopeModel(3, 10.0).envelope,
         quadratic_desired(3, 0.1),
         constant_plan(np.zeros(3)),
         VerifySpec(max_radius=0.5, n_radii=8, n_dirs=100, n_times=2),
@@ -293,7 +286,7 @@ def test_dissipation_unbounded_when_envelope_dominates():
 def test_margin_csv_shape(tmp_path):
     spec = VerifySpec(max_radius=0.5, n_radii=6, n_dirs=50, n_times=2)
     report = verify_dissipation_condition(
-        _ConstantEnvelopeModel(3, 0.05).envelope,
+        ConstantEnvelopeModel(3, 0.05).envelope,
         quadratic_desired(3, 0.8),
         constant_plan(np.zeros(3)),
         spec,
